@@ -49,7 +49,6 @@ from .weights import (
     WeightProblem,
     excess_risk_bound,
     linear_rademacher_bound,
-    project_simplex,
     solve_weights,
 )
 

@@ -143,11 +143,7 @@ def apply_normalization(data: Dataset, stats: NormalizationStats) -> Dataset:
     """Standardize features; near-constant columns (std < 1e-12) map to 0."""
     if stats.mean.shape[0] != data.n_features:
         raise ValueError("stats dimensionality does not match the dataset")
-    safe = stats.std >= DEGENERATE_STD
-    scaled = np.where(
-        safe, (data.features - stats.mean) / np.where(safe, stats.std, 1.0), 0.0
-    )
-    return data.with_arrays(features=scaled)
+    return data.with_arrays(features=normalize_features(data.features, stats))
 
 
 def normalize_features(features: np.ndarray, stats: NormalizationStats) -> np.ndarray:

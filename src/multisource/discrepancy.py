@@ -5,7 +5,9 @@ classifier can exhibit between the two samples. Estimating it reduces to a
 weighted ERM over the merged data in which the source carries negated
 labels; the minimization is relaxed to a ridge-stabilized weighted least
 squares, and the achieved weighted 0/1 risk r of the resulting sign
-classifier yields the estimate clamp(1 - r, 0, 1).
+classifier yields the estimate clamp(1 - r, 0, 1). The relaxation is solved
+exactly: its minimizer is one (d+1)x(d+1) linear solve of the normal
+equations, built from per-sample second moments.
 
 For small 1-D and 2-D instances, `exact_discrepancy_oracle` computes the
 supremum exactly by enumerating every labeling a threshold/halfplane
@@ -21,18 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import LinearPredictor, TrainConfig, minimize_weighted_loss
+from .models import LinearPredictor
 
 __all__ = [
-    "DEFAULT_RELAX_CONFIG",
+    "RELAX_RIDGE",
     "DiscrepancyEstimate",
     "empirical_discrepancy",
     "exact_discrepancy_oracle",
-    "flipped_merged_problem",
 ]
 
-# small ridge purely for conditioning of the least-squares relaxation
-DEFAULT_RELAX_CONFIG = TrainConfig(ridge_strength=1e-6)
+# small ridge on w (never the bias), purely for conditioning of the
+# least-squares relaxation
+RELAX_RIDGE = 1e-6
 
 ORACLE_MAX_POINTS = 200
 
@@ -60,26 +62,10 @@ class DiscrepancyEstimate:
         return cls(value=min(max(1.0 - risk, 0.0), 1.0), solver_risk=risk, source_id=source_id)
 
 
-def flipped_merged_problem(
-    source: Dataset, reference: Dataset
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merged (features, labels, weights): source rows get negated labels and
-    weight 1/m_src each, reference rows keep their labels with weight 1/m_ref."""
-    if source.n_features != reference.n_features:
-        raise ValueError(
-            f"feature mismatch: source has {source.n_features}, reference {reference.n_features}"
-        )
-    if source.n_samples == 0 or reference.n_samples == 0:
-        raise ValueError("both datasets must be nonempty")
-    features = np.vstack([source.features, reference.features])
-    labels = np.concatenate([-source.labels, reference.labels])
-    weights = np.concatenate(
-        [
-            np.full(source.n_samples, 1.0 / source.n_samples),
-            np.full(reference.n_samples, 1.0 / reference.n_samples),
-        ]
-    )
-    return features, labels, weights
+def _moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(X~^T X~ / m, X~^T y / m), where X~ is X with a constant column appended."""
+    design = np.hstack([data.features, np.ones((data.n_samples, 1))])
+    return design.T @ design / data.n_samples, design.T @ data.labels / data.n_samples
 
 
 def weighted_zero_one_risk_counts(
@@ -100,14 +86,26 @@ def estimate_from_counts(
     return DiscrepancyEstimate.from_risk(numerator / denominator, source_id=source_id)
 
 
-def empirical_discrepancy(
-    source: Dataset,
-    reference: Dataset,
-    relax_config: TrainConfig = DEFAULT_RELAX_CONFIG,
-) -> DiscrepancyEstimate:
-    """Estimate the source-vs-reference risk gap via the flipped-label relaxation."""
-    features, labels, weights = flipped_merged_problem(source, reference)
-    predictor = minimize_weighted_loss(features, labels, weights, "squared", relax_config)
+def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:
+    """Estimate the source-vs-reference risk gap via the flipped-label relaxation.
+
+    The relaxation minimizes mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2
+    + (RELAX_RIDGE/2) ||w||^2. Its normal-equation matrix is positive definite
+    for any positive ridge, so the minimizer is a single linear solve.
+    """
+    if source.n_features != reference.n_features:
+        raise ValueError(
+            f"feature mismatch: source has {source.n_features}, reference {reference.n_features}"
+        )
+    if source.n_samples == 0 or reference.n_samples == 0:
+        raise ValueError("both datasets must be nonempty")
+    gram_src, moment_src = _moments(source)
+    gram_ref, moment_ref = _moments(reference)
+    system = gram_src + gram_ref
+    w_diagonal = np.arange(source.n_features)
+    system[w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0
+    theta = np.linalg.solve(system, moment_ref - moment_src)  # source labels are flipped
+    predictor = LinearPredictor(theta[:-1], theta[-1])
     miss_src, miss_ref = weighted_zero_one_risk_counts(predictor, source, reference)
     return estimate_from_counts(
         miss_src, source.n_samples, miss_ref, reference.n_samples, source_id=source.source_id

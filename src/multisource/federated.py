@@ -38,19 +38,8 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset, SourcePool
-from .discrepancy import (
-    DEFAULT_RELAX_CONFIG,
-    DiscrepancyEstimate,
-    empirical_discrepancy,
-)
-from .models import (
-    ARMIJO_C,
-    MAX_STEP,
-    STEP_GROWTH,
-    STEP_SHRINK,
-    TrainConfig,
-    weighted_objective_grad,
-)
+from .discrepancy import RELAX_RIDGE, DiscrepancyEstimate, empirical_discrepancy
+from .models import ARMIJO_C, MAX_STEP, STEP_GROWTH, STEP_SHRINK, weighted_objective_grad
 
 __all__ = [
     "BYTES_PER_REAL",
@@ -72,11 +61,9 @@ KIND_GRADIENT_REPLY = "gradient_reply"
 
 @dataclass(frozen=True)
 class Node:
-    """A protocol participant; `attested` marks trusted execution (no
-    cryptographic content, bookkeeping only)."""
+    """A protocol participant."""
 
     node_id: str
-    attested: bool = True
 
 
 @dataclass(frozen=True)
@@ -138,9 +125,7 @@ def _source_node_id(index: int) -> str:
     return f"source_{index}"
 
 
-def run_case1(
-    pool: SourcePool, relax_config: TrainConfig = DEFAULT_RELAX_CONFIG
-) -> ProtocolTrace:
+def run_case1(pool: SourcePool) -> ProtocolTrace:
     """Reference broadcast, then local estimation at every source node."""
     d = pool.n_features
     m_ref = pool.reference.n_samples
@@ -154,7 +139,7 @@ def run_case1(
         )
     results = []
     for i, source in enumerate(pool.sources):
-        estimate = empirical_discrepancy(source, pool.reference, relax_config)
+        estimate = empirical_discrepancy(source, pool.reference)
         results.append(estimate)
         messages.append(
             Message(_source_node_id(i), "learner", KIND_DISCREPANCY_RESULT,
@@ -209,7 +194,6 @@ def run_case2(
     step_size: float,
     seed: int,
     step_rule: str = "backtracking",
-    ridge_strength: float = 1e-6,
 ) -> ProtocolTrace:
     """Gradient-query protocol; the reference dataset never leaves the learner.
 
@@ -243,7 +227,7 @@ def run_case2(
     def reference_term(theta: np.ndarray) -> tuple[float, np.ndarray]:
         value, gw, gb = weighted_objective_grad(
             theta[:-1], theta[-1], reference.features, reference.labels,
-            ref_weights, "squared", ridge_strength,
+            ref_weights, "squared", RELAX_RIDGE,
         )
         return value, np.append(gw, gb)
 

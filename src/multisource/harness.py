@@ -80,7 +80,6 @@ _REFERENCE_FREE_FITS = frozenset(
 
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_RIDGE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
-RELAX_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -223,17 +222,8 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
     return load_csv_pool(config.data)
 
 
-def _relax_config(base: TrainConfig) -> TrainConfig:
-    return replace(base, ridge_strength=RELAX_RIDGE)
-
-
-def _pool_discrepancies(
-    sources: Sequence[Dataset], reference: Dataset, base: TrainConfig
-) -> np.ndarray:
-    relax = _relax_config(base)
-    return np.array(
-        [empirical_discrepancy(s, reference, relax).value for s in sources]
-    )
+def _pool_discrepancies(sources: Sequence[Dataset], reference: Dataset) -> np.ndarray:
+    return np.array([empirical_discrepancy(s, reference).value for s in sources])
 
 
 def _fit_weighted(
@@ -280,7 +270,7 @@ def run_ours(
             mask[heldout] = False
             ref_train = pool.reference.take(np.flatnonzero(mask))
             heldout_data = pool.reference.take(heldout)
-            d_vec = _pool_discrepancies(pool.sources, ref_train, base_train)
+            d_vec = _pool_discrepancies(pool.sources, ref_train)
             for lam in lambdas:
                 for ridge in ridges:
                     predictor, _, _ = _fit_weighted(
@@ -295,7 +285,7 @@ def run_ours(
                     best_score = scores[(lam, ridge)]
                     best_lam, best_ridge = lam, ridge
 
-    d_vec = _pool_discrepancies(pool.sources, pool.reference, base_train)
+    d_vec = _pool_discrepancies(pool.sources, pool.reference)
     predictor, alpha, d_full = _fit_weighted(
         pool.sources, pool.reference, d_vec, best_lam, best_ridge, base_train
     )

@@ -12,9 +12,9 @@ alpha_i proportional to m_i * (nu - d_i), where nu solves
 
 The left side is piecewise quadratic and strictly increasing past min(d),
 so nu is found exactly by scanning the sorted breakpoints and solving one
-quadratic. This reproduces both limits: lam -> 0 concentrates mass on the
-argmin-d set (proportional to m_i within it), lam -> inf tends to
-alpha_i = m_i / sum(m).
+quadratic, in a form that never squares lam and so cannot overflow. This
+reproduces both limits: lam -> 0 concentrates mass on the argmin-d set
+(proportional to m_i within it), lam -> inf tends to alpha_i = m_i / sum(m).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "SimplexWeights",
     "WeightProblem",
     "BoundInputs",
-    "project_simplex",
     "solve_weights",
     "excess_risk_bound",
     "linear_rademacher_bound",
@@ -48,6 +47,8 @@ class SimplexWeights:
         alpha = np.array(self.alpha, dtype=np.float64, copy=True)
         if alpha.ndim != 1 or alpha.size < 1:
             raise ValueError("alpha must be a nonempty vector")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must be finite")
         if np.any(alpha < -NEGATIVITY_SLACK):
             raise ValueError(f"alpha has a negative entry: {alpha.min()}")
         np.clip(alpha, 0.0, None, out=alpha)
@@ -74,14 +75,14 @@ class WeightProblem:
         m = np.array(self.sample_counts, dtype=np.int64, copy=True)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("discrepancies must be a nonempty vector")
-        if np.any((d < 0.0) | (d > 1.0)):
+        if not np.all((d >= 0.0) & (d <= 1.0)):
             raise ValueError("discrepancies must lie in [0, 1]")
         if m.shape != d.shape:
             raise ValueError("sample_counts length must match discrepancies")
         if np.any(m < 1):
             raise ValueError("sample counts must be positive")
-        if not (self.lam >= 0.0):
-            raise ValueError("lam must be nonnegative")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError("lam must be finite and nonnegative")
         d.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "discrepancies", d)
@@ -127,22 +128,6 @@ class BoundInputs:
         object.__setattr__(self, "rademacher_bounds", r)
 
 
-def project_simplex(v: np.ndarray) -> SimplexWeights:
-    """Euclidean projection onto the probability simplex (sort-threshold rule)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("input must be a nonempty vector")
-    if not np.isfinite(v).all():
-        raise ValueError("input must be finite")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    feasible = u + (1.0 - cumulative) / j > 0.0
-    rho = int(np.nonzero(feasible)[0][-1])
-    shift = (1.0 - cumulative[rho]) / (rho + 1)
-    return SimplexWeights(np.maximum(v + shift, 0.0))
-
-
 def _argmin_proportional(problem: WeightProblem) -> SimplexWeights:
     d = problem.discrepancies
     mask = d == d.min()
@@ -159,7 +144,7 @@ def solve_weights(problem: WeightProblem) -> SimplexWeights:
 
     d = problem.discrepancies
     m = problem.sample_counts.astype(np.float64)
-    target = problem.lam**2
+    lam = problem.lam
 
     order = np.argsort(d, kind="stable")
     ds = d[order]
@@ -168,18 +153,24 @@ def solve_weights(problem: WeightProblem) -> SimplexWeights:
     b = np.cumsum(ms * ds)  # sum m_i d_i
     c = np.cumsum(ms * ds * ds)  # sum m_i d_i^2
 
-    # g(nu) = a_k nu^2 - 2 b_k nu + c_k on [ds[k-1], ds[k]); find the crossing
+    # g(nu) = a_k nu^2 - 2 b_k nu + c_k on [ds[k-1], ds[k]); find the crossing.
+    # Compare sqrt(g) with lam rather than g with lam^2, which can overflow.
     k = len(ds)
     for i in range(1, len(ds)):
         g_end = a[i - 1] * ds[i] ** 2 - 2.0 * b[i - 1] * ds[i] + c[i - 1]
-        if g_end >= target:
+        if math.sqrt(max(g_end, 0.0)) >= lam:
             k = i
             break
-    ak, bk, ck = a[k - 1], b[k - 1], c[k - 1]
-    disc = max(bk * bk - ak * (ck - target), 0.0)
-    nu = (bk + math.sqrt(disc)) / ak
+    # On the active set g(nu) = a_k ((nu - mean)^2 + var), so
+    # nu = mean + sqrt((s - sd)(s + sd)) with s = lam / sqrt(a_k).
+    ak = a[k - 1]
+    mean = b[k - 1] / ak
+    sd = math.sqrt(float(ms[:k] @ (ds[:k] - mean) ** 2) / ak)
+    s = lam / math.sqrt(ak)
+    nu = mean + math.sqrt(max(s - sd, 0.0)) * math.sqrt(s + sd)
 
-    raw = m * np.clip(nu - d, 0.0, None)
+    # dividing by max(nu, 1) keeps the weights finite for any finite lam
+    raw = m * np.clip((nu - d) / max(nu, 1.0), 0.0, None)
     total = raw.sum()
     if total <= 0.0:  # lam so small the support collapses numerically
         return _argmin_proportional(problem)

@@ -54,6 +54,35 @@ def brute_force_threshold_gap(source: Dataset, reference: Dataset) -> float:
     return best
 
 
+def lstsq_discrepancy(source: Dataset, reference: Dataset, ridge: float = 1e-6) -> float:
+    """Flipped-label relaxation solved as one stacked least-squares problem.
+
+    Rows are sqrt(s_j) [x_j, 1] with targets sqrt(s_j) y_j (source labels
+    negated, s_j = 1/m of the row's sample), plus d ridge rows
+    sqrt(ridge/2) e_k on w only. The sign classifier's weighted 0/1 risk r
+    then gives clamp(1 - r, 0, 1).
+    """
+    d = source.n_features
+    m_src, m_ref = source.n_samples, reference.n_samples
+    design = np.vstack([
+        np.hstack([source.features, np.ones((m_src, 1))]) / np.sqrt(m_src),
+        np.hstack([reference.features, np.ones((m_ref, 1))]) / np.sqrt(m_ref),
+        np.hstack([np.sqrt(ridge / 2.0) * np.eye(d), np.zeros((d, 1))]),
+    ])
+    target = np.concatenate([
+        -source.labels / np.sqrt(m_src), reference.labels / np.sqrt(m_ref), np.zeros(d)
+    ])
+    theta = np.linalg.lstsq(design, target, rcond=None)[0]
+
+    def mistakes(data: Dataset, labels: np.ndarray) -> int:
+        predicted = np.where(data.features @ theta[:-1] + theta[-1] >= 0.0, 1.0, -1.0)
+        return int(np.sum(predicted != labels))
+
+    risk = (mistakes(source, -source.labels) * m_ref
+            + mistakes(reference, reference.labels) * m_src) / (m_src * m_ref)
+    return min(max(1.0 - risk, 0.0), 1.0)
+
+
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="stable")
     ranks = np.empty(len(x))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multisource
 from multisource.cli import main
 from multisource.data import Dataset, load_csv, save_csv
 from multisource.harness import (
@@ -56,6 +61,17 @@ def test_weights_command(tmp_path):
     assert main(["weights", str(inp), "--lambda", "0.0", "--out", str(out)]) == 0
     alpha = json.loads(out.read_text())["alpha"]
     assert alpha == [1.0, 0.0]
+
+
+def test_weights_command_rejects_infinite_lambda(tmp_path):
+    inp = tmp_path / "d.json"
+    inp.write_text(json.dumps({"discrepancies": [0.1, 0.4], "sample_counts": [100, 100]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(multisource.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "multisource", "weights", str(inp),
+                           "--lambda", "inf"], capture_output=True, text=True, env=env)
+    assert done.returncode != 0
+    assert "lam must be finite" in done.stderr
+    assert "alpha" not in done.stdout
 
 
 def test_train_command(tmp_path, small_config):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from helpers import brute_force_threshold_gap, random_dataset, spearman
+from helpers import brute_force_threshold_gap, lstsq_discrepancy, random_dataset, spearman
 from multisource.data import Dataset
 from multisource.discrepancy import (
     DiscrepancyEstimate,
@@ -146,3 +148,46 @@ def test_unequal_sizes_are_weighted_not_resampled():
     assert oracle == pytest.approx(1.0, abs=1e-12)
     estimate = empirical_discrepancy(src, ref)
     assert 0.0 <= estimate.value <= 1.0
+
+
+# Data comes from a drawn seed and shape rather than raw float arrays, so that
+# no point sits exactly on a decision boundary.
+instances = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(2, 60),  # source size
+    st.integers(2, 60),  # reference size
+    st.integers(1, 6),  # features
+    st.floats(0.0, 0.5),  # source label-flip rate
+)
+
+
+def _instance(seed, m_src, m_ref, d, flip):
+    rng = np.random.default_rng(seed)
+    return rng, random_dataset(rng, m_src, d, flip=flip), random_dataset(rng, m_ref, d)
+
+
+@given(instances, st.floats(1.0, 1e4))
+@settings(max_examples=100, deadline=None)
+def test_discrepancy_invariant_to_feature_scaling(instance, c):
+    # c < 1 is left out: there the fixed relaxation ridge stops being negligible
+    _, src, ref = _instance(*instance)
+    scaled = empirical_discrepancy(src.with_arrays(features=c * src.features),
+                                   ref.with_arrays(features=c * ref.features))
+    assert scaled.value == empirical_discrepancy(src, ref).value
+
+
+@given(instances, st.floats(-100.0, 100.0))
+@settings(max_examples=100, deadline=None)
+def test_discrepancy_invariant_to_shared_translation(instance, magnitude):
+    rng, src, ref = _instance(*instance)
+    shift = magnitude * rng.standard_normal(src.n_features)
+    moved = empirical_discrepancy(src.with_arrays(features=src.features + shift),
+                                  ref.with_arrays(features=ref.features + shift))
+    assert moved.value == empirical_discrepancy(src, ref).value
+
+
+@given(instances)
+@settings(max_examples=100, deadline=None)
+def test_discrepancy_matches_lstsq_reference(instance):
+    _, src, ref = _instance(*instance)
+    assert empirical_discrepancy(src, ref).value == lstsq_discrepancy(src, ref)

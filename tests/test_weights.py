@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from multisource.weights import (
     WeightProblem,
     excess_risk_bound,
     linear_rademacher_bound,
-    project_simplex,
     solve_weights,
 )
 
@@ -28,33 +29,9 @@ def test_simplex_weights_validation():
         SimplexWeights(np.array([0.5, 0.4]))
 
 
-def test_projection_examples():
-    assert np.allclose(project_simplex(np.array([0.3, 0.7])).alpha, [0.3, 0.7], atol=1e-15)
-    assert np.array_equal(project_simplex(np.array([2.0, 0.0])).alpha, [1.0, 0.0])
-    assert np.array_equal(project_simplex(np.array([0.6, 0.6])).alpha, [0.5, 0.5])
-
-
-def test_projection_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        project_simplex(np.array([np.nan, 0.0]))
-
-
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_projection_properties(values):
-    v = np.array(values)
-    proj = project_simplex(v).alpha
-    assert proj.min() >= 0.0
-    assert abs(proj.sum() - 1.0) <= 1e-9
-    # projecting the projection changes nothing
-    again = project_simplex(proj).alpha
-    assert np.max(np.abs(again - proj)) <= 1e-12
-    # no sampled feasible point is closer to v
-    rng = np.random.default_rng(0)
-    base = float(np.sum((v - proj) ** 2))
-    for _ in range(50):
-        z = rng.dirichlet(np.ones(len(v)))
-        assert base <= float(np.sum((v - z) ** 2)) + 1e-12
+def test_simplex_weights_rejects_nonfinite():
+    with pytest.raises(ValueError, match="finite"):
+        SimplexWeights(np.array([np.nan, np.nan]))
 
 
 def test_solve_weights_single_source():
@@ -101,6 +78,14 @@ def test_limiting_behavior_large_lambda():
     assert np.max(np.abs(alpha - m / m.sum())) <= 1e-3
 
 
+def test_huge_lambda_gives_sample_proportional_weights():
+    # lam**2 overflows a float here; the solver must never form it
+    d = np.array([0.9, 0.05, 0.4])
+    m = np.array([30, 200, 70])
+    alpha = solve_weights(WeightProblem(d, m, 1e160)).alpha
+    assert np.allclose(alpha, m / m.sum(), rtol=0.0, atol=1e-15)
+
+
 def test_limiting_behavior_small_lambda():
     d = np.array([0.9, 0.05, 0.4])
     m = np.array([30, 200, 70])
@@ -137,11 +122,32 @@ def test_weight_problem_validation():
     with pytest.raises(ValueError):
         WeightProblem(np.array([1.2]), np.array([10]), 1.0)
     with pytest.raises(ValueError):
+        WeightProblem(np.array([np.nan]), np.array([10]), 1.0)
+    with pytest.raises(ValueError):
         WeightProblem(np.array([0.5]), np.array([0]), 1.0)
     with pytest.raises(ValueError):
         WeightProblem(np.array([0.5]), np.array([10]), -1.0)
     with pytest.raises(ValueError):
         WeightProblem(np.array([0.5, 0.5]), np.array([10]), 1.0)
+
+
+def test_weight_problem_rejects_nonfinite_lambda():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            WeightProblem(np.array([0.1, 0.4]), np.array([10, 10]), lam)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_weights_permutes_with_sources(data):
+    n = data.draw(st.integers(2, 6))
+    d = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    m = np.array(data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)))
+    lam = data.draw(st.floats(0.0, 1e3))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    alpha = solve_weights(WeightProblem(d, m, lam)).alpha
+    permuted = solve_weights(WeightProblem(d[perm], m[perm], lam)).alpha
+    assert np.allclose(permuted, alpha[perm], rtol=0.0, atol=1e-12)
 
 
 def _worked_bound_inputs():
