@@ -13,8 +13,6 @@ from .baselines import (
     componentwise_median,
     fit_normalization,
     geometric_median,
-    huber_logistic_loss,
-    median_of_probabilities,
     train_local_models,
 )
 from .corruption import CorruptionSpec, corrupt, corrupt_pool

@@ -1,5 +1,6 @@
-"""Comparison methods: robust aggregation of per-source models, the
-Huber-tempered logistic loss, and per-source batch normalization."""
+"""Comparison methods: robust aggregation of per-source models and
+per-source batch normalization. The Huber-tempered logistic loss of the
+robust-loss baseline lives with the other losses in `models`."""
 
 from __future__ import annotations
 
@@ -9,21 +10,13 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, SourcePool
-from .models import (
-    HUBER_C,
-    LinearPredictor,
-    TrainConfig,
-    logistic_loss,
-    train_erm,
-)
+from .models import LinearPredictor, TrainConfig, train_erm
 
 __all__ = [
     "NormalizationStats",
     "geometric_median",
     "componentwise_median",
-    "median_of_probabilities",
     "MedianOfProbsEnsemble",
-    "huber_logistic_loss",
     "fit_normalization",
     "apply_normalization",
     "train_local_models",
@@ -79,17 +72,9 @@ def componentwise_median(points: Sequence[np.ndarray]) -> np.ndarray:
     return np.median(pts, axis=0)
 
 
-def median_of_probabilities(models: Sequence[LinearPredictor], x: np.ndarray) -> float:
-    """Median of the models' class probabilities at x, thresholded at 0.5
-    (an exact 0.5 goes to +1)."""
-    if not models:
-        raise ValueError("need at least one model")
-    probs = np.array([float(m.probabilities(np.asarray(x))) for m in models])
-    return 1.0 if float(np.median(probs)) >= 0.5 else -1.0
-
-
 class MedianOfProbsEnsemble:
-    """Batch predictor applying the median-of-probabilities rule per row."""
+    """Per row, the median of the models' class probabilities, thresholded at
+    0.5; an exact 0.5 goes to +1."""
 
     def __init__(self, models: Sequence[LinearPredictor]):
         if not models:
@@ -99,18 +84,6 @@ class MedianOfProbsEnsemble:
     def predict_labels(self, features: np.ndarray) -> np.ndarray:
         probs = np.stack([m.probabilities(features) for m in self.models])
         return np.where(np.median(probs, axis=0) >= 0.5, 1.0, -1.0)
-
-
-def huber_logistic_loss(
-    predictor: LinearPredictor, x: np.ndarray, y: float, c: float = HUBER_C
-) -> float:
-    """Logistic loss below the knot c, square-root-tempered continuation above."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    ell = logistic_loss(predictor, x, y)
-    if ell <= c:
-        return ell
-    return 2.0 * float(np.sqrt(c * ell)) - c
 
 
 @dataclass(frozen=True, eq=False)

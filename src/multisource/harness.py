@@ -16,12 +16,12 @@ reference alone.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -226,6 +226,30 @@ def _pool_discrepancies(sources: Sequence[Dataset], reference: Dataset) -> np.nd
     return np.array([empirical_discrepancy(s, reference).value for s in sources])
 
 
+def _cross_validate(
+    pool: SourcePool,
+    grid: Sequence,
+    folds: int,
+    seed: int,
+    fit_fold: Callable[[Dataset], Callable],
+):
+    """The grid point with the lowest held-out 0/1 error summed over k folds
+    of the reference; the first such point in grid order wins ties.
+
+    `fit_fold(ref_train)` returns a function from a grid point to a predictor
+    trained against `ref_train`. A one-point grid returns without any fit.
+    """
+    if len(grid) == 1:
+        return grid[0]
+    n = pool.reference.n_samples
+    scores = np.zeros(len(grid))
+    for heldout in kfold_indices(n, folds, seed):
+        fit = fit_fold(pool.reference.take(np.setdiff1d(np.arange(n), heldout)))
+        heldout_data = pool.reference.take(heldout)
+        scores += [zero_one_error(fit(point), heldout_data) for point in grid]
+    return grid[int(np.argmin(scores))]
+
+
 def _fit_weighted(
     sources: Sequence[Dataset],
     reference: Dataset,
@@ -257,34 +281,15 @@ def run_ours(
     (lam, ridge) chosen by cross-validation on the reference data."""
     started = time.perf_counter()
     seed = config.seed if seed is None else seed
-    lambdas = sorted(config.lambda_grid)
-    ridges = sorted(config.ridge_grid)
+    grid = [(lam, ridge) for lam in sorted(config.lambda_grid)
+            for ridge in sorted(config.ridge_grid)]
 
-    if len(lambdas) == 1 and len(ridges) == 1:
-        best_lam, best_ridge = lambdas[0], ridges[0]
-    else:
-        folds = kfold_indices(pool.reference.n_samples, config.cv_folds, seed)
-        scores = {(lam, ridge): 0.0 for lam in lambdas for ridge in ridges}
-        for heldout in folds:
-            mask = np.ones(pool.reference.n_samples, dtype=bool)
-            mask[heldout] = False
-            ref_train = pool.reference.take(np.flatnonzero(mask))
-            heldout_data = pool.reference.take(heldout)
-            d_vec = _pool_discrepancies(pool.sources, ref_train)
-            for lam in lambdas:
-                for ridge in ridges:
-                    predictor, _, _ = _fit_weighted(
-                        pool.sources, ref_train, d_vec, lam, ridge, base_train
-                    )
-                    scores[(lam, ridge)] += zero_one_error(predictor, heldout_data)
-        best_lam, best_ridge = lambdas[0], ridges[0]
-        best_score = math.inf
-        for lam in lambdas:  # ascending: ties fall to smaller lam, then ridge
-            for ridge in ridges:
-                if scores[(lam, ridge)] < best_score:
-                    best_score = scores[(lam, ridge)]
-                    best_lam, best_ridge = lam, ridge
+    def fit_fold(ref_train: Dataset):
+        d_vec = _pool_discrepancies(pool.sources, ref_train)
+        return lambda point: _fit_weighted(pool.sources, ref_train, d_vec, *point,
+                                           base_train)[0]
 
+    best_lam, best_ridge = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
     d_vec = _pool_discrepancies(pool.sources, pool.reference)
     predictor, alpha, d_full = _fit_weighted(
         pool.sources, pool.reference, d_vec, best_lam, best_ridge, base_train
@@ -353,30 +358,20 @@ def run_baseline(
         raise ValueError(f"not a baseline method: {method!r}")
     started = time.perf_counter()
     seed = config.seed if seed is None else seed
-    ridges = sorted(config.ridge_grid)
 
-    if len(ridges) == 1:
-        best_ridge = ridges[0]
-    else:
-        folds = kfold_indices(pool.reference.n_samples, config.cv_folds, seed)
-        best_ridge, best_score = ridges[0], math.inf
-        for ridge in ridges:  # ascending: ties fall to the smaller ridge
-            if method in _REFERENCE_FREE_FITS:
-                fitted = _fit_baseline(method, pool.sources, pool.reference, ridge,
-                                       base_train)
-            score = 0.0
-            for heldout in folds:
-                mask = np.ones(pool.reference.n_samples, dtype=bool)
-                mask[heldout] = False
-                ref_train = pool.reference.take(np.flatnonzero(mask))
-                if method not in _REFERENCE_FREE_FITS:
-                    fitted = _fit_baseline(method, pool.sources, ref_train, ridge,
+    full_fit = functools.cache(
+        lambda ridge: _fit_baseline(method, pool.sources, pool.reference, ridge, base_train)
+    )
+
+    def fit_fold(ref_train: Dataset):
+        if method in _REFERENCE_FREE_FITS:  # one fit per ridge serves every fold
+            return full_fit
+        return lambda ridge: _fit_baseline(method, pool.sources, ref_train, ridge,
                                            base_train)
-                score += zero_one_error(fitted, pool.reference.take(heldout))
-            if score < best_score:
-                best_score, best_ridge = score, ridge
 
-    fitted = _fit_baseline(method, pool.sources, pool.reference, best_ridge, base_train)
+    best_ridge = _cross_validate(pool, sorted(config.ridge_grid), config.cv_folds, seed,
+                                 fit_fold)
+    fitted = full_fit(best_ridge)
     return RunResult(
         method=method,
         test_error=zero_one_error(fitted, test_data),

@@ -7,8 +7,8 @@ The trainer minimizes
 by deterministic full-batch gradient descent from the zero predictor, where
 the per-sample weights s_j encode the source weighting (alpha_i / m_i for
 every point of source i). The bias is never regularized. Steps are chosen
-either by Armijo backtracking or by a fixed step size; both are pure
-functions of the inputs, so identical inputs give identical predictors.
+by Armijo backtracking, a pure function of the inputs, so identical inputs
+give identical predictors.
 """
 
 from __future__ import annotations
@@ -54,22 +54,16 @@ MAX_STEP = 1e12
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite objective encountered; data or step size is pathological."""
+    """Non-finite objective at the zero predictor; the data are pathological."""
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings for the first-order ERM trainer.
-
-    `step_size` is the constant step under the "fixed" rule and the initial
-    trial step under "backtracking".
-    """
+    """Optimizer settings for the Armijo gradient-descent ERM trainer."""
 
     ridge_strength: float = 1e-4
     max_iterations: int = 50_000
     tolerance: float = 1e-10
-    step_rule: str = "backtracking"
-    step_size: float = 1.0
 
     def __post_init__(self) -> None:
         if self.ridge_strength < 0:
@@ -78,10 +72,6 @@ class TrainConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
 
 
 @dataclass(eq=False)
@@ -152,10 +142,7 @@ def loss_values(margins: np.ndarray, loss: str) -> np.ndarray:
         return _softplus_neg(margins)
     if loss == "huber_logistic":
         ell = _softplus_neg(margins)
-        big = ell > HUBER_C
-        out = ell.copy()
-        out[big] = 2.0 * np.sqrt(HUBER_C * ell[big]) - HUBER_C
-        return out
+        return np.where(ell > HUBER_C, 2.0 * np.sqrt(HUBER_C * ell) - HUBER_C, ell)
     if loss == "squared":
         return (margins - 1.0) ** 2
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
@@ -238,32 +225,23 @@ def minimize_weighted_loss(
     if not np.isfinite(value):
         raise TrainingDivergedError("objective is non-finite at the zero predictor")
 
-    step = config.step_size
+    step = 1.0
     for _ in range(config.max_iterations):
         gnorm2 = float(grad_w @ grad_w) + grad_b * grad_b
         if gnorm2 == 0.0:
             break
-        if config.step_rule == "fixed":
+        step = min(step * STEP_GROWTH, MAX_STEP)
+        for _ in range(MAX_HALVINGS):
             w_new = w - step * grad_w
             b_new = b - step * grad_b
             new_value = weighted_objective(
                 w_new, b_new, features, labels, sample_weight, loss, ridge
             )
-            if not np.isfinite(new_value):
-                raise TrainingDivergedError("objective became non-finite (step too large?)")
+            if np.isfinite(new_value) and new_value <= value - ARMIJO_C * step * gnorm2:
+                break
+            step *= STEP_SHRINK
         else:
-            step = min(step * STEP_GROWTH, MAX_STEP)
-            for _ in range(MAX_HALVINGS):
-                w_new = w - step * grad_w
-                b_new = b - step * grad_b
-                new_value = weighted_objective(
-                    w_new, b_new, features, labels, sample_weight, loss, ridge
-                )
-                if np.isfinite(new_value) and new_value <= value - ARMIJO_C * step * gnorm2:
-                    break
-                step *= STEP_SHRINK
-            else:
-                break  # no decreasing step exists at float precision: converged
+            break  # no decreasing step exists at float precision: converged
         moved = abs(value - new_value)
         w, b = w_new, b_new
         converged = moved <= config.tolerance * max(1.0, abs(value))
@@ -310,12 +288,11 @@ def train_erm(
 
 
 def logistic_loss(predictor: LinearPredictor, x: np.ndarray, y: float) -> float:
-    """log(1 + exp(-y * (w . x + b))), overflow-safe at any margin."""
+    """`loss_values(margin, "logistic")` at one point x with label y."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (predictor.n_features,):
         raise ValueError(f"expected a vector of length {predictor.n_features}")
-    margin = float(y) * (float(predictor.weights @ x) + predictor.bias)
-    return float(np.logaddexp(0.0, -margin))
+    return float(loss_values(float(y) * predictor.decision_function(x), "logistic"))
 
 
 def zero_one_error(predictor, data: Dataset) -> float:

@@ -11,12 +11,17 @@ from multisource.baselines import (
     componentwise_median,
     fit_normalization,
     geometric_median,
-    huber_logistic_loss,
-    median_of_probabilities,
     train_local_models,
 )
 from multisource.data import Dataset, SourcePool
-from multisource.models import HUBER_C, LinearPredictor, TrainConfig, logistic_loss, train_erm
+from multisource.models import (
+    HUBER_C,
+    LinearPredictor,
+    TrainConfig,
+    logistic_loss,
+    loss_values,
+    train_erm,
+)
 
 
 def _objective(z, pts):
@@ -78,6 +83,11 @@ def _model_with_probability(p):
     return LinearPredictor(np.zeros(1), math.log(p / (1 - p)))
 
 
+def median_of_probabilities(models, x):
+    """The ensemble's label at a single point x."""
+    return MedianOfProbsEnsemble(models).predict_labels(x[None, :])[0]
+
+
 def test_median_of_probabilities():
     models = [_model_with_probability(p) for p in (0.2, 0.6, 0.9)]
     assert median_of_probabilities(models, np.zeros(1)) == 1.0
@@ -114,33 +124,30 @@ def test_median_of_probs_ensemble_matches_pointwise():
     models = [LinearPredictor(rng.standard_normal(2), float(rng.standard_normal()))
               for _ in range(4)]
     X = rng.standard_normal((10, 2))
-    ensemble = MedianOfProbsEnsemble(models)
-    batch = ensemble.predict_labels(X)
+    batch = MedianOfProbsEnsemble(models).predict_labels(X)
     for i in range(10):
-        assert batch[i] == median_of_probabilities(models, X[i])
+        probs = [float(m.probabilities(X[i])) for m in models]
+        assert batch[i] == (1.0 if float(np.median(probs)) >= 0.5 else -1.0)
 
 
 def test_huber_logistic_first_branch():
-    pred = LinearPredictor(np.zeros(2), 0.0)
-    x = np.ones(2)
-    assert huber_logistic_loss(pred, x, 1.0) == pytest.approx(math.log(2), abs=1e-15)
+    assert loss_values(0.0, "huber_logistic") == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_huber_logistic_knot_continuity():
     # margin chosen so the plain logistic loss equals exactly c
     margin = -math.log(math.expm1(HUBER_C))
-    pred = LinearPredictor(np.array([margin]), 0.0)
-    x = np.array([1.0])
-    ell = logistic_loss(pred, x, 1.0)
+    ell = float(loss_values(margin, "logistic"))
     assert ell == pytest.approx(HUBER_C, abs=1e-12)
     upper_branch = 2.0 * math.sqrt(HUBER_C * ell) - HUBER_C
     assert abs(upper_branch - ell) <= 1e-12
+    for m in (np.nextafter(margin, -np.inf), margin, np.nextafter(margin, np.inf)):
+        assert abs(float(loss_values(m, "huber_logistic")) - ell) <= 1e-12
 
 
 def test_huber_logistic_at_four_c():
     margin = -math.log(math.expm1(4 * HUBER_C))
-    pred = LinearPredictor(np.array([margin]), 0.0)
-    value = huber_logistic_loss(pred, np.array([1.0]), 1.0)
+    value = float(loss_values(margin, "huber_logistic"))
     assert value == pytest.approx(3 * HUBER_C, rel=1e-12)
     assert value == pytest.approx(5.427075, abs=1e-9)
 
@@ -149,16 +156,11 @@ def test_huber_never_exceeds_logistic():
     pred = LinearPredictor(np.array([1.0]), 0.0)
     for margin in np.linspace(-30, 30, 1000):
         x = np.array([margin])
-        hub = huber_logistic_loss(pred, x, 1.0)
+        hub = float(loss_values(margin, "huber_logistic"))
         log = logistic_loss(pred, x, 1.0)
         assert hub <= log + 1e-12
         if log <= HUBER_C:
             assert hub == log
-
-
-def test_huber_requires_positive_c():
-    with pytest.raises(ValueError):
-        huber_logistic_loss(LinearPredictor(np.ones(1), 0.0), np.ones(1), 1.0, c=0.0)
 
 
 def test_normalization_identity():

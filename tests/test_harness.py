@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from multisource import harness
+from multisource.baselines import train_local_models
 from multisource.data import Dataset, SourcePool, merge
 from multisource.harness import (
     CorruptionSetting,
     CsvDataSpec,
     ExperimentConfig,
     SyntheticSpec,
+    _cross_validate,
     build_pool,
     config_from_json,
     config_to_json,
@@ -18,7 +21,7 @@ from multisource.harness import (
     write_results_csv,
     write_summary_csv,
 )
-from multisource.models import TrainConfig, train_erm, zero_one_error
+from multisource.models import LinearPredictor, TrainConfig, train_erm, zero_one_error
 
 FAST = TrainConfig(tolerance=1e-9, max_iterations=4000)
 
@@ -139,15 +142,64 @@ def test_run_ours_singleton_grids_skip_cv():
     assert a.selected_lambda == 1.0 and a.selected_ridge == 1e-2
 
 
-def test_cv_tie_breaks_toward_smaller_lambda():
-    # identical sources make every lambda equivalent: ties go to the smallest
+def _separable_pool(n=20):
+    # label = sign of the first feature, so LinearPredictor([1, 0], 0) is perfect
     rng = np.random.default_rng(6)
-    ref = Dataset(rng.standard_normal((20, 2)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
-    pool = SourcePool((ref, ref), ref)
-    test = Dataset(rng.standard_normal((50, 2)), np.where(rng.random(50) < 0.5, 1.0, -1.0))
-    cfg = _config(lambda_grid=(0.5, 2.0), ridge_grid=(1e-2,), cv_folds=2)
-    result = run_ours(pool, test, cfg, base_train=FAST)
-    assert result.selected_lambda in (0.5, 2.0)  # sanity; equality is data-dependent
+    features = rng.standard_normal((n, 2))
+    ref = Dataset(features, np.where(features[:, 0] >= 0, 1.0, -1.0))
+    return SourcePool((ref,), ref)
+
+
+def test_cross_validate_tie_goes_to_first_grid_point():
+    same = LinearPredictor(np.array([0.3, -1.0]), 0.1)
+    for grid in (["b", "a", "c"], [2.0, 0.5]):
+        assert _cross_validate(_separable_pool(), grid, 4, 0,
+                               lambda ref_train: lambda point: same) == grid[0]
+
+
+def test_cross_validate_picks_strictly_better_later_point():
+    predictors = {"wrong": LinearPredictor(np.array([-1.0, 0.0]), 0.0),
+                  "coin": LinearPredictor(np.zeros(2), 0.0),
+                  "right": LinearPredictor(np.array([1.0, 0.0]), 0.0)}
+    chosen = _cross_validate(_separable_pool(), list(predictors), 4, 0,
+                             lambda ref_train: predictors.__getitem__)
+    assert chosen == "right"
+
+
+def test_cross_validate_one_point_grid_never_fits():
+    def fit_fold(ref_train):
+        raise AssertionError("a one-point grid needs no fit")
+
+    assert _cross_validate(_separable_pool(), [(1.0, 1e-2)], 5, 0, fit_fold) == (1.0, 1e-2)
+
+
+def test_cross_validate_holds_out_each_fold_once():
+    pool = _separable_pool(n=10)
+    seen = []
+
+    def fit_fold(ref_train):
+        seen.append(ref_train.n_samples)
+        return lambda point: LinearPredictor(np.zeros(2), 0.0)
+
+    _cross_validate(pool, [0, 1], 5, 0, fit_fold)
+    assert seen == [8] * 5
+
+
+def test_reference_free_baseline_trains_once_per_ridge(monkeypatch):
+    # the local models ignore the reference, so CV folds and the final fit
+    # share one set per ridge
+    calls = []
+
+    def counting(pool, config):
+        calls.append(config.ridge_strength)
+        return train_local_models(pool, config)
+
+    monkeypatch.setattr(harness, "train_local_models", counting)
+    pool, test = generate_synthetic_pool(_spec(), seed=7)
+    cfg = _config(ridge_grid=(1e-2, 1e-1, 1.0), cv_folds=3)
+    result = run_baseline(pool, test, cfg, "geometric_median", base_train=FAST)
+    assert sorted(calls) == [1e-2, 1e-1, 1.0]
+    assert result.selected_ridge in cfg.ridge_grid
 
 
 def test_run_baseline_rejects_ours():

@@ -5,9 +5,12 @@ import pytest
 
 from multisource.data import Dataset, SourcePool
 from multisource.models import (
+    LOSSES,
     LinearPredictor,
     TrainConfig,
     logistic_loss,
+    loss_derivatives,
+    loss_values,
     minimize_weighted_loss,
     stack_weighted_pool,
     train_erm,
@@ -52,6 +55,15 @@ def test_logistic_loss_dimension_mismatch():
     pred = LinearPredictor(np.ones(2), 0.0)
     with pytest.raises(ValueError):
         logistic_loss(pred, np.ones(3), 1.0)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_losses_accept_a_scalar_margin(loss):
+    for margin in (-40.0, -3.0, 0.0, 0.5, 40.0):
+        for fn in (loss_values, loss_derivatives):
+            scalar = fn(np.float64(margin), loss)
+            assert np.ndim(scalar) == 0
+            assert float(scalar) == fn(np.array([margin]), loss)[0]
 
 
 def test_zero_one_error_extremes():
@@ -224,15 +236,3 @@ def test_train_config_validation():
         TrainConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         TrainConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        TrainConfig(step_rule="newton")
-
-
-def test_fixed_step_rule_trains():
-    rng = np.random.default_rng(13)
-    ds = Dataset(rng.standard_normal((50, 2)), np.where(rng.random(50) < 0.5, 1.0, -1.0))
-    cfg = TrainConfig(ridge_strength=1e-2, step_rule="fixed", step_size=0.1,
-                      max_iterations=5000)
-    pred = train_erm(ds, "logistic", cfg)
-    X, y, s = ds.features, ds.labels, np.full(50, 1 / 50)
-    assert weighted_objective(pred.weights, pred.bias, X, y, s, "logistic", 1e-2) <= math.log(2)
