@@ -58,7 +58,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
     problem = WeightProblem(
         discrepancies=np.asarray(obj["discrepancies"], dtype=float),
-        sample_counts=np.asarray(obj["sample_counts"], dtype=int),
+        sample_counts=obj["sample_counts"],
         lam=args.lam,
     )
     alpha = solve_weights(problem)
@@ -116,8 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace = run_case1(pool)
     else:
         trace = run_case2(pool, rounds=args.rounds, batch_size=args.batch_size,
-                          step_size=args.step_size, seed=config.seed,
-                          step_rule=args.step_rule)
+                          step_size=args.step_size, seed=config.seed)
     if args.trace:
         trace.export_jsonl(args.trace)
     print(json.dumps({
@@ -177,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--rounds", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=10**9)
-    p.add_argument("--step-size", type=float, default=1.0)
-    p.add_argument("--step-rule", default="backtracking", choices=("backtracking", "fixed"))
+    p.add_argument("--step-size", type=float, default=1.0,
+                   help="first backtracking step; the fixed step of minibatch sources")
     p.add_argument("--trace", default=None, help="write the message log as JSON lines")
     p.set_defaults(func=_cmd_simulate)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, SourcePool
+from .data import Dataset, SourcePool, _derive_seed
 
 __all__ = ["CORRUPTION_KINDS", "CorruptionSpec", "corrupt", "corrupt_pool"]
 
@@ -65,11 +65,6 @@ def corrupt(data: Dataset, spec: CorruptionSpec) -> Dataset:
     return data.with_arrays(features=features)
 
 
-def _per_source_seed(base_seed: int, source_index: int) -> int:
-    seq = np.random.SeedSequence([int(base_seed) & (2**64 - 1), source_index])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def corrupt_pool(
     pool: SourcePool, n_corrupted: int, spec: CorruptionSpec, seed: int
 ) -> tuple[SourcePool, list[int]]:
@@ -89,6 +84,6 @@ def corrupt_pool(
     chosen = sorted(int(i) for i in rng.choice(pool.n_sources, n_corrupted, replace=False))
     sources = list(pool.sources)
     for i in chosen:
-        per_source = replace(spec, seed=_per_source_seed(spec.seed, i))
+        per_source = replace(spec, seed=_derive_seed(spec.seed, i))
         sources[i] = corrupt(sources[i], per_source)
     return SourcePool(tuple(sources), pool.reference), chosen

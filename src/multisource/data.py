@@ -2,7 +2,7 @@
 
 Labels live in {-1, +1} everywhere inside the library; {0, 1} files are
 converted at the CSV boundary. All randomized operations are pure functions
-of their inputs and an explicit 64-bit seed.
+of their inputs and an explicit 64-bit seed (see `_derive_seed`).
 """
 
 from __future__ import annotations
@@ -32,6 +32,14 @@ LABEL_ENCODINGS: dict[str, dict[float, float]] = {
     "signed": {-1.0: -1.0, 1.0: 1.0},
     "zero_one": {0.0: -1.0, 1.0: 1.0},
 }
+
+
+def _derive_seed(*parts: int) -> int:
+    """The explicit 64-bit seed of a randomized operation, derived from integer
+    parts (each reduced mod 2**64) so that distinct parts give independent
+    streams."""
+    entropy = [int(p) & (2**64 - 1) for p in parts]
+    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
 class CsvFormatError(ValueError):
@@ -215,6 +223,12 @@ def load_csv(
                 f"{path}: row {r}: label {raw!r} not covered by the declared encoding"
             )
         labels[r - 1] = encoding[raw]
+    if not np.isfinite(features).all():
+        r, k = np.argwhere(~np.isfinite(features))[0]
+        raise BadNumericCellError(
+            f"{path}: row {r + 1}, column {feature_names[k]!r}: "
+            f"non-finite value {features[r, k]}"
+        )
     return Dataset(features, labels, source_id=source_id)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "RELAX_RIDGE",
     "DiscrepancyEstimate",
     "empirical_discrepancy",
+    "moments",
     "exact_discrepancy_oracle",
 ]
 
@@ -62,7 +63,7 @@ class DiscrepancyEstimate:
         return cls(value=min(max(1.0 - risk, 0.0), 1.0), solver_risk=risk, source_id=source_id)
 
 
-def _moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(X~^T X~ / m, X~^T y / m), where X~ is X with a constant column appended."""
     design = np.hstack([data.features, np.ones((data.n_samples, 1))])
     return design.T @ design / data.n_samples, design.T @ data.labels / data.n_samples
@@ -99,8 +100,8 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
         )
     if source.n_samples == 0 or reference.n_samples == 0:
         raise ValueError("both datasets must be nonempty")
-    gram_src, moment_src = _moments(source)
-    gram_ref, moment_ref = _moments(reference)
+    gram_src, moment_src = moments(source)
+    gram_ref, moment_ref = moments(reference)
     system = gram_src + gram_ref
     w_diagonal = np.arange(source.n_features)
     system[w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0

@@ -34,7 +34,7 @@ from .baselines import (
     train_local_models,
 )
 from .corruption import CorruptionSpec, corrupt_pool
-from .data import Dataset, SourcePool, kfold_indices, load_csv, merge
+from .data import Dataset, SourcePool, _derive_seed, kfold_indices, load_csv, merge
 from .discrepancy import empirical_discrepancy
 from .models import TrainConfig, train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
@@ -173,11 +173,6 @@ class SweepCell:
     n_corrupted: int
     repeat: int
     result: RunResult
-
-
-def _derive_seed(*parts: int) -> int:
-    entropy = [int(p) & (2**64 - 1) for p in parts]
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
 def _draw_cloud(

@@ -39,7 +39,7 @@ __all__ = [
     "train_erm",
 ]
 
-LOSSES = ("logistic", "huber_logistic", "squared")
+LOSSES = ("logistic", "huber_logistic")
 
 # robust-loss knot; 1.345 is the classic Huber tuning constant
 HUBER_C = 1.345**2
@@ -143,8 +143,6 @@ def loss_values(margins: np.ndarray, loss: str) -> np.ndarray:
     if loss == "huber_logistic":
         ell = _softplus_neg(margins)
         return np.where(ell > HUBER_C, 2.0 * np.sqrt(HUBER_C * ell) - HUBER_C, ell)
-    if loss == "squared":
-        return (margins - 1.0) ** 2
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
 
 
@@ -160,8 +158,6 @@ def loss_derivatives(margins: np.ndarray, loss: str) -> np.ndarray:
         scale = np.ones_like(ell)
         scale[big] = np.sqrt(HUBER_C / ell[big])
         return scale * dldm
-    if loss == "squared":
-        return 2.0 * (margins - 1.0)
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
 
 

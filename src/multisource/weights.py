@@ -72,7 +72,11 @@ class WeightProblem:
 
     def __post_init__(self) -> None:
         d = np.array(self.discrepancies, dtype=np.float64, copy=True)
-        m = np.array(self.sample_counts, dtype=np.int64, copy=True)
+        counts = np.array(self.sample_counts, dtype=np.float64)
+        # below 2**53 every whole float is an exact int64; NaN and inf fail
+        if not np.all((np.abs(counts) < 2.0**53) & (counts == np.round(counts))):
+            raise ValueError("sample_counts must be whole numbers below 2**53")
+        m = counts.astype(np.int64)
         if d.ndim != 1 or d.size < 1:
             raise ValueError("discrepancies must be a nonempty vector")
         if not np.all((d >= 0.0) & (d <= 1.0)):

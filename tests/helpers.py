@@ -54,13 +54,13 @@ def brute_force_threshold_gap(source: Dataset, reference: Dataset) -> float:
     return best
 
 
-def lstsq_discrepancy(source: Dataset, reference: Dataset, ridge: float = 1e-6) -> float:
-    """Flipped-label relaxation solved as one stacked least-squares problem.
+def lstsq_relaxation(source: Dataset, reference: Dataset, ridge: float = 1e-6) -> np.ndarray:
+    """Minimizer theta = (w, b) of the flipped-label relaxation, solved as one
+    stacked least-squares problem.
 
     Rows are sqrt(s_j) [x_j, 1] with targets sqrt(s_j) y_j (source labels
     negated, s_j = 1/m of the row's sample), plus d ridge rows
-    sqrt(ridge/2) e_k on w only. The sign classifier's weighted 0/1 risk r
-    then gives clamp(1 - r, 0, 1).
+    sqrt(ridge/2) e_k on w only.
     """
     d = source.n_features
     m_src, m_ref = source.n_samples, reference.n_samples
@@ -72,7 +72,14 @@ def lstsq_discrepancy(source: Dataset, reference: Dataset, ridge: float = 1e-6) 
     target = np.concatenate([
         -source.labels / np.sqrt(m_src), reference.labels / np.sqrt(m_ref), np.zeros(d)
     ])
-    theta = np.linalg.lstsq(design, target, rcond=None)[0]
+    return np.linalg.lstsq(design, target, rcond=None)[0]
+
+
+def lstsq_discrepancy(source: Dataset, reference: Dataset, ridge: float = 1e-6) -> float:
+    """clamp(1 - r, 0, 1), where r is the weighted 0/1 risk of the sign
+    classifier of `lstsq_relaxation` on the merged flipped-label problem."""
+    theta = lstsq_relaxation(source, reference, ridge)
+    m_src, m_ref = source.n_samples, reference.n_samples
 
     def mistakes(data: Dataset, labels: np.ndarray) -> int:
         predicted = np.where(data.features @ theta[:-1] + theta[-1] >= 0.0, 1.0, -1.0)

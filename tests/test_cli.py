@@ -74,6 +74,17 @@ def test_weights_command_rejects_infinite_lambda(tmp_path):
     assert "alpha" not in done.stdout
 
 
+def test_weights_command_rejects_fractional_counts(tmp_path):
+    inp = tmp_path / "d.json"
+    inp.write_text(json.dumps({"discrepancies": [0.1, 0.4], "sample_counts": [2.5, 3.9]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(multisource.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "multisource", "weights", str(inp),
+                           "--lambda", "1"], capture_output=True, text=True, env=env)
+    assert done.returncode != 0
+    assert "sample_counts" in done.stderr
+    assert "alpha" not in done.stdout
+
+
 def test_train_command(tmp_path, small_config):
     out = tmp_path / "run.json"
     assert main(["train", "--method", "ours", "--config", str(small_config),
@@ -120,3 +131,11 @@ def test_simulate_federated_command(tmp_path, small_config, capsys):
                  "--rounds", "50"]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["rounds"] == 51
+
+
+def test_simulate_federated_minibatch_command(small_config, capsys):
+    assert main(["simulate-federated", "--case", "2", "--batch-size", "5", "--rounds", "20",
+                 "--step-size", "0.01", "--config", str(small_config)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["messages"] == 3 * (2 * 20 + 2)
+    assert len(printed["discrepancies"]) == 3

@@ -69,6 +69,14 @@ def test_load_csv_bad_cell_names_row(tmp_path):
         load_csv(path, "label")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_non_finite_cell_names_path_row_and_column(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,1\n3.0,{cell},-1\n")
+    with pytest.raises(BadNumericCellError, match=r"d\.csv: row 2, column 'f1'"):
+        load_csv(path, "label")
+
+
 def test_load_csv_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "missing.csv", "label")

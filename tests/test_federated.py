@@ -3,13 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import lstsq_relaxation, random_dataset
 from multisource.data import SourcePool
 from multisource.discrepancy import empirical_discrepancy
 from multisource.federated import (
     BYTES_PER_REAL,
     Message,
-    ProtocolTrace,
     replay_result_values,
     run_case1,
     run_case2,
@@ -84,8 +83,8 @@ def test_case2_bytes_monotone_in_rounds():
 
 def test_case2_trace_deterministic():
     pool = _pool(seed=5, n_sources=2, n=15, m_ref=10)
-    a = run_case2(pool, rounds=40, batch_size=4, step_size=0.05, seed=9, step_rule="fixed")
-    b = run_case2(pool, rounds=40, batch_size=4, step_size=0.05, seed=9, step_rule="fixed")
+    a = run_case2(pool, rounds=40, batch_size=4, step_size=0.05, seed=9)
+    b = run_case2(pool, rounds=40, batch_size=4, step_size=0.05, seed=9)
     assert a.messages == b.messages
     for ea, eb in zip(a.result, b.result):
         assert ea.value == eb.value
@@ -99,13 +98,41 @@ def test_case2_replay_reducer():
         assert replayed[f"source_{i}"] == est.value
 
 
-def test_case2_minibatch_requires_fixed_rule():
+def test_case2_minibatch_runs():
     pool = _pool(seed=7, n_sources=2, n=15, m_ref=10)
-    with pytest.raises(ValueError, match="fixed"):
-        run_case2(pool, rounds=10, batch_size=3, step_size=0.1, seed=0)
-    trace = run_case2(pool, rounds=10, batch_size=3, step_size=0.01, seed=0,
-                      step_rule="fixed")
+    trace = run_case2(pool, rounds=10, batch_size=3, step_size=0.01, seed=0)
     assert len(trace.result) == 2
+
+
+def test_case2_mixed_pool_runs():
+    # one source above batch_size (fixed minibatch steps), one below it (backtracking)
+    rng = np.random.default_rng(11)
+    pool = SourcePool((random_dataset(rng, 40, 2, flip=0.2), random_dataset(rng, 12, 2)),
+                      random_dataset(rng, 20, 2))
+    rounds = 400
+    trace = run_case2(pool, rounds=rounds, batch_size=20, step_size=0.01, seed=3)
+    central = empirical_discrepancy(pool.sources[1], pool.reference)
+    assert abs(trace.result[1].value - central.value) <= 1e-6
+    for node in ("source_0", "source_1"):
+        sent = [m for m in trace.messages if node in (m.sender, m.receiver)]
+        assert len(sent) == 2 * rounds + 2
+
+
+def test_case2_reaches_the_relaxation_minimizer():
+    # the c09 pools: every final candidate is the closed-form minimizer
+    rng = np.random.default_rng(109)
+    for k in range(10):
+        n_sources = int(rng.integers(2, 4))
+        sources = tuple(random_dataset(rng, int(rng.integers(15, 40)), 2,
+                                       flip=float(rng.random() * 0.5))
+                        for _ in range(n_sources))
+        pool = SourcePool(sources, random_dataset(rng, int(rng.integers(15, 30)), 2))
+        trace = run_case2(pool, rounds=2500, batch_size=10**9, step_size=1.0, seed=k)
+        finals = [m for m in trace.messages if m.kind == "model_query" and m.round == 2501]
+        for source, message in zip(pool.sources, finals):
+            exact = lstsq_relaxation(source, pool.reference)
+            theta = np.array(message.payload[:-1])
+            assert np.max(np.abs(theta - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
 def test_case2_argument_validation():
@@ -116,14 +143,6 @@ def test_case2_argument_validation():
         run_case2(pool, rounds=5, batch_size=0, step_size=0.1, seed=0)
     with pytest.raises(ValueError):
         run_case2(pool, rounds=5, batch_size=5, step_size=-0.1, seed=0)
-    with pytest.raises(ValueError):
-        run_case2(pool, rounds=5, batch_size=99, step_size=0.1, seed=0, step_rule="adam")
-
-
-def test_trace_byte_consistency_enforced():
-    msg = Message("a", "b", "discrepancy_result", 8, 0, payload=(0.5,))
-    with pytest.raises(ValueError, match="total_bytes"):
-        ProtocolTrace(messages=(msg,), total_bytes=99, rounds=1, result=())
 
 
 def test_message_validation():

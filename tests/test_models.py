@@ -96,7 +96,7 @@ def test_predict_tie_goes_positive():
     assert pred.predict_labels(np.array([[0.0]]))[0] == 1.0
 
 
-@pytest.mark.parametrize("loss", ["logistic", "huber_logistic", "squared"])
+@pytest.mark.parametrize("loss", ["logistic", "huber_logistic"])
 def test_gradient_matches_central_differences(loss):
     rng = np.random.default_rng(0)
     pool = _random_pool(rng)
@@ -149,7 +149,7 @@ def test_zero_alpha_source_is_bitwise_irrelevant():
     assert pa.bias == pb.bias
 
 
-@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("loss", ["logistic"])
 def test_optimizer_beats_random_predictors(loss):
     rng = np.random.default_rng(7)
     pool = _random_pool(rng, n_sources=2, n=30, d=3)
