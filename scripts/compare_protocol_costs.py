@@ -43,8 +43,7 @@ def main() -> None:
     central = [empirical_discrepancy(s, pool.reference).value for s in pool.sources]
 
     trace1 = run_case1(pool)
-    trace2 = run_case2(pool, rounds=args.rounds, batch_size=10**9,
-                       step_size=1.0, seed=args.seed)
+    trace2 = run_case2(pool, rounds=args.rounds)
     if args.trace_out:
         trace2.export_jsonl(args.trace_out)
 

@@ -16,7 +16,7 @@ from .baselines import (
     train_local_models,
 )
 from .corruption import CorruptionSpec, corrupt, corrupt_pool
-from .data import Dataset, SourcePool, kfold_indices, load_csv, merge, save_csv, split
+from .data import Dataset, SourcePool, kfold_indices, load_csv, merge, save_csv
 from .discrepancy import (
     DiscrepancyEstimate,
     empirical_discrepancy,

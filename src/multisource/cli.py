@@ -115,8 +115,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.case == 1:
         trace = run_case1(pool)
     else:
-        trace = run_case2(pool, rounds=args.rounds, batch_size=args.batch_size,
-                          step_size=args.step_size, seed=config.seed)
+        trace = run_case2(pool, rounds=args.rounds)
     if args.trace:
         trace.export_jsonl(args.trace)
     print(json.dumps({
@@ -175,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int, required=True, choices=(1, 2))
     p.add_argument("--config", required=True)
     p.add_argument("--rounds", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=10**9)
-    p.add_argument("--step-size", type=float, default=1.0,
-                   help="first backtracking step; the fixed step of minibatch sources")
     p.add_argument("--trace", default=None, help="write the message log as JSON lines")
     p.set_defaults(func=_cmd_simulate)
 

@@ -1,8 +1,12 @@
-"""Dataset containers, validation, deterministic splitting, and CSV ingestion.
+"""Dataset containers, validation, deterministic folds, and CSV ingestion.
 
 Labels live in {-1, +1} everywhere inside the library; {0, 1} files are
 converted at the CSV boundary. All randomized operations are pure functions
 of their inputs and an explicit 64-bit seed (see `_derive_seed`).
+
+A CSV file is parsed with one numpy call and written in one formatting
+pass; the per-cell loop `_load_csv_per_cell` runs only to locate a fault
+or to read input that the numpy parse does not model.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "merge",
-    "split",
     "kfold_indices",
 ]
 
@@ -173,27 +176,104 @@ def load_csv(
 ) -> Dataset:
     """Read a header-row CSV into a validated Dataset.
 
-    Lines starting with '#' are skipped. Every non-label column must parse
-    as a float; labels are mapped through `label_encoding` ("signed",
-    "zero_one", or an explicit value -> {-1,+1} mapping). Errors name the
-    offending 1-based data row and the column.
+    Blank lines and lines whose first cell starts with '#' are skipped. Every
+    non-label column must parse as a finite float; labels are mapped through
+    `label_encoding` ("signed", "zero_one", or an explicit value -> {-1,+1}
+    mapping). A header that repeats a name is rejected.
+
+    The data rows are parsed with one `np.loadtxt` call. Only when that
+    fails, or the file quotes a cell or breaks lines in a way the fast path
+    does not model, does the per-cell loop run: it raises the error that
+    names the offending 1-based data row and column, or returns its own
+    result where `float()` accepts a cell that numpy does not (`1_0`).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     encoding = _resolve_encoding(label_encoding)
 
+    lines = _plain_lines(path)
+    # a header-only file is left to the loop: np.loadtxt warns on no data
+    if lines is not None and len(lines) > 1:
+        header, label_idx = _parse_header(path, lines[0].split(","), label_column)
+        parsed = _parse_plain_rows(lines[1:], len(header), label_idx, encoding)
+        if parsed is not None:
+            return Dataset(*parsed, source_id=source_id)
+    return Dataset(*_load_csv_per_cell(path, label_column, encoding), source_id=source_id)
+
+
+def _plain_lines(path: Path) -> list[str] | None:
+    """The header and data lines of the file: the rows csv.reader would give,
+    less blank and comment rows, as unsplit lines.
+
+    None when splitting at line ends and commas would not give csv.reader's
+    cells (a quote, a carriage return outside CRLF, or a line longer than
+    csv's field size limit, on which csv.reader raises even in a comment),
+    when the text holds one of the separators \\x1c-\\x1f, which numpy
+    strips from a number as whitespace but `float()` rejects, or when it is
+    not UTF-8 (the loop's error gives the offset within the chunk it read).
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
+        return None
+    text = text.replace("\r\n", "\n")  # rebound so that the CRLF original is freed
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return [line for line in lines if line and not line.lstrip().startswith("#")]
+
+
+def _parse_header(path: Path, row: list[str], label_column: str) -> tuple[list[str], int]:
+    """The stripped column names and the label column's index."""
+    header = [c.strip() for c in row]
+    if label_column not in header:
+        raise CsvFormatError(f"{path}: label column {label_column!r} not in header {header}")
+    if len(set(header)) != len(header):
+        repeated = next(c for c in header if header.count(c) > 1)
+        raise CsvFormatError(f"{path}: column {repeated!r} appears more than once in header")
+    if len(header) < 2:
+        raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
+    return header, header.index(label_column)
+
+
+def _parse_plain_rows(
+    rows: list[str], n_cols: int, label_idx: int, encoding: dict[float, float]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) of unquoted data lines in one numpy parse, or None
+    when a line is malformed, a label unmapped or a feature non-finite."""
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(rows), n_cols):
+        return None
+    raw = table[:, label_idx]
+    if not np.isin(raw, list(encoding)).all():
+        return None
+    features = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(features).all():
+        return None
+    labels = np.empty_like(raw)
+    for value, label in encoding.items():
+        labels[raw == value] = label
+    return features, labels
+
+
+def _load_csv_per_cell(
+    path: Path, label_column: str, encoding: dict[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference reader: csv.reader rows, one `float()` per cell. Raises
+    an error naming the first offending row and column."""
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise CsvFormatError(f"{path}: no header row found")
-    header = [c.strip() for c in rows[0]]
-    if label_column not in header:
-        raise CsvFormatError(f"{path}: label column {label_column!r} not in header {header}")
-    label_idx = header.index(label_column)
+    header, label_idx = _parse_header(path, rows[0], label_column)
     feature_names = [c for i, c in enumerate(header) if i != label_idx]
-    if not feature_names:
-        raise CsvFormatError(f"{path}: no feature columns besides {label_column!r}")
 
     n_cols = len(header)
     features = np.empty((len(rows) - 1, n_cols - 1), dtype=np.float64)
@@ -229,18 +309,26 @@ def load_csv(
             f"{path}: row {r + 1}, column {feature_names[k]!r}: "
             f"non-finite value {features[r, k]}"
         )
-    return Dataset(features, labels, source_id=source_id)
+    return features, labels
 
 
 def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Write `dataset` as CSV with 17-significant-digit numbers (round-trip safe)."""
+    """Write `dataset` as CSV: columns f0..f{d-1} then `label_column`, every
+    number with 17 significant digits (round-trip safe), CRLF line ends.
+
+    The header goes through csv.writer, which quotes an unusual label name;
+    the rows are written with one call, formatted one at a time so that no
+    copy of the whole text is held.
+    """
     path = Path(path)
-    names = [f"f{j}" for j in range(dataset.n_features)] + [label_column]
+    names = [f"f{j}" for j in range(dataset.n_features)]
+    if label_column in names:
+        raise ValueError(f"label column {label_column!r} collides with a feature column name")
+    row = ",".join(["%.17g"] * (dataset.n_features + 1)) + "\r\n"
+    table = np.column_stack([dataset.features, dataset.labels])
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for x, y in zip(dataset.features, dataset.labels):
-            writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
+        csv.writer(fh).writerow(names + [label_column])
+        fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
 def merge(datasets: Sequence[Dataset], source_id: str | None = None) -> Dataset:
@@ -250,37 +338,6 @@ def merge(datasets: Sequence[Dataset], source_id: str | None = None) -> Dataset:
     feats = np.vstack([d.features for d in datasets])
     labels = np.concatenate([d.labels for d in datasets])
     return Dataset(feats, labels, source_id=source_id)
-
-
-def _largest_remainder_sizes(n: int, fractions: Sequence[float]) -> np.ndarray:
-    quotas = np.asarray(fractions, dtype=np.float64) * n
-    base = np.floor(quotas).astype(np.int64)
-    leftover = n - int(base.sum())
-    # stable sort: remainder ties resolved by position
-    order = np.argsort(-(quotas - base), kind="stable")
-    base[order[:leftover]] += 1
-    return base
-
-
-def split(dataset: Dataset, fractions: Sequence[float], seed: int) -> list[Dataset]:
-    """Seed-deterministic disjoint partition with largest-remainder sizing."""
-    fractions = [float(f) for f in fractions]
-    if not fractions or any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions sum to {sum(fractions)}, not 1")
-    if dataset.n_samples < len(fractions):
-        raise ValueError(
-            f"cannot split {dataset.n_samples} samples into {len(fractions)} parts"
-        )
-    sizes = _largest_remainder_sizes(dataset.n_samples, fractions)
-    perm = np.random.default_rng(seed).permutation(dataset.n_samples)
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(dataset.take(perm[start : start + size]))
-        start += size
-    return parts
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:

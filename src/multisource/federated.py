@@ -18,11 +18,9 @@ Two protocols are simulated with explicit message and byte accounting
           its term at each candidate. It needs no objective value from
           either term: for a quadratic, F(b) - F(a) =
           (g(a) + g(b)) . (b - a) / 2, applied to the total gradient,
-          decides Armijo backtracking from the gradients alone. The
-          step rule follows from the batch size: a source whose rows
-          all fit in one batch is searched by backtracking, each trial
-          consuming one query round; a minibatch source takes fixed
-          steps, since the identity needs full-batch gradients.
+          decides Armijo backtracking from the gradients alone, each
+          trial consuming one query round. Every query covers the whole
+          source, since the identity needs full-batch gradients.
           After the round budget, one extra exchange evaluates the final
           candidate: the learner sends it together with its local
           reference-risk scalar, and the source answers with the finished
@@ -145,22 +143,14 @@ def run_case1(pool: SourcePool) -> ProtocolTrace:
 class _SourceOracle:
     """Source-side term of the split objective, mean_src (w.x + b + y)^2: the
     source labels are flipped, so its gradient is 2 (G theta + h) from the
-    moments (G, h) of the rows a query covers."""
+    moments (G, h) of the whole source."""
 
-    def __init__(self, source: Dataset, batch_size: int, rng: np.random.Generator):
+    def __init__(self, source: Dataset):
         self.source = source
-        self.batch_size = batch_size
-        self.full_batch = batch_size >= source.n_samples
-        self.full_moments = moments(source) if self.full_batch else None
-        self.rng = rng
+        self.gram, self.moment = moments(source)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        if self.full_batch:
-            gram, moment = self.full_moments
-        else:
-            rows = self.rng.choice(self.source.n_samples, size=self.batch_size, replace=False)
-            gram, moment = moments(self.source.take(rows))
-        return 2.0 * (gram @ theta + moment)
+        return 2.0 * (self.gram @ theta + self.moment)
 
     def finish(self, predictor: LinearPredictor, reference_risk: float) -> float:
         """Total weighted 0/1 risk (clamped to [0, 1]) of the final candidate:
@@ -170,29 +160,17 @@ class _SourceOracle:
         return min(max(local_risk + reference_risk, 0.0), 1.0)
 
 
-def run_case2(
-    pool: SourcePool,
-    rounds: int,
-    batch_size: int,
-    step_size: float,
-    seed: int,
-) -> ProtocolTrace:
+def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     """Gradient-query protocol; the reference dataset never leaves the learner.
 
     Exactly `rounds` query/reply pairs are exchanged per source (trials of
     the backtracking search each consume one), followed by one final
     exchange that evaluates the last accepted candidate. Message count per
-    source is therefore 2 * rounds + 2. A source whose rows all fit in
-    `batch_size` is searched by Armijo backtracking starting from
-    `step_size`; any other source answers minibatch gradients, for which the
-    quadratic identity does not hold, and takes fixed `step_size` steps.
+    source is therefore 2 * rounds + 2. Each source is searched by Armijo
+    backtracking whose first trial step is 1.0, as in the trainer.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
 
     d = pool.n_features
     reference = pool.reference
@@ -209,14 +187,11 @@ def run_case2(
 
     for i, source in enumerate(pool.sources):
         node = _source_node_id(i)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed) & (2**64 - 1), i]).generate_state(1)[0]
-        )
-        oracle = _SourceOracle(source, batch_size, rng)
+        oracle = _SourceOracle(source)
 
         theta = np.zeros(d + 1)
         grad: np.ndarray | None = None  # total gradient at the accepted theta
-        step = step_size
+        step = 1.0
 
         for r in range(1, rounds + 1):
             query = theta if grad is None else theta - step * grad
@@ -233,9 +208,7 @@ def run_case2(
             )
             query_grad = src_grad + 2.0 * (gram_ref @ query - moment_ref)
 
-            if not oracle.full_batch:
-                theta = query - step_size * query_grad
-            elif grad is None or 0.5 * float((grad + query_grad) @ (query - theta)) <= (
+            if grad is None or 0.5 * float((grad + query_grad) @ (query - theta)) <= (
                 -ARMIJO_C * step * float(grad @ grad)
             ):
                 theta, grad = query, query_grad

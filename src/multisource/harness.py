@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -165,7 +164,6 @@ class RunResult:
     alpha: np.ndarray | None
     discrepancies: np.ndarray | None
     seed: int
-    wall_time: float
 
 
 @dataclass
@@ -274,7 +272,6 @@ def run_ours(
 ) -> RunResult:
     """Full pipeline: discrepancies, weight program, weighted ERM, with
     (lam, ridge) chosen by cross-validation on the reference data."""
-    started = time.perf_counter()
     seed = config.seed if seed is None else seed
     grid = [(lam, ridge) for lam in sorted(config.lambda_grid)
             for ridge in sorted(config.ridge_grid)]
@@ -297,7 +294,6 @@ def run_ours(
         alpha=alpha.alpha,
         discrepancies=d_full,
         seed=seed,
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -351,7 +347,6 @@ def run_baseline(
     """Run a comparison method with its ridge cross-validated on the reference."""
     if method == "ours" or method not in METHODS:
         raise ValueError(f"not a baseline method: {method!r}")
-    started = time.perf_counter()
     seed = config.seed if seed is None else seed
 
     full_fit = functools.cache(
@@ -375,7 +370,6 @@ def run_baseline(
         alpha=None,
         discrepancies=None,
         seed=seed,
-        wall_time=time.perf_counter() - started,
     )
 
 

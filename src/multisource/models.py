@@ -13,7 +13,6 @@ give identical predictors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,15 +108,6 @@ class LinearPredictor:
     def probabilities(self, features: np.ndarray) -> np.ndarray:
         """sigmoid(w . x + b), computed without overflow."""
         return _sigmoid(self.decision_function(features))
-
-    def to_json(self) -> str:
-        values = ", ".join(f"{v:.17g}" for v in self.weights)
-        return f'{{"weights": [{values}], "bias": {self.bias:.17g}}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearPredictor":
-        obj = json.loads(text)
-        return cls(np.asarray(obj["weights"], dtype=np.float64), float(obj["bias"]))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

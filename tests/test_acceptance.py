@@ -282,7 +282,7 @@ def test_c09_federated_equivalence():
         ok &= trace1.total_bytes == n_sources * (8 * m_ref * (d + 1)) + n_sources * 8
 
         rounds = 2500
-        trace2 = run_case2(pool, rounds=rounds, batch_size=10**9, step_size=1.0, seed=k)
+        trace2 = run_case2(pool, rounds=rounds)
         gaps = [abs(a.value - b.value) for a, b in zip(trace2.result, central)]
         worst = max(worst, max(gaps))
         ok &= max(gaps) <= 1e-6

@@ -132,10 +132,3 @@ def test_simulate_federated_command(tmp_path, small_config, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["rounds"] == 51
 
-
-def test_simulate_federated_minibatch_command(small_config, capsys):
-    assert main(["simulate-federated", "--case", "2", "--batch-size", "5", "--rounds", "20",
-                 "--step-size", "0.01", "--config", str(small_config)]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["messages"] == 3 * (2 * 20 + 2)
-    assert len(printed["discrepancies"]) == 3

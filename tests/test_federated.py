@@ -54,7 +54,7 @@ def test_case1_replay_reducer():
 
 def test_case2_full_batch_matches_centralized():
     pool = _pool(seed=2)
-    trace = run_case2(pool, rounds=2000, batch_size=10**9, step_size=1.0, seed=5)
+    trace = run_case2(pool, rounds=2000)
     for est, src in zip(trace.result, pool.sources):
         central = empirical_discrepancy(src, pool.reference)
         assert abs(est.value - central.value) <= 1e-6
@@ -63,7 +63,7 @@ def test_case2_full_batch_matches_centralized():
 def test_case2_message_counts_and_privacy():
     pool = _pool(seed=3, n_sources=2)
     rounds = 17
-    trace = run_case2(pool, rounds=rounds, batch_size=10**9, step_size=1.0, seed=5)
+    trace = run_case2(pool, rounds=rounds)
     assert len(trace.messages) == 2 * (2 * rounds + 2)
     kinds = {m.kind for m in trace.messages}
     assert "reference_broadcast" not in kinds
@@ -76,15 +76,15 @@ def test_case2_message_counts_and_privacy():
 
 def test_case2_bytes_monotone_in_rounds():
     pool = _pool(seed=4, n_sources=2, n=15, m_ref=10)
-    sizes = [run_case2(pool, rounds=r, batch_size=10**9, step_size=1.0, seed=1).total_bytes
+    sizes = [run_case2(pool, rounds=r).total_bytes
              for r in (1, 5, 20, 50)]
     assert sizes == sorted(sizes)
 
 
 def test_case2_trace_deterministic():
     pool = _pool(seed=5, n_sources=2, n=15, m_ref=10)
-    a = run_case2(pool, rounds=40, batch_size=4, step_size=0.05, seed=9)
-    b = run_case2(pool, rounds=40, batch_size=4, step_size=0.05, seed=9)
+    a = run_case2(pool, rounds=40)
+    b = run_case2(pool, rounds=40)
     assert a.messages == b.messages
     for ea, eb in zip(a.result, b.result):
         assert ea.value == eb.value
@@ -92,42 +92,22 @@ def test_case2_trace_deterministic():
 
 def test_case2_replay_reducer():
     pool = _pool(seed=6, n_sources=2, n=15, m_ref=10)
-    trace = run_case2(pool, rounds=30, batch_size=10**9, step_size=1.0, seed=2)
+    trace = run_case2(pool, rounds=30)
     replayed = replay_result_values(trace.messages)
     for i, est in enumerate(trace.result):
         assert replayed[f"source_{i}"] == est.value
 
 
-def test_case2_minibatch_runs():
-    pool = _pool(seed=7, n_sources=2, n=15, m_ref=10)
-    trace = run_case2(pool, rounds=10, batch_size=3, step_size=0.01, seed=0)
-    assert len(trace.result) == 2
-
-
-def test_case2_mixed_pool_runs():
-    # one source above batch_size (fixed minibatch steps), one below it (backtracking)
-    rng = np.random.default_rng(11)
-    pool = SourcePool((random_dataset(rng, 40, 2, flip=0.2), random_dataset(rng, 12, 2)),
-                      random_dataset(rng, 20, 2))
-    rounds = 400
-    trace = run_case2(pool, rounds=rounds, batch_size=20, step_size=0.01, seed=3)
-    central = empirical_discrepancy(pool.sources[1], pool.reference)
-    assert abs(trace.result[1].value - central.value) <= 1e-6
-    for node in ("source_0", "source_1"):
-        sent = [m for m in trace.messages if node in (m.sender, m.receiver)]
-        assert len(sent) == 2 * rounds + 2
-
-
 def test_case2_reaches_the_relaxation_minimizer():
     # the c09 pools: every final candidate is the closed-form minimizer
     rng = np.random.default_rng(109)
-    for k in range(10):
+    for _ in range(10):
         n_sources = int(rng.integers(2, 4))
         sources = tuple(random_dataset(rng, int(rng.integers(15, 40)), 2,
                                        flip=float(rng.random() * 0.5))
                         for _ in range(n_sources))
         pool = SourcePool(sources, random_dataset(rng, int(rng.integers(15, 30)), 2))
-        trace = run_case2(pool, rounds=2500, batch_size=10**9, step_size=1.0, seed=k)
+        trace = run_case2(pool, rounds=2500)
         finals = [m for m in trace.messages if m.kind == "model_query" and m.round == 2501]
         for source, message in zip(pool.sources, finals):
             exact = lstsq_relaxation(source, pool.reference)
@@ -138,11 +118,7 @@ def test_case2_reaches_the_relaxation_minimizer():
 def test_case2_argument_validation():
     pool = _pool(seed=8, n_sources=1, n=10, m_ref=10)
     with pytest.raises(ValueError):
-        run_case2(pool, rounds=0, batch_size=5, step_size=0.1, seed=0)
-    with pytest.raises(ValueError):
-        run_case2(pool, rounds=5, batch_size=0, step_size=0.1, seed=0)
-    with pytest.raises(ValueError):
-        run_case2(pool, rounds=5, batch_size=5, step_size=-0.1, seed=0)
+        run_case2(pool, rounds=0)
 
 
 def test_message_validation():

@@ -222,13 +222,6 @@ def test_alpha_length_mismatch():
         train_weighted_erm(pool, np.array([0.5, 0.5]), "logistic", TrainConfig())
 
 
-def test_predictor_json_round_trip():
-    pred = LinearPredictor(np.array([0.1, -2.5e-17, 3.0]), -0.75)
-    back = LinearPredictor.from_json(pred.to_json())
-    assert np.array_equal(back.weights, pred.weights)
-    assert back.bias == pred.bias
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(ridge_strength=-1.0)
