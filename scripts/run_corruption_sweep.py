@@ -27,7 +27,6 @@ from multisource.harness import (
     write_sidecar_json,
     write_summary_csv,
 )
-from multisource.models import TrainConfig
 
 
 def parse_args() -> argparse.Namespace:
@@ -76,7 +75,7 @@ def main() -> None:
         seed=args.seed,
         corruption=CorruptionSetting(args.kind, tuple(args.n_grid), args.proportion),
     )
-    cells = run_sweep(config, base_train=TrainConfig(tolerance=1e-8, max_iterations=4000))
+    cells = run_sweep(config)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_results_csv(cells, args.out)

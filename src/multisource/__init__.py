@@ -35,7 +35,6 @@ from .harness import (
 from .models import (
     HUBER_C,
     LinearPredictor,
-    TrainConfig,
     logistic_loss,
     train_erm,
     train_weighted_erm,

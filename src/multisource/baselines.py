@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, SourcePool
-from .models import LinearPredictor, TrainConfig, train_erm
+from .models import LinearPredictor, train_erm
 
 __all__ = [
     "NormalizationStats",
@@ -124,11 +124,9 @@ def normalize_features(features: np.ndarray, stats: NormalizationStats) -> np.nd
     return np.where(safe, (features - stats.mean) / np.where(safe, stats.std, 1.0), 0.0)
 
 
-def train_local_models(
-    pool: SourcePool, config: TrainConfig = TrainConfig()
-) -> list[LinearPredictor]:
+def train_local_models(pool: SourcePool, ridge: float = 1e-4) -> list[LinearPredictor]:
     """One regularized-logistic model per source, each trained on that source only."""
-    return [train_erm(source, "logistic", config) for source in pool.sources]
+    return [train_erm(source, "logistic", ridge) for source in pool.sources]
 
 
 def aggregate_predictors(

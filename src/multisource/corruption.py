@@ -38,8 +38,11 @@ class CorruptionSpec:
 
 
 def _chosen_rows(rng: np.random.Generator, n: int, proportion: float) -> np.ndarray:
-    count = min(math.ceil(proportion * n), n)
-    return rng.choice(n, size=count, replace=False)
+    share = proportion * n
+    # 0.28 * 25 is 7.000000000000001 in floating point; it means 7 rows, not 8
+    whole = round(share)
+    count = whole if math.isclose(share, whole, rel_tol=1e-12) else math.ceil(share)
+    return rng.choice(n, size=min(count, n), replace=False)
 
 
 def corrupt(data: Dataset, spec: CorruptionSpec) -> Dataset:

@@ -322,6 +322,9 @@ def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") ->
     """
     path = Path(path)
     names = [f"f{j}" for j in range(dataset.n_features)]
+    if not label_column or label_column != label_column.strip():
+        # load_csv strips header cells, so it could never find this column
+        raise ValueError(f"label column {label_column!r} is empty or has surrounding whitespace")
     if label_column in names:
         raise ValueError(f"label column {label_column!r} collides with a feature column name")
     row = ",".join(["%.17g"] * (dataset.n_features + 1)) + "\r\n"

@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset, SourcePool
 from .discrepancy import RELAX_RIDGE, DiscrepancyEstimate, empirical_discrepancy, moments
-from .models import ARMIJO_C, MAX_STEP, STEP_GROWTH, STEP_SHRINK, LinearPredictor
+from .models import ARMIJO_C, STEP_SHRINK, LinearPredictor
 
 __all__ = [
     "BYTES_PER_REAL",
@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 BYTES_PER_REAL = 8
+
+# the learner's trial step doubles after each accepted query, up to a cap
+STEP_GROWTH = 2.0
+MAX_STEP = 1e12
 
 KIND_REFERENCE_BROADCAST = "reference_broadcast"
 KIND_DISCREPANCY_RESULT = "discrepancy_result"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,7 +35,7 @@ from .baselines import (
 from .corruption import CorruptionSpec, corrupt_pool
 from .data import Dataset, SourcePool, _derive_seed, kfold_indices, load_csv, merge
 from .discrepancy import empirical_discrepancy
-from .models import TrainConfig, train_erm, train_weighted_erm, zero_one_error
+from .models import train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
 
 __all__ = [
@@ -111,6 +111,11 @@ class CsvDataSpec:
     label_column: str = "label"
     label_encoding: str = "signed"
 
+    def __post_init__(self) -> None:
+        paths = self.source_paths
+        object.__setattr__(self, "source_paths",
+                           (paths,) if isinstance(paths, str) else tuple(paths))
+
 
 @dataclass(frozen=True)
 class CorruptionSetting:
@@ -124,6 +129,7 @@ class CorruptionSetting:
         if any(v < 0 for v in n):
             raise ValueError("n_corrupted values must be nonnegative")
         object.__setattr__(self, "n_corrupted", n)
+        object.__setattr__(self, "proportion", float(self.proportion))
         # kind/proportion are validated again by CorruptionSpec at use time
         CorruptionSpec(kind=self.kind, proportion=self.proportion, seed=0)
 
@@ -147,6 +153,11 @@ class ExperimentConfig:
         object.__setattr__(self, "method", methods)
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "ridge_grid", tuple(float(v) for v in self.ridge_grid))
+        for name in ("cv_folds", "repeats", "seed"):
+            value = getattr(self, name)
+            if value != int(value):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.lambda_grid or not self.ridge_grid:
             raise ValueError("hyperparameter grids must be nonempty")
         if self.cv_folds < 2:
@@ -249,17 +260,13 @@ def _fit_weighted(
     discrepancies: np.ndarray,
     lam: float,
     ridge: float,
-    base: TrainConfig,
 ) -> tuple:
     """Weight and train on sources plus the reference as an extra source."""
     all_sets = tuple(sources) + (reference,)
     d_full = np.append(discrepancies, 0.0)  # reference matches itself exactly
     counts = np.array([s.n_samples for s in all_sets])
     alpha = solve_weights(WeightProblem(d_full, counts, lam))
-    predictor = train_weighted_erm(
-        SourcePool(all_sets, reference), alpha, "logistic",
-        replace(base, ridge_strength=ridge),
-    )
+    predictor = train_weighted_erm(SourcePool(all_sets, reference), alpha, "logistic", ridge)
     return predictor, alpha, d_full
 
 
@@ -268,7 +275,6 @@ def run_ours(
     test_data: Dataset,
     config: ExperimentConfig,
     seed: int | None = None,
-    base_train: TrainConfig = TrainConfig(),
 ) -> RunResult:
     """Full pipeline: discrepancies, weight program, weighted ERM, with
     (lam, ridge) chosen by cross-validation on the reference data."""
@@ -278,13 +284,12 @@ def run_ours(
 
     def fit_fold(ref_train: Dataset):
         d_vec = _pool_discrepancies(pool.sources, ref_train)
-        return lambda point: _fit_weighted(pool.sources, ref_train, d_vec, *point,
-                                           base_train)[0]
+        return lambda point: _fit_weighted(pool.sources, ref_train, d_vec, *point)[0]
 
     best_lam, best_ridge = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
     d_vec = _pool_discrepancies(pool.sources, pool.reference)
     predictor, alpha, d_full = _fit_weighted(
-        pool.sources, pool.reference, d_vec, best_lam, best_ridge, base_train
+        pool.sources, pool.reference, d_vec, best_lam, best_ridge
     )
     return RunResult(
         method="ours",
@@ -313,22 +318,20 @@ def _fit_baseline(
     sources: Sequence[Dataset],
     reference: Dataset,
     ridge: float,
-    base: TrainConfig,
 ):
-    cfg = replace(base, ridge_strength=ridge)
     if method == "reference_only":
-        return train_erm(reference, "logistic", cfg)
+        return train_erm(reference, "logistic", ridge)
     if method == "all_data":
-        return train_erm(merge(tuple(sources) + (reference,)), "logistic", cfg)
+        return train_erm(merge(tuple(sources) + (reference,)), "logistic", ridge)
     if method == "robust_loss":
-        return train_erm(merge(tuple(sources) + (reference,)), "huber_logistic", cfg)
+        return train_erm(merge(tuple(sources) + (reference,)), "huber_logistic", ridge)
     if method == "batch_norm":
         normalized = [apply_normalization(s, fit_normalization(s)) for s in sources]
         ref_stats = fit_normalization(reference)
         normalized.append(apply_normalization(reference, ref_stats))
-        inner = train_erm(merge(normalized), "logistic", cfg)
+        inner = train_erm(merge(normalized), "logistic", ridge)
         return _NormalizedPredictor(inner, ref_stats)
-    locals_ = train_local_models(SourcePool(tuple(sources), reference), cfg)
+    locals_ = train_local_models(SourcePool(tuple(sources), reference), ridge)
     if method == "median_of_probs":
         return MedianOfProbsEnsemble(locals_)
     if method in ("geometric_median", "componentwise_median"):
@@ -342,7 +345,6 @@ def run_baseline(
     config: ExperimentConfig,
     method: str,
     seed: int | None = None,
-    base_train: TrainConfig = TrainConfig(),
 ) -> RunResult:
     """Run a comparison method with its ridge cross-validated on the reference."""
     if method == "ours" or method not in METHODS:
@@ -350,14 +352,13 @@ def run_baseline(
     seed = config.seed if seed is None else seed
 
     full_fit = functools.cache(
-        lambda ridge: _fit_baseline(method, pool.sources, pool.reference, ridge, base_train)
+        lambda ridge: _fit_baseline(method, pool.sources, pool.reference, ridge)
     )
 
     def fit_fold(ref_train: Dataset):
         if method in _REFERENCE_FREE_FITS:  # one fit per ridge serves every fold
             return full_fit
-        return lambda ridge: _fit_baseline(method, pool.sources, ref_train, ridge,
-                                           base_train)
+        return lambda ridge: _fit_baseline(method, pool.sources, ref_train, ridge)
 
     best_ridge = _cross_validate(pool, sorted(config.ridge_grid), config.cv_folds, seed,
                                  fit_fold)
@@ -379,16 +380,13 @@ def run_method(
     config: ExperimentConfig,
     method: str,
     seed: int | None = None,
-    base_train: TrainConfig = TrainConfig(),
 ) -> RunResult:
     if method == "ours":
-        return run_ours(pool, test_data, config, seed, base_train)
-    return run_baseline(pool, test_data, config, method, seed, base_train)
+        return run_ours(pool, test_data, config, seed)
+    return run_baseline(pool, test_data, config, method, seed)
 
 
-def run_sweep(
-    config: ExperimentConfig, base_train: TrainConfig = TrainConfig()
-) -> list[SweepCell]:
+def run_sweep(config: ExperimentConfig) -> list[SweepCell]:
     """methods x corruption grid x repeats, with per-cell derived seeds.
 
     The base pool for a repeat is shared across corruption levels, and all
@@ -409,7 +407,7 @@ def run_sweep(
                 pool, _ = corrupt_pool(pool, n, spec, _derive_seed(config.seed, 2, repeat, n))
             run_seed = _derive_seed(config.seed, 3, repeat, n)
             for method in config.method:
-                result = run_method(pool, test, config, method, run_seed, base_train)
+                result = run_method(pool, test, config, method, run_seed)
                 cells.append(SweepCell(n_corrupted=n, repeat=repeat, result=result))
     return cells
 
@@ -466,72 +464,31 @@ def write_summary_csv(cells: Sequence[SweepCell], path: str | Path) -> None:
             writer.writerow([method, n, repr(float(arr.mean())), repr(float(arr.std()))])
 
 
-def _data_to_dict(data: SyntheticSpec | CsvDataSpec) -> dict:
-    if isinstance(data, SyntheticSpec):
-        return {"synthetic": {
-            "n_sources": data.n_sources,
-            "samples_per_source": data.samples_per_source,
-            "reference_size": data.reference_size,
-            "test_size": data.test_size,
-            "n_features": data.n_features,
-            "class_separation": data.class_separation,
-            "positive_fraction": data.positive_fraction,
-        }}
-    return {"csv_paths": {
-        "source_paths": list(data.source_paths),
-        "reference_path": data.reference_path,
-        "test_path": data.test_path,
-        "label_column": data.label_column,
-        "label_encoding": data.label_encoding,
-    }}
+_DATA_KINDS = {"synthetic": SyntheticSpec, "csv_paths": CsvDataSpec}
 
 
 def config_to_json(config: ExperimentConfig) -> str:
-    obj = {
-        "data": _data_to_dict(config.data),
-        "method": list(config.method),
-        "lambda_grid": list(config.lambda_grid),
-        "ridge_grid": list(config.ridge_grid),
-        "cv_folds": config.cv_folds,
-        "repeats": config.repeats,
-        "seed": config.seed,
-        "corruption": None if config.corruption is None else {
-            "kind": config.corruption.kind,
-            "n_corrupted": list(config.corruption.n_corrupted),
-            "proportion": config.corruption.proportion,
-        },
-    }
+    obj = asdict(config)
+    kind = next(k for k, cls in _DATA_KINDS.items() if isinstance(config.data, cls))
+    obj["data"] = {kind: obj["data"]}
     return json.dumps(obj, indent=2)
+
+
+def _from_dict(cls, obj: dict):
+    """`cls(**obj)`, naming any key that is not one of its fields."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s) in config: {', '.join(unknown)}")
+    return cls(**obj)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
     obj = json.loads(text)
-    data_obj = obj["data"]
-    if "synthetic" in data_obj:
-        data: SyntheticSpec | CsvDataSpec = SyntheticSpec(**data_obj["synthetic"])
-    elif "csv_paths" in data_obj:
-        csv_obj = dict(data_obj["csv_paths"])
-        csv_obj["source_paths"] = tuple(csv_obj["source_paths"])
-        data = CsvDataSpec(**csv_obj)
-    else:
-        raise ValueError("config data must contain 'synthetic' or 'csv_paths'")
-    corruption = None
+    data_obj = obj.get("data", {})
+    if len(data_obj) != 1 or next(iter(data_obj)) not in _DATA_KINDS:
+        raise ValueError("config data must contain exactly one of 'synthetic' or 'csv_paths'")
+    [(kind, spec)] = data_obj.items()
+    obj["data"] = _from_dict(_DATA_KINDS[kind], spec)
     if obj.get("corruption") is not None:
-        c = obj["corruption"]
-        n = c["n_corrupted"]
-        corruption = CorruptionSetting(
-            kind=c["kind"],
-            n_corrupted=tuple(n) if isinstance(n, list) else (int(n),),
-            proportion=float(c.get("proportion", 1.0)),
-        )
-    method = obj["method"]
-    return ExperimentConfig(
-        data=data,
-        method=tuple(method) if isinstance(method, list) else (method,),
-        lambda_grid=tuple(obj.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
-        ridge_grid=tuple(obj.get("ridge_grid", DEFAULT_RIDGE_GRID)),
-        cv_folds=int(obj.get("cv_folds", 5)),
-        repeats=int(obj.get("repeats", 1)),
-        seed=int(obj.get("seed", 0)),
-        corruption=corruption,
-    )
+        obj["corruption"] = _from_dict(CorruptionSetting, obj["corruption"])
+    return _from_dict(ExperimentConfig, obj)

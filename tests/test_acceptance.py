@@ -30,7 +30,6 @@ from multisource.harness import (
 from multisource.models import (
     HUBER_C,
     LinearPredictor,
-    TrainConfig,
     logistic_loss,
     stack_weighted_pool,
     weighted_objective,
@@ -46,8 +45,6 @@ from multisource.weights import (
 
 # independently recomputed at 50-digit precision before the implementation
 WORKED_BOUND_VALUE = 1.0279987238208763
-
-FAST_TRAIN = TrainConfig(tolerance=1e-8, max_iterations=2000)
 
 
 def _report(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -202,7 +199,7 @@ def _corruption_curves():
         seed=20260808,
         corruption=CorruptionSetting("shuffled_labels", (0, 10, 19), 1.0),
     )
-    cells = run_sweep(config, base_train=FAST_TRAIN)
+    cells = run_sweep(config)
     table: dict[tuple[str, int], list[float]] = {}
     for cell in cells:
         table.setdefault((cell.result.method, cell.n_corrupted), []).append(
@@ -248,13 +245,12 @@ def test_c08_lambda_extremes_reproduce_naive_methods():
                                     ridge_grid=(1e-2,), seed=seed)
         base_cfg = ExperimentConfig(data=spec, method=("all_data",), lambda_grid=(1.0,),
                                     ridge_grid=(1e-2,), seed=seed)
-        forced_huge.append(run_ours(pool, test, huge_cfg, base_train=FAST_TRAIN).test_error)
-        forced_zero.append(run_ours(pool, test, zero_cfg, base_train=FAST_TRAIN).test_error)
+        forced_huge.append(run_ours(pool, test, huge_cfg).test_error)
+        forced_zero.append(run_ours(pool, test, zero_cfg).test_error)
         all_data.append(
-            run_baseline(pool, test, base_cfg, "all_data", base_train=FAST_TRAIN).test_error)
+            run_baseline(pool, test, base_cfg, "all_data").test_error)
         reference_only.append(
-            run_baseline(pool, test, base_cfg, "reference_only",
-                         base_train=FAST_TRAIN).test_error)
+            run_baseline(pool, test, base_cfg, "reference_only").test_error)
     gap_huge = abs(float(np.mean(forced_huge)) - float(np.mean(all_data)))
     gap_zero = abs(float(np.mean(forced_zero)) - float(np.mean(reference_only)))
     _report(8, "forced lam extremes reproduce all_data / reference_only (0.01)",
@@ -304,7 +300,7 @@ def test_c10_experiment_determinism(tmp_path):
     )
     paths = []
     for tag in ("first", "second"):
-        cells = run_sweep(config, base_train=FAST_TRAIN)
+        cells = run_sweep(config)
         results = tmp_path / f"{tag}.csv"
         summary = tmp_path / f"{tag}.summary.csv"
         write_results_csv(cells, results)

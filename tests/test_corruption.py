@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from helpers import random_dataset
-from multisource.corruption import CorruptionSpec, corrupt, corrupt_pool
+from multisource.corruption import CorruptionSpec, _chosen_rows, corrupt, corrupt_pool
 from multisource.data import Dataset, SourcePool
 from multisource.models import LinearPredictor, zero_one_error
 
@@ -36,6 +36,30 @@ def test_label_bias_partial_touches_ceil_fraction():
     ds = Dataset(rng.standard_normal((10, 2)), -np.ones(10))
     out = corrupt(ds, CorruptionSpec("label_bias", 0.25, seed=3))
     assert int(np.sum(out.labels == 1.0)) == 3  # ceil(0.25 * 10)
+
+
+@pytest.mark.parametrize("proportion, n, count", [
+    (0.28, 25, 7),   # 0.28 * 25 == 7.000000000000001
+    (0.07, 100, 7),
+    (0.55, 180, 99),
+    (0.68, 75, 51),
+    (0.5, 7, 4),
+    (0.01, 1, 1),
+    (1.0, 200, 200),
+])
+def test_label_bias_touches_the_exact_ceiling_of_the_share(proportion, n, count):
+    ds = Dataset(np.zeros((n, 1)), -np.ones(n))
+    out = corrupt(ds, CorruptionSpec("label_bias", proportion, seed=3))
+    assert int(np.sum(out.labels == 1.0)) == count
+
+
+def test_every_percentage_of_small_datasets_touches_the_exact_ceiling():
+    # percent/100 * n is exact in integers: ceil(percent * n / 100)
+    rng = np.random.default_rng(0)
+    for percent in range(1, 101):
+        for n in range(1, 201):
+            rows = _chosen_rows(rng, n, percent / 100)
+            assert rows.size == -(-percent * n // 100), (percent, n)
 
 
 def test_shuffled_labels_preserves_multiset():

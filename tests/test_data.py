@@ -122,6 +122,14 @@ def test_label_column_colliding_with_a_feature_name_is_rejected(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("label_column", ["", " y", "y ", "\ty", " "])
+def test_save_csv_rejects_a_label_column_load_csv_cannot_find(tmp_path, label_column):
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match="whitespace"):
+        save_csv(Dataset([[0.5], [1.5]], [1.0, -1.0]), path, label_column=label_column)
+    assert not path.exists()
+
+
 def _old_save_csv_bytes(dataset, label_column="label"):
     """save_csv as a csv.writer loop over f"{v:.17g}" cells: the byte reference."""
     out = io.StringIO(newline="")

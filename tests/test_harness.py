@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from multisource import harness
 from multisource.baselines import train_local_models
@@ -10,6 +12,8 @@ from multisource.harness import (
     ExperimentConfig,
     SyntheticSpec,
     _cross_validate,
+    _fit_weighted,
+    _pool_discrepancies,
     build_pool,
     config_from_json,
     config_to_json,
@@ -21,9 +25,7 @@ from multisource.harness import (
     write_results_csv,
     write_summary_csv,
 )
-from multisource.models import LinearPredictor, TrainConfig, train_erm, zero_one_error
-
-FAST = TrainConfig(tolerance=1e-9, max_iterations=4000)
+from multisource.models import LinearPredictor, train_erm, zero_one_error
 
 
 def _spec(**overrides):
@@ -68,7 +70,7 @@ def test_large_separation_is_easy():
     errors = []
     for seed in range(20):
         pool, test = generate_synthetic_pool(_spec(class_separation=10.0), seed=seed)
-        pred = train_erm(pool.reference, "logistic", TrainConfig(ridge_strength=1e-3))
+        pred = train_erm(pool.reference, "logistic", 1e-3)
         errors.append(zero_one_error(pred, test))
     assert float(np.mean(errors)) <= 0.02
 
@@ -77,7 +79,7 @@ def test_zero_separation_is_chance_level():
     errors = []
     for seed in range(20):
         pool, test = generate_synthetic_pool(_spec(class_separation=0.0), seed=seed)
-        pred = train_erm(pool.reference, "logistic", TrainConfig(ridge_strength=1e-2))
+        pred = train_erm(pool.reference, "logistic", 1e-2)
         errors.append(zero_one_error(pred, test))
     assert 0.45 <= float(np.mean(errors)) <= 0.55
 
@@ -91,10 +93,8 @@ def test_all_data_equals_plain_erm_on_concatenation():
 
     # run the baseline fit directly to compare predictors, not just errors
     from multisource.harness import _fit_baseline
-    fitted = _fit_baseline("all_data", pool.sources, ref, 1e-2, FAST)
-    direct = train_erm(merge((ref, ref, ref)), "logistic",
-                       TrainConfig(ridge_strength=1e-2, tolerance=FAST.tolerance,
-                                   max_iterations=FAST.max_iterations))
+    fitted = _fit_baseline("all_data", pool.sources, ref, 1e-2)
+    direct = train_erm(merge((ref, ref, ref)), "logistic", 1e-2)
     assert np.max(np.abs(fitted.weights - direct.weights)) <= 1e-8
     assert abs(fitted.bias - direct.bias) <= 1e-8
 
@@ -104,10 +104,8 @@ def test_geometric_median_of_identical_sources_is_local_model():
     ds = Dataset(rng.standard_normal((30, 2)), np.where(rng.random(30) < 0.5, 1.0, -1.0))
     pool = SourcePool((ds, ds, ds), ds)
     from multisource.harness import _fit_baseline
-    agg = _fit_baseline("geometric_median", pool.sources, ds, 1e-2, FAST)
-    local = train_erm(ds, "logistic", TrainConfig(ridge_strength=1e-2,
-                                                  tolerance=FAST.tolerance,
-                                                  max_iterations=FAST.max_iterations))
+    agg = _fit_baseline("geometric_median", pool.sources, ds, 1e-2)
+    local = train_erm(ds, "logistic", 1e-2)
     assert np.max(np.abs(agg.weights - local.weights)) <= 1e-8
 
 
@@ -119,14 +117,14 @@ def test_batch_norm_matches_all_data_on_standardized_pool():
     std_pool = SourcePool(std_sources, std_ref)
     std_test = apply_normalization(test, fit_normalization(std_ref))
     cfg = _config()
-    a = run_baseline(std_pool, std_test, cfg, "all_data", base_train=FAST)
-    b = run_baseline(std_pool, std_test, cfg, "batch_norm", base_train=FAST)
+    a = run_baseline(std_pool, std_test, cfg, "all_data")
+    b = run_baseline(std_pool, std_test, cfg, "batch_norm")
     assert abs(a.test_error - b.test_error) <= 1e-6
 
 
 def test_run_ours_populates_alpha_and_discrepancies():
     pool, test = generate_synthetic_pool(_spec(), seed=2)
-    result = run_ours(pool, test, _config(), base_train=FAST)
+    result = run_ours(pool, test, _config())
     assert result.alpha is not None and len(result.alpha) == pool.n_sources + 1
     assert result.discrepancies is not None
     assert result.discrepancies[-1] == 0.0  # the appended reference
@@ -136,10 +134,31 @@ def test_run_ours_populates_alpha_and_discrepancies():
 
 def test_run_ours_singleton_grids_skip_cv():
     pool, test = generate_synthetic_pool(_spec(), seed=2)
-    a = run_ours(pool, test, _config(), base_train=FAST)
-    b = run_ours(pool, test, _config(), base_train=FAST)
+    a = run_ours(pool, test, _config())
+    b = run_ours(pool, test, _config())
     assert a.test_error == b.test_error
     assert a.selected_lambda == 1.0 and a.selected_ridge == 1e-2
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([1e-2, 1.0, 100.0]),
+       ridge=st.sampled_from([1e-4, 1e-2]))
+def test_splitting_a_source_into_its_identical_halves_changes_nothing(seed, lam, ridge):
+    # the halves go to different places in the pool, the second with its rows
+    # shuffled, so the stacked training problem differs in order only
+    pool, _ = generate_synthetic_pool(_spec(), seed)
+    half = pool.sources[1]
+    shuffled = half.take(np.random.default_rng(seed).permutation(half.n_samples))
+    whole = (pool.sources[0], merge((half, half)), pool.sources[2])
+    split = (pool.sources[0], half, pool.sources[2], shuffled)
+    fits = [_fit_weighted(s, pool.reference, _pool_discrepancies(s, pool.reference), lam, ridge)
+            for s in (whole, split)]
+    (p_whole, a_whole, _), (p_split, a_split, _) = fits
+    a_whole, a_split = a_whole.alpha, a_split.alpha
+    merged = np.array([a_split[0], a_split[1] + a_split[3], a_split[2], a_split[4]])
+    assert np.max(np.abs(a_whole - merged)) <= 1e-9
+    assert np.max(np.abs(p_whole.weights - p_split.weights)) <= 1e-9
+    assert abs(p_whole.bias - p_split.bias) <= 1e-9
 
 
 def _separable_pool(n=20):
@@ -190,14 +209,14 @@ def test_reference_free_baseline_trains_once_per_ridge(monkeypatch):
     # share one set per ridge
     calls = []
 
-    def counting(pool, config):
-        calls.append(config.ridge_strength)
-        return train_local_models(pool, config)
+    def counting(pool, ridge):
+        calls.append(ridge)
+        return train_local_models(pool, ridge)
 
     monkeypatch.setattr(harness, "train_local_models", counting)
     pool, test = generate_synthetic_pool(_spec(), seed=7)
     cfg = _config(ridge_grid=(1e-2, 1e-1, 1.0), cv_folds=3)
-    result = run_baseline(pool, test, cfg, "geometric_median", base_train=FAST)
+    result = run_baseline(pool, test, cfg, "geometric_median")
     assert sorted(calls) == [1e-2, 1e-1, 1.0]
     assert result.selected_ridge in cfg.ridge_grid
 
@@ -213,7 +232,7 @@ def test_run_baseline_rejects_ours():
                                     "robust_loss", "batch_norm"])
 def test_every_baseline_runs(method):
     pool, test = generate_synthetic_pool(_spec(), seed=7)
-    result = run_baseline(pool, test, _config(), method, base_train=FAST)
+    result = run_baseline(pool, test, _config(), method)
     assert 0.0 <= result.test_error <= 1.0
     assert result.alpha is None and result.selected_lambda is None
 
@@ -221,9 +240,9 @@ def test_every_baseline_runs(method):
 def test_sweep_row_count_and_determinism(tmp_path):
     cfg = _config(method=("ours", "all_data"), repeats=2,
                   corruption=CorruptionSetting("shuffled_labels", (0, 2), 1.0))
-    cells = run_sweep(cfg, base_train=FAST)
+    cells = run_sweep(cfg)
     assert len(cells) == 2 * 2 * 2  # methods x n grid x repeats
-    cells2 = run_sweep(cfg, base_train=FAST)
+    cells2 = run_sweep(cfg)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results_csv(cells, a)
     write_results_csv(cells2, b)
@@ -232,19 +251,19 @@ def test_sweep_row_count_and_determinism(tmp_path):
 
 def test_sweep_single_cell_matches_direct_call():
     cfg = _config(method=("all_data",))
-    cells = run_sweep(cfg, base_train=FAST)
+    cells = run_sweep(cfg)
     assert len(cells) == 1
     from multisource.harness import _derive_seed
     pool, test = build_pool(cfg, _derive_seed(cfg.seed, 0, 0))
-    direct = run_method(pool, test, cfg, "all_data", _derive_seed(cfg.seed, 3, 0, 0), FAST)
+    direct = run_method(pool, test, cfg, "all_data", _derive_seed(cfg.seed, 3, 0, 0))
     assert cells[0].result.test_error == direct.test_error
 
 
 def test_sweep_method_order_does_not_change_cells():
     cfg_fwd = _config(method=("all_data", "reference_only"), repeats=2)
     cfg_rev = _config(method=("reference_only", "all_data"), repeats=2)
-    fwd = run_sweep(cfg_fwd, base_train=FAST)
-    rev = run_sweep(cfg_rev, base_train=FAST)
+    fwd = run_sweep(cfg_fwd)
+    rev = run_sweep(cfg_rev)
     table_fwd = {(c.result.method, c.n_corrupted, c.repeat): c.result.test_error for c in fwd}
     table_rev = {(c.result.method, c.n_corrupted, c.repeat): c.result.test_error for c in rev}
     assert table_fwd == table_rev
@@ -252,7 +271,7 @@ def test_sweep_method_order_does_not_change_cells():
 
 def test_summary_csv(tmp_path):
     cfg = _config(method=("all_data",), repeats=3)
-    cells = run_sweep(cfg, base_train=FAST)
+    cells = run_sweep(cfg)
     path = tmp_path / "summary.csv"
     write_summary_csv(cells, path)
     lines = path.read_text().strip().split("\n")
@@ -292,6 +311,7 @@ def test_csv_config_round_trip(tmp_path):
     cfg = ExperimentConfig(data=spec, method=("reference_only",))
     back = config_from_json(config_to_json(cfg))
     assert back == cfg
+    assert CsvDataSpec(["a.csv"], "r.csv", "t.csv").source_paths == ("a.csv",)
 
 
 def test_config_validation():
@@ -301,3 +321,12 @@ def test_config_validation():
         _config(lambda_grid=())
     with pytest.raises(ValueError):
         _config(repeats=0)
+    # a misspelt key used to fall back to the default grid without a word
+    text = config_to_json(_config())
+    with pytest.raises(ValueError, match="lamda_grid"):
+        config_from_json(text.replace('"lambda_grid"', '"lamda_grid"'))
+    with pytest.raises(ValueError, match="n_source"):
+        config_from_json(text.replace('"n_sources"', '"n_source"'))
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        config_from_json(text.replace('"seed": 5', '"seed": 5.5'))
+    assert config_from_json(text.replace('"seed": 5', '"seed": 5.0')).seed == 5

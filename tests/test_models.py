@@ -1,14 +1,17 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from multisource.data import Dataset, SourcePool
 from multisource.models import (
+    HUBER_C,
     LOSSES,
     LinearPredictor,
-    TrainConfig,
     logistic_loss,
+    loss_curvatures,
     loss_derivatives,
     loss_values,
     minimize_weighted_loss,
@@ -60,7 +63,7 @@ def test_logistic_loss_dimension_mismatch():
 @pytest.mark.parametrize("loss", LOSSES)
 def test_losses_accept_a_scalar_margin(loss):
     for margin in (-40.0, -3.0, 0.0, 0.5, 40.0):
-        for fn in (loss_values, loss_derivatives):
+        for fn in (loss_values, loss_derivatives, loss_curvatures):
             scalar = fn(np.float64(margin), loss)
             assert np.ndim(scalar) == 0
             assert float(scalar) == fn(np.array([margin]), loss)[0]
@@ -127,10 +130,9 @@ def test_gradient_matches_central_differences(loss):
 def test_identical_copies_match_single_source():
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((40, 3)), np.where(rng.random(40) < 0.5, 1.0, -1.0))
-    cfg = TrainConfig(ridge_strength=1e-2)
-    single = train_erm(ds, "logistic", cfg)
+    single = train_erm(ds, "logistic", 1e-2)
     pool = SourcePool((ds, ds, ds), ds)
-    tripled = train_weighted_erm(pool, np.full(3, 1 / 3), "logistic", cfg)
+    tripled = train_weighted_erm(pool, np.full(3, 1 / 3), "logistic", 1e-2)
     assert np.max(np.abs(single.weights - tripled.weights)) <= 1e-8
     assert abs(single.bias - tripled.bias) <= 1e-8
 
@@ -140,11 +142,10 @@ def test_zero_alpha_source_is_bitwise_irrelevant():
     fixed = Dataset(rng.standard_normal((20, 3)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
     junk_a = Dataset(rng.standard_normal((15, 3)), np.ones(15))
     junk_b = Dataset(rng.standard_normal((15, 3)) * 100, -np.ones(15))
-    cfg = TrainConfig(ridge_strength=1e-3)
     alpha = np.array([1.0, 0.0])
     ref = fixed
-    pa = train_weighted_erm(SourcePool((fixed, junk_a), ref), alpha, "logistic", cfg)
-    pb = train_weighted_erm(SourcePool((fixed, junk_b), ref), alpha, "logistic", cfg)
+    pa = train_weighted_erm(SourcePool((fixed, junk_a), ref), alpha, "logistic", 1e-3)
+    pb = train_weighted_erm(SourcePool((fixed, junk_b), ref), alpha, "logistic", 1e-3)
     assert np.array_equal(pa.weights, pb.weights)
     assert pa.bias == pb.bias
 
@@ -155,8 +156,7 @@ def test_optimizer_beats_random_predictors(loss):
     pool = _random_pool(rng, n_sources=2, n=30, d=3)
     alpha = np.array([0.4, 0.6])
     X, y, s = stack_weighted_pool(pool, alpha)
-    cfg = TrainConfig(ridge_strength=1e-3)
-    trained = minimize_weighted_loss(X, y, s, loss, cfg)
+    trained = minimize_weighted_loss(X, y, s, loss, 1e-3)
     best = weighted_objective(trained.weights, trained.bias, X, y, s, loss, 1e-3)
     zero = weighted_objective(np.zeros(3), 0.0, X, y, s, loss, 1e-3)
     assert best <= zero
@@ -182,10 +182,8 @@ def test_alpha_and_ridge_scaling():
         va = weighted_objective(w, b, Xa, ya, sa, "logistic", 1e-2)
         vb = weighted_objective(w, b, Xb, yb, sb, "logistic", c * 1e-2)
         assert vb == pytest.approx(c * va, rel=1e-12)
-    base = train_weighted_erm(pool, alpha, "logistic",
-                              TrainConfig(ridge_strength=1e-2, tolerance=1e-14))
-    scaled = train_weighted_erm(pool, c * alpha, "logistic",
-                                TrainConfig(ridge_strength=c * 1e-2, tolerance=1e-14))
+    base = train_weighted_erm(pool, alpha, "logistic", 1e-2)
+    scaled = train_weighted_erm(pool, c * alpha, "logistic", c * 1e-2)
     assert np.max(np.abs(base.weights - scaled.weights)) <= 1e-5
     assert abs(base.bias - scaled.bias) <= 1e-5
 
@@ -210,8 +208,8 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(10)
     pool = _random_pool(rng)
     alpha = np.full(3, 1 / 3)
-    a = train_weighted_erm(pool, alpha, "huber_logistic", TrainConfig(ridge_strength=1e-3))
-    b = train_weighted_erm(pool, alpha, "huber_logistic", TrainConfig(ridge_strength=1e-3))
+    a = train_weighted_erm(pool, alpha, "huber_logistic", 1e-3)
+    b = train_weighted_erm(pool, alpha, "huber_logistic", 1e-3)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
@@ -219,13 +217,83 @@ def test_alpha_length_mismatch():
     rng = np.random.default_rng(12)
     pool = _random_pool(rng)
     with pytest.raises(ValueError, match="alpha"):
-        train_weighted_erm(pool, np.array([0.5, 0.5]), "logistic", TrainConfig())
+        train_weighted_erm(pool, np.array([0.5, 0.5]), "logistic")
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(ridge_strength=-1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(max_iterations=0)
+def test_trainers_reject_a_bad_ridge():
+    ds = Dataset([[1.0], [-1.0]], [1.0, -1.0])
+    for ridge in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ridge"):
+            train_erm(ds, "logistic", ridge)
+        with pytest.raises(ValueError, match="ridge"):
+            train_weighted_erm(SourcePool((ds,), ds), np.ones(1), "logistic", ridge)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_curvatures_match_central_differences(loss):
+    margins = np.linspace(-30.0, 30.0, 601)
+    h = 1e-5
+    numeric = (loss_derivatives(margins + h, loss) - loss_derivatives(margins - h, loss)) / (2 * h)
+    # the Huber-tempered loss has no second derivative at its knot
+    smooth = np.abs(loss_values(margins, loss) - HUBER_C) > 1e-3
+    analytic = loss_curvatures(margins, loss)
+    assert np.max(np.abs(analytic - numeric)[smooth]) <= 1e-8
+
+
+def _gradient_norm(predictor, X, y, s, loss, ridge):
+    _, gw, gb = weighted_objective_grad(predictor.weights, predictor.bias, X, y, s, loss, ridge)
+    return float(np.linalg.norm(np.append(gw, gb)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(1, 4), d=st.integers(1, 6),
+       loss=st.sampled_from(LOSSES), ridge=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 1.0]),
+       scale=st.floats(1e-2, 1e2), separable=st.booleans())
+def test_every_fit_ends_at_a_stationary_point(seed, n_sources, d, loss, ridge, scale,
+                                              separable):
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(n_sources):
+        n = int(rng.integers(2, 60))
+        X = scale * rng.standard_normal((n, d)) + rng.uniform(0, 3) * rng.standard_normal(d)
+        if separable:
+            y = np.where(X[:, 0] >= 0, 1.0, -1.0)
+        else:
+            y = np.where(rng.random(n) < rng.uniform(0.05, 0.95), 1.0, -1.0)
+        sources.append(Dataset(X, y))
+    pool = SourcePool(tuple(sources), sources[0])
+    alpha = rng.dirichlet(np.ones(n_sources))
+    X, y, s = stack_weighted_pool(pool, alpha)
+    start = _gradient_norm(LinearPredictor(np.zeros(d), 0.0), X, y, s, loss, ridge)
+    weighted = train_weighted_erm(pool, alpha, loss, ridge)
+    assert _gradient_norm(weighted, X, y, s, loss, ridge) <= 1e-8 * start
+
+    single = sources[-1]
+    X, y, s = single.features, single.labels, np.full(single.n_samples, 1 / single.n_samples)
+    start = _gradient_norm(LinearPredictor(np.zeros(d), 0.0), X, y, s, loss, ridge)
+    plain = train_erm(single, loss, ridge)
+    assert _gradient_norm(plain, X, y, s, loss, ridge) <= 1e-8 * start
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("case", ["single_class", "separable", "repeated_column"])
+def test_unregularized_degenerate_data_give_a_finite_predictor(loss, case):
+    # at ridge 0 the first two have no minimizer and the third a singular
+    # Hessian; the trainer still ends near a stationary point
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((30, 3))
+    if case == "single_class":
+        y = np.ones(30)
+    elif case == "separable":
+        y = np.where(X[:, 0] >= 0, 1.0, -1.0)
+    else:
+        X[:, 1] = X[:, 0]
+        y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    ds = Dataset(X, y)
+    predictor = train_erm(ds, loss, 0.0)
+    assert np.isfinite(predictor.weights).all() and np.isfinite(predictor.bias)
+    s = np.full(30, 1 / 30)
+    start = _gradient_norm(LinearPredictor(np.zeros(3), 0.0), X, y, s, loss, 0.0)
+    assert _gradient_norm(predictor, X, y, s, loss, 0.0) <= 1e-8 * start
+    if case != "repeated_column":
+        assert zero_one_error(predictor, ds) == 0.0
