@@ -24,16 +24,17 @@ __all__ = [
 ]
 
 WEISZFELD_EPS = 1e-10
+WEISZFELD_RTOL = 1e-10
 WEISZFELD_MAX_ITER = 10_000
 DEGENERATE_STD = 1e-12
 
 
-def geometric_median(points: Sequence[np.ndarray], tolerance: float = 1e-10) -> np.ndarray:
+def geometric_median(points: Sequence[np.ndarray]) -> np.ndarray:
     """Point minimizing the summed Euclidean distances, by Weiszfeld iteration.
 
     Denominators are floored at 1e-10 so iterates sitting on a data point do
     not blow up. Each update weakly decreases the objective; the loop stops
-    once the decrease falls below `tolerance` (relative to the objective).
+    once the decrease falls below `WEISZFELD_RTOL` (relative to the objective).
     When the minimizer is one of the input points the iteration only
     approaches it, so the final answer is the best of the limit and the
     input points themselves.
@@ -55,7 +56,7 @@ def geometric_median(points: Sequence[np.ndarray], tolerance: float = 1e-10) -> 
             break  # denominator flooring artifact; keep the better iterate
         improved = objective - new_objective
         z, objective = z_new, new_objective
-        if improved <= tolerance * max(1.0, objective):
+        if improved <= WEISZFELD_RTOL * max(1.0, objective):
             break
     vertex_objectives = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
     best_vertex = int(np.argmin(vertex_objectives))
@@ -129,13 +130,11 @@ def train_local_models(pool: SourcePool, ridge: float = 1e-4) -> list[LinearPred
     return [train_erm(source, "logistic", ridge) for source in pool.sources]
 
 
-def aggregate_predictors(
-    models: Sequence[LinearPredictor], how: str, tolerance: float = 1e-10
-) -> LinearPredictor:
+def aggregate_predictors(models: Sequence[LinearPredictor], how: str) -> LinearPredictor:
     """Combine local models by aggregating their stacked (weights, bias) vectors."""
     stacked = np.array([np.append(m.weights, m.bias) for m in models])
     if how == "geometric_median":
-        agg = geometric_median(stacked, tolerance=tolerance)
+        agg = geometric_median(stacked)
     elif how == "componentwise_median":
         agg = componentwise_median(stacked)
     else:

@@ -39,7 +39,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     reference = load_csv(args.reference, args.label_column, args.encoding)
     report = []
     for path in args.sources:
-        source = load_csv(path, args.label_column, args.encoding, source_id=path)
+        source = load_csv(path, args.label_column, args.encoding)
         estimate = empirical_discrepancy(source, reference)
         report.append({
             "source": path,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    source_id: str | None = None
 
     def __post_init__(self) -> None:
         features = np.array(self.features, dtype=np.float64, copy=True)
@@ -107,7 +106,7 @@ class Dataset:
     def take(self, indices: np.ndarray | Sequence[int]) -> "Dataset":
         """Row subset in the given index order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.features[idx], self.labels[idx], source_id=self.source_id)
+        return Dataset(self.features[idx], self.labels[idx])
 
     def with_arrays(
         self, features: np.ndarray | None = None, labels: np.ndarray | None = None
@@ -115,7 +114,6 @@ class Dataset:
         return Dataset(
             self.features if features is None else features,
             self.labels if labels is None else labels,
-            source_id=self.source_id,
         )
 
 
@@ -153,33 +151,25 @@ class SourcePool:
         return np.array([s.n_samples for s in self.sources], dtype=np.int64)
 
 
-def _resolve_encoding(label_encoding: str | Mapping[float, float]) -> dict[float, float]:
-    if isinstance(label_encoding, str):
-        try:
-            return LABEL_ENCODINGS[label_encoding]
-        except KeyError:
-            raise ValueError(
-                f"unknown label encoding {label_encoding!r}; "
-                f"expected one of {sorted(LABEL_ENCODINGS)} or an explicit mapping"
-            ) from None
-    table = {float(k): float(v) for k, v in label_encoding.items()}
-    if any(v not in (-1.0, 1.0) for v in table.values()):
-        raise ValueError("label encodings must map onto {-1, +1}")
-    return table
+def _resolve_encoding(label_encoding: str) -> dict[float, float]:
+    if isinstance(label_encoding, str) and label_encoding in LABEL_ENCODINGS:
+        return LABEL_ENCODINGS[label_encoding]
+    raise ValueError(
+        f"unknown label encoding {label_encoding!r}; expected one of {sorted(LABEL_ENCODINGS)}"
+    )
 
 
 def load_csv(
     path: str | Path,
     label_column: str = "label",
-    label_encoding: str | Mapping[float, float] = "signed",
-    source_id: str | None = None,
+    label_encoding: str = "signed",
 ) -> Dataset:
     """Read a header-row CSV into a validated Dataset.
 
     Blank lines and lines whose first cell starts with '#' are skipped. Every
     non-label column must parse as a finite float; labels are mapped through
-    `label_encoding` ("signed", "zero_one", or an explicit value -> {-1,+1}
-    mapping). A header that repeats a name is rejected.
+    `label_encoding`, "signed" ({-1, 1}) or "zero_one" ({0, 1}). A header
+    that repeats a name is rejected.
 
     The data rows are parsed with one `np.loadtxt` call. Only when that
     fails, or the file quotes a cell or breaks lines in a way the fast path
@@ -198,8 +188,8 @@ def load_csv(
         header, label_idx = _parse_header(path, lines[0].split(","), label_column)
         parsed = _parse_plain_rows(lines[1:], len(header), label_idx, encoding)
         if parsed is not None:
-            return Dataset(*parsed, source_id=source_id)
-    return Dataset(*_load_csv_per_cell(path, label_column, encoding), source_id=source_id)
+            return Dataset(*parsed)
+    return Dataset(*_load_csv_per_cell(path, label_column, encoding))
 
 
 def _plain_lines(path: Path) -> list[str] | None:
@@ -334,13 +324,13 @@ def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") ->
         fh.writelines(row % tuple(values.tolist()) for values in table)
 
 
-def merge(datasets: Sequence[Dataset], source_id: str | None = None) -> Dataset:
+def merge(datasets: Sequence[Dataset]) -> Dataset:
     """Concatenate datasets row-wise (feature dimensions must agree)."""
     if not datasets:
         raise ValueError("nothing to merge")
     feats = np.vstack([d.features for d in datasets])
     labels = np.concatenate([d.labels for d in datasets])
-    return Dataset(feats, labels, source_id=source_id)
+    return Dataset(feats, labels)
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:

@@ -46,7 +46,6 @@ class DiscrepancyEstimate:
 
     value: float
     solver_risk: float
-    source_id: str | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.value <= 1.0):
@@ -58,9 +57,9 @@ class DiscrepancyEstimate:
             raise ValueError("value must equal clamp(1 - solver_risk, 0, 1)")
 
     @classmethod
-    def from_risk(cls, risk: float, source_id: str | None = None) -> "DiscrepancyEstimate":
+    def from_risk(cls, risk: float) -> "DiscrepancyEstimate":
         risk = min(max(float(risk), 0.0), 1.0)
-        return cls(value=min(max(1.0 - risk, 0.0), 1.0), solver_risk=risk, source_id=source_id)
+        return cls(value=min(max(1.0 - risk, 0.0), 1.0), solver_risk=risk)
 
 
 def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -80,11 +79,11 @@ def weighted_zero_one_risk_counts(
 
 
 def estimate_from_counts(
-    miss_src: int, m_src: int, miss_ref: int, m_ref: int, source_id: str | None = None
+    miss_src: int, m_src: int, miss_ref: int, m_ref: int
 ) -> DiscrepancyEstimate:
     denominator = m_src * m_ref
     numerator = miss_src * m_ref + miss_ref * m_src
-    return DiscrepancyEstimate.from_risk(numerator / denominator, source_id=source_id)
+    return DiscrepancyEstimate.from_risk(numerator / denominator)
 
 
 def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:
@@ -108,9 +107,7 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
     theta = np.linalg.solve(system, moment_ref - moment_src)  # source labels are flipped
     predictor = LinearPredictor(theta[:-1], theta[-1])
     miss_src, miss_ref = weighted_zero_one_risk_counts(predictor, source, reference)
-    return estimate_from_counts(
-        miss_src, source.n_samples, miss_ref, reference.n_samples, source_id=source.source_id
-    )
+    return estimate_from_counts(miss_src, source.n_samples, miss_ref, reference.n_samples)
 
 
 def _halfplane_directions(points: np.ndarray) -> np.ndarray:

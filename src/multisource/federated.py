@@ -229,7 +229,7 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
                     round=final_round, payload=tuple(theta) + (ref_risk,))
         )
         risk = oracle.finish(predictor, ref_risk)
-        estimate = DiscrepancyEstimate.from_risk(risk, source_id=source.source_id)
+        estimate = DiscrepancyEstimate.from_risk(risk)
         messages.append(
             Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL,
                     round=final_round, payload=(estimate.value,))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -81,6 +81,17 @@ DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_RIDGE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int (2.0 becomes 2); a fractional, non-finite or
+    non-numeric value raises a ValueError that names the field."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Two Gaussian class-conditional clouds, unit covariance, means
@@ -97,8 +108,10 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         for name in ("n_sources", "samples_per_source", "reference_size", "test_size",
                      "n_features"):
-            if getattr(self, name) < 1:
+            value = _whole(name, getattr(self, name))
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         if not (0.0 < self.positive_fraction < 1.0):
             raise ValueError("positive_fraction must lie in (0, 1)")
 
@@ -125,7 +138,7 @@ class CorruptionSetting:
 
     def __post_init__(self) -> None:
         n = self.n_corrupted
-        n = (int(n),) if isinstance(n, (int, np.integer)) else tuple(int(v) for v in n)
+        n = tuple(_whole("n_corrupted", v) for v in ((n,) if np.ndim(n) == 0 else n))
         if any(v < 0 for v in n):
             raise ValueError("n_corrupted values must be nonnegative")
         object.__setattr__(self, "n_corrupted", n)
@@ -154,10 +167,7 @@ class ExperimentConfig:
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "ridge_grid", tuple(float(v) for v in self.ridge_grid))
         for name in ("cv_folds", "repeats", "seed"):
-            value = getattr(self, name)
-            if value != int(value):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if not self.lambda_grid or not self.ridge_grid:
             raise ValueError("hyperparameter grids must be nonempty")
         if self.cv_folds < 2:
@@ -184,13 +194,11 @@ class SweepCell:
     result: RunResult
 
 
-def _draw_cloud(
-    rng: np.random.Generator, n: int, spec: SyntheticSpec, source_id: str
-) -> Dataset:
+def _draw_cloud(rng: np.random.Generator, n: int, spec: SyntheticSpec) -> Dataset:
     labels = np.where(rng.random(n) < spec.positive_fraction, 1.0, -1.0)
     features = rng.standard_normal((n, spec.n_features))
     features[:, 0] += labels * (spec.class_separation / 2.0)
-    return Dataset(features, labels, source_id=source_id)
+    return Dataset(features, labels)
 
 
 def generate_synthetic_pool(
@@ -200,24 +208,19 @@ def generate_synthetic_pool(
     same clean distribution; deterministic under the seed."""
     rng = np.random.default_rng(seed)
     sources = tuple(
-        _draw_cloud(rng, spec.samples_per_source, spec, f"source_{i}")
-        for i in range(spec.n_sources)
+        _draw_cloud(rng, spec.samples_per_source, spec) for _ in range(spec.n_sources)
     )
-    reference = _draw_cloud(rng, spec.reference_size, spec, "reference")
-    test = _draw_cloud(rng, spec.test_size, spec, "test")
+    reference = _draw_cloud(rng, spec.reference_size, spec)
+    test = _draw_cloud(rng, spec.test_size, spec)
     return SourcePool(sources, reference), test
 
 
 def load_csv_pool(spec: CsvDataSpec) -> tuple[SourcePool, Dataset]:
-    sources = tuple(
-        load_csv(p, spec.label_column, spec.label_encoding, source_id=f"source_{i}")
-        for i, p in enumerate(spec.source_paths)
-    )
-    reference = load_csv(spec.reference_path, spec.label_column, spec.label_encoding,
-                         source_id="reference")
-    test = load_csv(spec.test_path, spec.label_column, spec.label_encoding,
-                    source_id="test")
-    return SourcePool(sources, reference), test
+    def load(path):
+        return load_csv(path, spec.label_column, spec.label_encoding)
+
+    sources = tuple(load(p) for p in spec.source_paths)
+    return SourcePool(sources, load(spec.reference_path)), load(spec.test_path)
 
 
 def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset]:
@@ -475,10 +478,14 @@ def config_to_json(config: ExperimentConfig) -> str:
 
 
 def _from_dict(cls, obj: dict):
-    """`cls(**obj)`, naming any key that is not one of its fields."""
+    """`cls(**obj)`, naming any key that is not one of its fields and any
+    required field that is missing."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s) in config: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key(s) in config: {', '.join(missing)}")
     return cls(**obj)
 
 

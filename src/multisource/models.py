@@ -7,11 +7,13 @@ The trainer minimizes
 by damped Newton (iteratively reweighted least squares) from the zero
 predictor, where the per-sample weights s_j encode the source weighting
 (alpha_i / m_i for every point of source i). The bias is never regularized.
-Each iteration solves one (d+1)x(d+1) system; the Huber-tempered loss is
-concave past its knot, so its curvature is clipped at 0 there and the
-Hessian stays positive semidefinite. Steps are chosen by Armijo
-backtracking, a pure function of the inputs, so identical inputs give
-identical predictors. A fit normally ends once the gradient norm has
+Each loss is defined once, in `loss_terms`, which gives its value, slope
+and curvature in the margin together, so every trial point of the trainer
+reads the data once. Each iteration solves one (d+1)x(d+1) system; the
+Huber-tempered loss is concave past its knot, so its curvature is clipped
+at 0 there and the Hessian stays positive semidefinite. Steps are chosen
+by Armijo backtracking, a pure function of the inputs, so identical inputs
+give identical predictors. A fit normally ends once the gradient norm has
 fallen to 1e-10 of its value at zero, within a few dozen iterations even
 at ridge 0 on separable data, where no minimizer exists.
 """
@@ -32,9 +34,7 @@ __all__ = [
     "TrainingDivergedError",
     "logistic_loss",
     "zero_one_error",
-    "loss_values",
-    "loss_derivatives",
-    "loss_curvatures",
+    "loss_terms",
     "weighted_objective",
     "weighted_objective_grad",
     "minimize_weighted_loss",
@@ -119,49 +119,56 @@ def _softplus_neg(margins: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, -margins)
 
 
-def loss_values(margins: np.ndarray, loss: str) -> np.ndarray:
-    """Pointwise loss as a function of the margin m = y * (w . x + b)."""
-    margins = np.asarray(margins, dtype=np.float64)
-    if loss == "logistic":
-        return _softplus_neg(margins)
-    if loss == "huber_logistic":
-        ell = _softplus_neg(margins)
-        return np.where(ell > HUBER_C, 2.0 * np.sqrt(HUBER_C * ell) - HUBER_C, ell)
-    raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+def loss_terms(margins: np.ndarray, loss: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pointwise loss of the margin m = y * (w . x + b), with its first
+    and second derivatives in m: (values, slopes, curvatures).
 
-
-def loss_derivatives(margins: np.ndarray, loss: str) -> np.ndarray:
-    """d(loss)/d(margin); matches `loss_values` branch for branch."""
-    margins = np.asarray(margins, dtype=np.float64)
-    if loss == "logistic":
-        return -_sigmoid(-margins)
-    if loss == "huber_logistic":
-        ell = _softplus_neg(margins)
-        dldm = -_sigmoid(-margins)
-        big = ell > HUBER_C
-        scale = np.ones_like(ell)
-        scale[big] = np.sqrt(HUBER_C / ell[big])
-        return scale * dldm
-    raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
-
-
-def loss_curvatures(margins: np.ndarray, loss: str) -> np.ndarray:
-    """d2(loss)/d(margin)2; matches `loss_derivatives` branch for branch.
-
-    The Huber-tempered loss is concave past its knot (margin < -1.63), so
-    its curvature there is negative.
+    The Huber-tempered loss is the logistic loss ell = log(1 + e^-m) up to
+    its knot ell = HUBER_C and 2 sqrt(HUBER_C ell) - HUBER_C past it, where
+    it is concave (margin < -1.63), so its curvature there is negative.
     """
     margins = np.asarray(margins, dtype=np.float64)
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    # the terms are updated in place, so a fit holds few n-vectors at once
+    ell = _softplus_neg(margins)
+    slopes = _sigmoid(-margins)
+    curvatures = _sigmoid(margins)
+    curvatures *= slopes
+    np.negative(slopes, out=slopes)
     if loss == "logistic":
-        return _sigmoid(margins) * _sigmoid(-margins)
-    if loss == "huber_logistic":
-        ell = _softplus_neg(margins)
-        dldm = -_sigmoid(-margins)
-        d2ldm2 = _sigmoid(margins) * _sigmoid(-margins)
-        knee = np.maximum(ell, HUBER_C)  # equals ell wherever the tempered branch applies
-        tempered = np.sqrt(HUBER_C / knee) * (d2ldm2 - dldm**2 / (2.0 * knee))
-        return np.where(ell > HUBER_C, tempered, d2ldm2)
-    raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+        return ell, slopes, curvatures
+    tempered = ell > HUBER_C
+    knee = np.maximum(ell, HUBER_C)
+    scale = np.sqrt(HUBER_C / knee)  # exactly 1.0 up to the knot
+    values = np.where(tempered, 2.0 * np.sqrt(HUBER_C * ell) - HUBER_C, ell)
+    curvatures -= tempered * slopes**2 / (2.0 * knee)
+    curvatures *= scale
+    slopes *= scale
+    return values, slopes, curvatures
+
+
+def _evaluate(
+    w: np.ndarray,
+    b: float,
+    features: np.ndarray,
+    labels: np.ndarray,
+    sample_weight: np.ndarray,
+    loss: str,
+    ridge: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """F at (w, b), its gradient in (w, b), and each sample's weight in the
+    Newton Hessian (its weighted loss curvature, clipped at 0), from one
+    pass over the data."""
+    margins = labels * (features @ w + b)
+    values, slopes, curvatures = loss_terms(margins, loss)
+    coeff = sample_weight * slopes * labels
+    grad = np.empty(w.shape[0] + 1)
+    grad[:-1] = features.T @ coeff + ridge * w
+    grad[-1] = coeff.sum()
+    np.maximum(curvatures, 0.0, out=curvatures)
+    curvatures *= sample_weight
+    return float(sample_weight @ values + 0.5 * ridge * (w @ w)), grad, curvatures
 
 
 def weighted_objective(
@@ -173,8 +180,7 @@ def weighted_objective(
     loss: str,
     ridge: float,
 ) -> float:
-    margins = labels * (features @ w + b)
-    return float(sample_weight @ loss_values(margins, loss) + 0.5 * ridge * (w @ w))
+    return _evaluate(w, b, features, labels, sample_weight, loss, ridge)[0]
 
 
 def weighted_objective_grad(
@@ -187,12 +193,8 @@ def weighted_objective_grad(
     ridge: float,
 ) -> tuple[float, np.ndarray, float]:
     """Objective value and its gradient with respect to (w, b)."""
-    margins = labels * (features @ w + b)
-    value = float(sample_weight @ loss_values(margins, loss) + 0.5 * ridge * (w @ w))
-    coeff = sample_weight * loss_derivatives(margins, loss) * labels
-    grad_w = features.T @ coeff + ridge * w
-    grad_b = float(coeff.sum())
-    return value, grad_w, grad_b
+    value, grad, _ = _evaluate(w, b, features, labels, sample_weight, loss, ridge)
+    return value, grad[:-1], float(grad[-1])
 
 
 def minimize_weighted_loss(
@@ -209,39 +211,35 @@ def minimize_weighted_loss(
     taken when it lowers the objective by the Armijo margin or, once the
     objective moves by no more than its rounding error, when the trapezoid
     estimate of its change from the two end gradients shows that margin.
-    Stops when the gradient norm falls to `GRAD_RTOL` times its value at
-    zero, when no backtracked step qualifies (the float floor), or after
-    `MAX_ITERATIONS` steps. No step raises the objective by more than its
-    rounding error.
+    Each trial point is evaluated once; the curvatures of the accepted one
+    give the next Hessian. Stops when the gradient norm falls to `GRAD_RTOL`
+    times its value at zero, when no backtracked step qualifies (the float
+    floor), or after `MAX_ITERATIONS` steps. No step raises the objective by
+    more than its rounding error.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     sample_weight = np.asarray(sample_weight, dtype=np.float64)
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     if not (np.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
 
     d = features.shape[1]
     theta = np.zeros(d + 1)  # (w, b)
-    value, grad_w, grad_b = weighted_objective_grad(
-        theta[:d], 0.0, features, labels, sample_weight, loss, ridge
+    value, grad, curvatures = _evaluate(
+        theta[:d], theta[d], features, labels, sample_weight, loss, ridge
     )
     if not np.isfinite(value):
         raise TrainingDivergedError("objective is non-finite at the zero predictor")
-    grad = np.append(grad_w, grad_b)
     stop_norm = GRAD_RTOL * np.linalg.norm(grad)
 
     for _ in range(MAX_ITERATIONS):
         if np.linalg.norm(grad) <= stop_norm:
             break
-        margins = labels * (features @ theta[:d] + theta[d])
-        curv = sample_weight * np.maximum(loss_curvatures(margins, loss), 0.0)
         hess = np.empty((d + 1, d + 1))
         for j in range(d):  # column by column: no n x d temporary
-            hess[:d, j] = features.T @ (curv * features[:, j])
-        hess[:d, d] = hess[d, :d] = features.T @ curv
-        hess[d, d] = curv.sum()
+            hess[:d, j] = features.T @ (curvatures * features[:, j])
+        hess[:d, d] = hess[d, :d] = features.T @ curvatures
+        hess[d, d] = curvatures.sum()
         hess[range(d), range(d)] += ridge
         # damping at machine precision keeps a singular Hessian (ridge 0 and
         # a repeated feature) solvable and moves other steps only by rounding
@@ -251,10 +249,9 @@ def minimize_weighted_loss(
         step = 1.0
         for _ in range(MAX_HALVINGS):
             trial = theta + step * direction
-            new_value, grad_w, grad_b = weighted_objective_grad(
+            new_value, new_grad, new_curvatures = _evaluate(
                 trial[:d], trial[d], features, labels, sample_weight, loss, ridge
             )
-            new_grad = np.append(grad_w, grad_b)
             margin = ARMIJO_C * step * slope
             if new_value < value and new_value <= value + margin:
                 break
@@ -267,7 +264,7 @@ def minimize_weighted_loss(
             step *= STEP_SHRINK
         else:
             break  # float floor
-        theta, value, grad = trial, new_value, new_grad
+        theta, value, grad, curvatures = trial, new_value, new_grad, new_curvatures
     return LinearPredictor(theta[:d], theta[d])
 
 
@@ -304,11 +301,11 @@ def train_erm(dataset: Dataset, loss: str = "logistic", ridge: float = 1e-4) -> 
 
 
 def logistic_loss(predictor: LinearPredictor, x: np.ndarray, y: float) -> float:
-    """`loss_values(margin, "logistic")` at one point x with label y."""
+    """The logistic loss of the margin y * (w . x + b) at one point x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (predictor.n_features,):
         raise ValueError(f"expected a vector of length {predictor.n_features}")
-    return float(loss_values(float(y) * predictor.decision_function(x), "logistic"))
+    return float(loss_terms(float(y) * predictor.decision_function(x), "logistic")[0])
 
 
 def zero_one_error(predictor, data: Dataset) -> float:

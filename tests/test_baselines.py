@@ -18,7 +18,7 @@ from multisource.models import (
     HUBER_C,
     LinearPredictor,
     logistic_loss,
-    loss_values,
+    loss_terms,
     train_erm,
 )
 
@@ -130,23 +130,23 @@ def test_median_of_probs_ensemble_matches_pointwise():
 
 
 def test_huber_logistic_first_branch():
-    assert loss_values(0.0, "huber_logistic") == pytest.approx(math.log(2), abs=1e-15)
+    assert loss_terms(0.0, "huber_logistic")[0] == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_huber_logistic_knot_continuity():
     # margin chosen so the plain logistic loss equals exactly c
     margin = -math.log(math.expm1(HUBER_C))
-    ell = float(loss_values(margin, "logistic"))
+    ell = float(loss_terms(margin, "logistic")[0])
     assert ell == pytest.approx(HUBER_C, abs=1e-12)
     upper_branch = 2.0 * math.sqrt(HUBER_C * ell) - HUBER_C
     assert abs(upper_branch - ell) <= 1e-12
     for m in (np.nextafter(margin, -np.inf), margin, np.nextafter(margin, np.inf)):
-        assert abs(float(loss_values(m, "huber_logistic")) - ell) <= 1e-12
+        assert abs(float(loss_terms(m, "huber_logistic")[0]) - ell) <= 1e-12
 
 
 def test_huber_logistic_at_four_c():
     margin = -math.log(math.expm1(4 * HUBER_C))
-    value = float(loss_values(margin, "huber_logistic"))
+    value = float(loss_terms(margin, "huber_logistic")[0])
     assert value == pytest.approx(3 * HUBER_C, rel=1e-12)
     assert value == pytest.approx(5.427075, abs=1e-9)
 
@@ -155,7 +155,7 @@ def test_huber_never_exceeds_logistic():
     pred = LinearPredictor(np.array([1.0]), 0.0)
     for margin in np.linspace(-30, 30, 1000):
         x = np.array([margin])
-        hub = float(loss_values(margin, "huber_logistic"))
+        hub = float(loss_terms(margin, "huber_logistic")[0])
         log = logistic_loss(pred, x, 1.0)
         assert hub <= log + 1e-12
         if log <= HUBER_C:

@@ -65,6 +65,15 @@ def test_load_csv_zero_one_encoding(tmp_path):
     assert ds.features.shape == (3, 2)
 
 
+
+@pytest.mark.parametrize("encoding", ["binary", {0: -1, 1: 1}, ["zero_one"], None])
+def test_load_csv_accepts_only_the_named_encodings(tmp_path, encoding):
+    path = tmp_path / "d.csv"
+    path.write_text("f0,label\n0.5,1\n")
+    with pytest.raises(ValueError, match=r"expected one of \['signed', 'zero_one'\]"):
+        load_csv(path, "label", encoding)
+
+
 def test_load_csv_bad_cell_names_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,label\n1.0,1\noops,-1\n")

@@ -1,3 +1,5 @@
+import json
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -40,6 +42,17 @@ def _config(**overrides):
                 repeats=1, seed=5)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _without(text, *path):
+    """Config JSON `text` with the key at `path` deleted."""
+    obj = json.loads(text)
+    *parents, key = path
+    target = obj
+    for name in parents:
+        target = target[name]
+    del target[key]
+    return json.dumps(obj)
 
 
 def test_synthetic_pool_deterministic():
@@ -330,3 +343,38 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be a whole number"):
         config_from_json(text.replace('"seed": 5', '"seed": 5.5'))
     assert config_from_json(text.replace('"seed": 5', '"seed": 5.0')).seed == 5
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        config_from_json(text.replace('"seed": 5', '"seed": Infinity'))
+    with pytest.raises(ValueError, match="missing ExperimentConfig key.*: method$"):
+        config_from_json(_without(text, "method"))
+    with pytest.raises(ValueError, match="missing SyntheticSpec key.*: n_sources$"):
+        config_from_json(_without(text, "data", "synthetic", "n_sources"))
+    csv_text = config_to_json(_config(data=CsvDataSpec(("a.csv",), "r.csv", "t.csv")))
+    with pytest.raises(ValueError, match="missing CsvDataSpec key.*: reference_path, test_path$"):
+        config_from_json(_without(_without(csv_text, "data", "csv_paths", "reference_path"),
+                                  "data", "csv_paths", "test_path"))
+    corrupted = config_to_json(_config(corruption=CorruptionSetting("label_bias", (1,))))
+    with pytest.raises(ValueError, match="missing CorruptionSetting key.*: kind$"):
+        config_from_json(_without(corrupted, "corruption", "kind"))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: CorruptionSetting("label_bias", [1.5, 2.9]), "n_corrupted"),
+    (lambda: CorruptionSetting("label_bias", float("inf")), "n_corrupted"),
+    (lambda: _spec(samples_per_source=20.5), "samples_per_source"),
+    (lambda: _spec(n_features=float("nan")), "n_features"),
+    (lambda: _spec(test_size="300"), "test_size"),
+    (lambda: _config(cv_folds=2.5), "cv_folds"),
+    (lambda: _config(seed=float("-inf")), "seed"),
+])
+def test_whole_number_fields_reject_fractions_and_non_finite_values(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        make()
+
+
+def test_whole_number_fields_turn_whole_floats_into_ints():
+    spec = _spec(n_sources=3.0, samples_per_source=20.0, n_features=np.float64(2))
+    assert (spec.n_sources, spec.samples_per_source, spec.n_features) == (3, 20, 2)
+    assert all(type(v) is int for v in (spec.n_sources, spec.samples_per_source, spec.n_features))
+    assert CorruptionSetting("label_bias", [0.0, 2.0]).n_corrupted == (0, 2)
+    assert CorruptionSetting("label_bias", np.int64(3)).n_corrupted == (3,)

@@ -11,9 +11,7 @@ from multisource.models import (
     LOSSES,
     LinearPredictor,
     logistic_loss,
-    loss_curvatures,
-    loss_derivatives,
-    loss_values,
+    loss_terms,
     minimize_weighted_loss,
     stack_weighted_pool,
     train_erm,
@@ -63,10 +61,26 @@ def test_logistic_loss_dimension_mismatch():
 @pytest.mark.parametrize("loss", LOSSES)
 def test_losses_accept_a_scalar_margin(loss):
     for margin in (-40.0, -3.0, 0.0, 0.5, 40.0):
-        for fn in (loss_values, loss_derivatives, loss_curvatures):
-            scalar = fn(np.float64(margin), loss)
+        for scalar, vector in zip(loss_terms(np.float64(margin), loss),
+                                  loss_terms(np.array([margin]), loss)):
             assert np.ndim(scalar) == 0
-            assert float(scalar) == fn(np.array([margin]), loss)[0]
+            assert float(scalar) == vector[0]
+
+
+def test_huber_terms_equal_logistic_up_to_the_knot():
+    margins = np.concatenate([np.linspace(-40.0, 40.0, 100_001),
+                              [-math.log(math.expm1(HUBER_C)), 0.0, -0.0, 700.0]])
+    logistic = loss_terms(margins, "logistic")
+    huber = loss_terms(margins, "huber_logistic")
+    below = logistic[0] <= HUBER_C
+    assert below.sum() > 50_000 and (~below).sum() > 10_000
+    for log_term, hub_term in zip(logistic, huber):
+        assert np.array_equal(hub_term[below].view(np.uint64), log_term[below].view(np.uint64))
+
+
+def test_loss_terms_reject_an_unknown_loss():
+    with pytest.raises(ValueError, match="unknown loss"):
+        loss_terms(np.zeros(3), "squared")
 
 
 def test_zero_one_error_extremes():
@@ -233,11 +247,12 @@ def test_trainers_reject_a_bad_ridge():
 def test_curvatures_match_central_differences(loss):
     margins = np.linspace(-30.0, 30.0, 601)
     h = 1e-5
-    numeric = (loss_derivatives(margins + h, loss) - loss_derivatives(margins - h, loss)) / (2 * h)
+    values, slopes, curvatures = loss_terms(margins, loss)
+    up, down = loss_terms(margins + h, loss), loss_terms(margins - h, loss)
+    assert np.max(np.abs(slopes - (up[0] - down[0]) / (2 * h))) <= 1e-8
     # the Huber-tempered loss has no second derivative at its knot
-    smooth = np.abs(loss_values(margins, loss) - HUBER_C) > 1e-3
-    analytic = loss_curvatures(margins, loss)
-    assert np.max(np.abs(analytic - numeric)[smooth]) <= 1e-8
+    smooth = np.abs(values - HUBER_C) > 1e-3
+    assert np.max(np.abs(curvatures - (up[1] - down[1]) / (2 * h))[smooth]) <= 1e-8
 
 
 def _gradient_norm(predictor, X, y, s, loss, ridge):
