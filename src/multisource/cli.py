@@ -35,6 +35,14 @@ from .harness import (
 from .weights import WeightProblem, solve_weights
 
 
+def _emit(obj, out: str | None) -> None:
+    """Print `obj` as indented JSON, and write it to `out` when given."""
+    text = json.dumps(obj, indent=2)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    print(text)
+
+
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
     reference = load_csv(args.reference, args.label_column, args.encoding)
     report = []
@@ -47,10 +55,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
             "solver_risk": estimate.solver_risk,
             "samples": source.n_samples,
         })
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit(report, args.out)
     return 0
 
 
@@ -62,11 +67,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
         lam=args.lam,
     )
     alpha = solve_weights(problem)
-    text = json.dumps({"lambda": args.lam, "alpha": [float(v) for v in alpha.alpha]},
-                      indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit({"lambda": args.lam, "alpha": [float(v) for v in alpha.alpha]}, args.out)
     return 0
 
 
@@ -83,10 +84,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if result.alpha is not None:
         summary["alpha"] = [float(v) for v in result.alpha]
         summary["discrepancies"] = [float(v) for v in result.discrepancies]
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    _emit(summary, args.out)
     return 0
 
 
@@ -100,8 +98,9 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = config_from_json(Path(args.config).read_text(encoding="utf-8"))
-    cells = run_sweep(config)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    cells = run_sweep(config)
     write_results_csv(cells, out)
     write_sidecar_json(cells, out.with_suffix(".sidecar.json"))
     write_summary_csv(cells, out.with_suffix(".summary.csv"))
@@ -181,8 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Invalid input (a bad config or file, a value out of
+    range) prints one error line to stderr and returns 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"multisource {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

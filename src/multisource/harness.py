@@ -33,7 +33,15 @@ from .baselines import (
     train_local_models,
 )
 from .corruption import CorruptionSpec, corrupt_pool
-from .data import Dataset, SourcePool, _derive_seed, kfold_indices, load_csv, merge
+from .data import (
+    Dataset,
+    SourcePool,
+    _derive_seed,
+    _resolve_encoding,
+    kfold_indices,
+    load_csv,
+    merge,
+)
 from .discrepancy import empirical_discrepancy
 from .models import train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
@@ -125,6 +133,7 @@ class CsvDataSpec:
     label_encoding: str = "signed"
 
     def __post_init__(self) -> None:
+        _resolve_encoding(self.label_encoding)
         paths = self.source_paths
         object.__setattr__(self, "source_paths",
                            (paths,) if isinstance(paths, str) else tuple(paths))
@@ -229,10 +238,6 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
     return load_csv_pool(config.data)
 
 
-def _pool_discrepancies(sources: Sequence[Dataset], reference: Dataset) -> np.ndarray:
-    return np.array([empirical_discrepancy(s, reference).value for s in sources])
-
-
 def _cross_validate(
     pool: SourcePool,
     grid: Sequence,
@@ -255,54 +260,6 @@ def _cross_validate(
         heldout_data = pool.reference.take(heldout)
         scores += [zero_one_error(fit(point), heldout_data) for point in grid]
     return grid[int(np.argmin(scores))]
-
-
-def _fit_weighted(
-    sources: Sequence[Dataset],
-    reference: Dataset,
-    discrepancies: np.ndarray,
-    lam: float,
-    ridge: float,
-) -> tuple:
-    """Weight and train on sources plus the reference as an extra source."""
-    all_sets = tuple(sources) + (reference,)
-    d_full = np.append(discrepancies, 0.0)  # reference matches itself exactly
-    counts = np.array([s.n_samples for s in all_sets])
-    alpha = solve_weights(WeightProblem(d_full, counts, lam))
-    predictor = train_weighted_erm(SourcePool(all_sets, reference), alpha, "logistic", ridge)
-    return predictor, alpha, d_full
-
-
-def run_ours(
-    pool: SourcePool,
-    test_data: Dataset,
-    config: ExperimentConfig,
-    seed: int | None = None,
-) -> RunResult:
-    """Full pipeline: discrepancies, weight program, weighted ERM, with
-    (lam, ridge) chosen by cross-validation on the reference data."""
-    seed = config.seed if seed is None else seed
-    grid = [(lam, ridge) for lam in sorted(config.lambda_grid)
-            for ridge in sorted(config.ridge_grid)]
-
-    def fit_fold(ref_train: Dataset):
-        d_vec = _pool_discrepancies(pool.sources, ref_train)
-        return lambda point: _fit_weighted(pool.sources, ref_train, d_vec, *point)[0]
-
-    best_lam, best_ridge = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
-    d_vec = _pool_discrepancies(pool.sources, pool.reference)
-    predictor, alpha, d_full = _fit_weighted(
-        pool.sources, pool.reference, d_vec, best_lam, best_ridge
-    )
-    return RunResult(
-        method="ours",
-        test_error=zero_one_error(predictor, test_data),
-        selected_lambda=best_lam,
-        selected_ridge=best_ridge,
-        alpha=alpha.alpha,
-        discrepancies=d_full,
-        seed=seed,
-    )
 
 
 class _NormalizedPredictor:
@@ -337,44 +294,28 @@ def _fit_baseline(
     locals_ = train_local_models(SourcePool(tuple(sources), reference), ridge)
     if method == "median_of_probs":
         return MedianOfProbsEnsemble(locals_)
-    if method in ("geometric_median", "componentwise_median"):
-        return aggregate_predictors(locals_, method)
-    raise ValueError(f"unknown baseline {method!r}")
+    return aggregate_predictors(locals_, method)
 
 
-def run_baseline(
-    pool: SourcePool,
-    test_data: Dataset,
-    config: ExperimentConfig,
-    method: str,
-    seed: int | None = None,
-) -> RunResult:
-    """Run a comparison method with its ridge cross-validated on the reference."""
-    if method == "ours" or method not in METHODS:
-        raise ValueError(f"not a baseline method: {method!r}")
-    seed = config.seed if seed is None else seed
+def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset) -> Callable:
+    """A function from a grid point (lam, ridge) to (predictor, alpha,
+    discrepancies) trained against `reference`.
 
-    full_fit = functools.cache(
-        lambda ridge: _fit_baseline(method, pool.sources, pool.reference, ridge)
-    )
+    For "ours" the discrepancies are scored once, and the reference joins the
+    pool as an extra source with discrepancy 0 (it matches itself exactly).
+    A baseline ignores lam and has no alpha or discrepancies.
+    """
+    if method != "ours":
+        return lambda point: (_fit_baseline(method, sources, reference, point[1]), None, None)
+    pool = SourcePool(tuple(sources) + (reference,), reference)
+    d_full = np.array([empirical_discrepancy(s, reference).value for s in sources] + [0.0])
 
-    def fit_fold(ref_train: Dataset):
-        if method in _REFERENCE_FREE_FITS:  # one fit per ridge serves every fold
-            return full_fit
-        return lambda ridge: _fit_baseline(method, pool.sources, ref_train, ridge)
+    def fit(point):
+        lam, ridge = point
+        alpha = solve_weights(WeightProblem(d_full, pool.sample_counts, lam))
+        return train_weighted_erm(pool, alpha, "logistic", ridge), alpha.alpha, d_full
 
-    best_ridge = _cross_validate(pool, sorted(config.ridge_grid), config.cv_folds, seed,
-                                 fit_fold)
-    fitted = full_fit(best_ridge)
-    return RunResult(
-        method=method,
-        test_error=zero_one_error(fitted, test_data),
-        selected_lambda=None,
-        selected_ridge=best_ridge,
-        alpha=None,
-        discrepancies=None,
-        seed=seed,
-    )
+    return fit
 
 
 def run_method(
@@ -384,9 +325,46 @@ def run_method(
     method: str,
     seed: int | None = None,
 ) -> RunResult:
+    """Run `method` with its hyperparameters chosen by cross-validation on the
+    reference: (lam, ridge) for "ours", the ridge alone for a baseline."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    seed = config.seed if seed is None else seed
+    lams = sorted(config.lambda_grid) if method == "ours" else [None]
+    grid = [(lam, ridge) for lam in lams for ridge in sorted(config.ridge_grid)]
+    full_fit = functools.cache(_fitter(method, pool.sources, pool.reference))
+
+    def fit_fold(ref_train: Dataset):
+        # a reference-free fit is the same in every fold: one per ridge serves all
+        fit = (full_fit if method in _REFERENCE_FREE_FITS
+               else _fitter(method, pool.sources, ref_train))
+        return lambda point: fit(point)[0]
+
+    best_lam, best_ridge = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
+    predictor, alpha, discrepancies = full_fit((best_lam, best_ridge))
+    return RunResult(
+        method=method,
+        test_error=zero_one_error(predictor, test_data),
+        selected_lambda=best_lam,
+        selected_ridge=best_ridge,
+        alpha=alpha,
+        discrepancies=discrepancies,
+        seed=seed,
+    )
+
+
+def run_ours(pool: SourcePool, test_data: Dataset, config: ExperimentConfig,
+             seed: int | None = None) -> RunResult:
+    """`run_method` for the weighting pipeline."""
+    return run_method(pool, test_data, config, "ours", seed)
+
+
+def run_baseline(pool: SourcePool, test_data: Dataset, config: ExperimentConfig,
+                 method: str, seed: int | None = None) -> RunResult:
+    """`run_method` for a comparison method; rejects "ours"."""
     if method == "ours":
-        return run_ours(pool, test_data, config, seed)
-    return run_baseline(pool, test_data, config, method, seed)
+        raise ValueError(f"not a baseline method: {method!r}")
+    return run_method(pool, test_data, config, method, seed)
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepCell]:
@@ -398,9 +376,9 @@ def run_sweep(config: ExperimentConfig) -> list[SweepCell]:
     n_grid = config.corruption.n_corrupted if config.corruption is not None else (0,)
     cells: list[SweepCell] = []
     for repeat in range(config.repeats):
-        data_seed = _derive_seed(config.seed, 0, repeat)
+        base_pool, test = build_pool(config, _derive_seed(config.seed, 0, repeat))
         for n in n_grid:
-            pool, test = build_pool(config, data_seed)
+            pool = base_pool
             if config.corruption is not None and n > 0:
                 spec = CorruptionSpec(
                     kind=config.corruption.kind,

@@ -132,3 +132,24 @@ def test_simulate_federated_command(tmp_path, small_config, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["rounds"] == 51
 
+
+
+def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
+    no_method = json.loads(small_config.read_text())
+    del no_method["method"]
+    bad_config = tmp_path / "no_method.json"
+    bad_config.write_text(json.dumps(no_method))
+    cases = [
+        (["train", "--method", "ours", "--config", str(bad_config)],
+         "multisource train: error: missing ExperimentConfig key(s) in config: method"),
+        (["simulate-federated", "--case", "2", "--config", str(small_config), "--rounds", "0"],
+         "multisource simulate-federated: error: "),
+        (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
+         "multisource discrepancy: error: "),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

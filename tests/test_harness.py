@@ -14,8 +14,7 @@ from multisource.harness import (
     ExperimentConfig,
     SyntheticSpec,
     _cross_validate,
-    _fit_weighted,
-    _pool_discrepancies,
+    _fitter,
     build_pool,
     config_from_json,
     config_to_json,
@@ -164,10 +163,8 @@ def test_splitting_a_source_into_its_identical_halves_changes_nothing(seed, lam,
     shuffled = half.take(np.random.default_rng(seed).permutation(half.n_samples))
     whole = (pool.sources[0], merge((half, half)), pool.sources[2])
     split = (pool.sources[0], half, pool.sources[2], shuffled)
-    fits = [_fit_weighted(s, pool.reference, _pool_discrepancies(s, pool.reference), lam, ridge)
-            for s in (whole, split)]
+    fits = [_fitter("ours", s, pool.reference)((lam, ridge)) for s in (whole, split)]
     (p_whole, a_whole, _), (p_split, a_split, _) = fits
-    a_whole, a_split = a_whole.alpha, a_split.alpha
     merged = np.array([a_split[0], a_split[1] + a_split[3], a_split[2], a_split[4]])
     assert np.max(np.abs(a_whole - merged)) <= 1e-9
     assert np.max(np.abs(p_whole.weights - p_split.weights)) <= 1e-9
@@ -240,6 +237,14 @@ def test_run_baseline_rejects_ours():
         run_baseline(pool, test, _config(), "ours")
 
 
+def test_run_method_rejects_unknown_method():
+    pool, test = generate_synthetic_pool(_spec(), seed=2)
+    for run in (lambda: run_method(pool, test, _config(), "gradient_psychic"),
+                lambda: run_baseline(pool, test, _config(), "gradient_psychic")):
+        with pytest.raises(ValueError, match="unknown method 'gradient_psychic'"):
+            run()
+
+
 @pytest.mark.parametrize("method", ["reference_only", "all_data", "geometric_median",
                                     "componentwise_median", "median_of_probs",
                                     "robust_loss", "batch_norm"])
@@ -260,6 +265,20 @@ def test_sweep_row_count_and_determinism(tmp_path):
     write_results_csv(cells, a)
     write_results_csv(cells2, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_builds_the_base_pool_once_per_repeat(monkeypatch):
+    calls = []
+
+    def counting(config, seed):
+        calls.append(seed)
+        return build_pool(config, seed)
+
+    monkeypatch.setattr(harness, "build_pool", counting)
+    cfg = _config(method=("all_data",), repeats=3,
+                  corruption=CorruptionSetting("shuffled_labels", (0, 1, 2), 1.0))
+    assert len(run_sweep(cfg)) == 3 * 3
+    assert len(calls) == 3 and len(set(calls)) == 3
 
 
 def test_sweep_single_cell_matches_direct_call():
@@ -350,6 +369,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="missing SyntheticSpec key.*: n_sources$"):
         config_from_json(_without(text, "data", "synthetic", "n_sources"))
     csv_text = config_to_json(_config(data=CsvDataSpec(("a.csv",), "r.csv", "t.csv")))
+    # the label encoding is checked when the config is read, before any file is
+    for encoding in ('{"0": -1, "1": 1}', '"binary"'):
+        with pytest.raises(ValueError, match="unknown label encoding"):
+            config_from_json(csv_text.replace('"signed"', encoding))
     with pytest.raises(ValueError, match="missing CsvDataSpec key.*: reference_path, test_path$"):
         config_from_json(_without(_without(csv_text, "data", "csv_paths", "reference_path"),
                                   "data", "csv_paths", "test_path"))

@@ -1,11 +1,13 @@
-"""Smoke runs of the scripts under scripts/ with tiny arguments."""
+"""Smoke runs of the scripts and configs under scripts/ with tiny arguments."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import multisource
+from multisource.harness import config_from_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 ENV = dict(os.environ, PYTHONPATH=str(Path(multisource.__file__).parents[1]))
@@ -16,17 +18,24 @@ def _run(script, *args):
                           capture_output=True, text=True, env=ENV, timeout=60)
 
 
-def test_run_corruption_sweep(tmp_path):
-    out = tmp_path / "sweep.csv"
-    done = _run("run_corruption_sweep.py", "--out", str(out), "--n-grid", "0", "1",
-                "--repeats", "1", "--methods", "ours", "median_of_probs",
-                "--n-sources", "3", "--samples-per-source", "20", "--reference-size", "20",
-                "--test-size", "50", "--lambda-grid", "1.0", "100.0")
+def test_corruption_sweep_config(tmp_path):
+    config = json.loads((SCRIPTS / "corruption_sweep.json").read_text(encoding="utf-8"))
+    assert config_from_json(json.dumps(config)).corruption.n_corrupted == (0, 5, 10, 15, 19)
+    config["data"]["synthetic"].update(n_sources=3, samples_per_source=20, reference_size=20,
+                                       test_size=50)
+    config.update(method=["ours", "median_of_probs"], lambda_grid=[1.0, 100.0], repeats=1)
+    config["corruption"]["n_corrupted"] = [0, 1]
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "not" / "yet" / "sweep.csv"  # experiment makes the directory
+    done = subprocess.run([sys.executable, "-m", "multisource", "experiment", "--config",
+                           str(small), "--out", str(out)],
+                          capture_output=True, text=True, env=ENV, timeout=60)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.strip().splitlines()
-    assert lines[0] == f"wrote 4 runs to {out}"
-    assert lines[1] == "method,n_corrupted,mean_test_error,stddev_test_error"
-    assert [line.split(",")[:2] for line in lines[2:]] == [
+    assert done.stdout.strip() == f"wrote 4 rows to {out}"
+    lines = out.with_suffix(".summary.csv").read_text().strip().splitlines()
+    assert lines[0] == "method,n_corrupted,mean_test_error,stddev_test_error"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
         ["median_of_probs", "0"], ["median_of_probs", "1"], ["ours", "0"], ["ours", "1"]]
     assert out.with_suffix(".sidecar.json").exists()
 
