@@ -22,7 +22,7 @@ from .discrepancy import (
     empirical_discrepancy,
     exact_discrepancy_oracle,
 )
-from .federated import Message, ProtocolTrace, replay_result_values, run_case1, run_case2
+from .federated import Message, ProtocolTrace, run_case1, run_case2
 from .harness import (
     ExperimentConfig,
     RunResult,
@@ -45,7 +45,6 @@ from .weights import (
     SimplexWeights,
     WeightProblem,
     excess_risk_bound,
-    linear_rademacher_bound,
     solve_weights,
 )
 

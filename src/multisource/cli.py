@@ -61,6 +61,11 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
 
 def _cmd_weights(args: argparse.Namespace) -> int:
     obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{args.input}: expected a JSON object")
+    missing = [key for key in ("discrepancies", "sample_counts") if key not in obj]
+    if missing:
+        raise ValueError(f"{args.input}: missing key(s) {', '.join(missing)}")
     problem = WeightProblem(
         discrepancies=np.asarray(obj["discrepancies"], dtype=float),
         sample_counts=obj["sample_counts"],

@@ -340,11 +340,4 @@ def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     if k > n:
         raise ValueError(f"cannot build {k} folds from {n} samples")
     perm = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(k, n // k, dtype=np.int64)
-    sizes[: n % k] += 1
-    folds = []
-    start = 0
-    for size in sizes:
-        folds.append(np.sort(perm[start : start + size]))
-        start += size
-    return folds
+    return [np.sort(fold) for fold in np.array_split(perm, k)]

@@ -18,6 +18,7 @@ exactly, not just to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "DiscrepancyEstimate",
     "empirical_discrepancy",
     "moments",
+    "ridged_system",
     "exact_discrepancy_oracle",
 ]
 
@@ -42,24 +44,20 @@ ORACLE_MAX_POINTS = 200
 
 @dataclass(frozen=True)
 class DiscrepancyEstimate:
-    """Estimated risk gap in [0, 1], with the solver's achieved weighted risk."""
+    """The weighted 0/1 risk the relaxation's sign classifier achieves on the
+    flipped-label problem, clamped to [0, 1]; the estimated gap is 1 - risk."""
 
-    value: float
     solver_risk: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"discrepancy value {self.value} outside [0, 1]")
-        if not (0.0 <= self.solver_risk <= 1.0):
-            raise ValueError(f"solver risk {self.solver_risk} outside [0, 1]")
-        expected = min(max(1.0 - self.solver_risk, 0.0), 1.0)
-        if self.value != expected:
-            raise ValueError("value must equal clamp(1 - solver_risk, 0, 1)")
+        if math.isnan(self.solver_risk):
+            raise ValueError("solver risk is NaN")
+        object.__setattr__(self, "solver_risk", min(max(float(self.solver_risk), 0.0), 1.0))
 
-    @classmethod
-    def from_risk(cls, risk: float) -> "DiscrepancyEstimate":
-        risk = min(max(float(risk), 0.0), 1.0)
-        return cls(value=min(max(1.0 - risk, 0.0), 1.0), solver_risk=risk)
+    @property
+    def value(self) -> float:
+        """Estimated risk gap in [0, 1]."""
+        return 1.0 - self.solver_risk
 
 
 def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -68,22 +66,13 @@ def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return design.T @ design / data.n_samples, design.T @ data.labels / data.n_samples
 
 
-def weighted_zero_one_risk_counts(
-    predictor: LinearPredictor, source: Dataset, reference: Dataset
-) -> tuple[int, int]:
-    """Misclassification counts of the sign classifier on the merged problem:
-    (mistakes against the flipped source labels, mistakes against the reference)."""
-    miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))
-    miss_ref = int(np.sum(predictor.predict_labels(reference.features) != reference.labels))
-    return miss_src, miss_ref
-
-
-def estimate_from_counts(
-    miss_src: int, m_src: int, miss_ref: int, m_ref: int
-) -> DiscrepancyEstimate:
-    denominator = m_src * m_ref
-    numerator = miss_src * m_ref + miss_ref * m_src
-    return DiscrepancyEstimate.from_risk(numerator / denominator)
+def ridged_system(gram: np.ndarray) -> np.ndarray:
+    """The relaxation's normal-equation matrix: `gram` plus RELAX_RIDGE/2 on
+    the w-diagonal (never the bias), which makes it positive definite."""
+    system = gram.copy()
+    w_diagonal = np.arange(gram.shape[0] - 1)
+    system[w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0
+    return system
 
 
 def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:
@@ -101,13 +90,13 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
         raise ValueError("both datasets must be nonempty")
     gram_src, moment_src = moments(source)
     gram_ref, moment_ref = moments(reference)
-    system = gram_src + gram_ref
-    w_diagonal = np.arange(source.n_features)
-    system[w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0
+    system = ridged_system(gram_src + gram_ref)
     theta = np.linalg.solve(system, moment_ref - moment_src)  # source labels are flipped
     predictor = LinearPredictor(theta[:-1], theta[-1])
-    miss_src, miss_ref = weighted_zero_one_risk_counts(predictor, source, reference)
-    return estimate_from_counts(miss_src, source.n_samples, miss_ref, reference.n_samples)
+    miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))
+    miss_ref = int(np.sum(predictor.predict_labels(reference.features) != reference.labels))
+    m_src, m_ref = source.n_samples, reference.n_samples
+    return DiscrepancyEstimate((miss_src * m_ref + miss_ref * m_src) / (m_src * m_ref))
 
 
 def _halfplane_directions(points: np.ndarray) -> np.ndarray:

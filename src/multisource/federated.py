@@ -24,8 +24,7 @@ Two protocols are simulated with explicit message and byte accounting
           After the round budget, one extra exchange evaluates the final
           candidate: the learner sends it together with its local
           reference-risk scalar, and the source answers with the finished
-          discrepancy estimate. That final reply is the only message a
-          trace replay needs to reproduce the result vector.
+          discrepancy estimate.
 
 The simulator is a single-threaded event loop; "parallel" execution is
 modeled as round structure so traces are bit-reproducible.
@@ -36,12 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, SourcePool
-from .discrepancy import RELAX_RIDGE, DiscrepancyEstimate, empirical_discrepancy, moments
+from .data import SourcePool
+from .discrepancy import DiscrepancyEstimate, empirical_discrepancy, moments, ridged_system
 from .models import ARMIJO_C, STEP_SHRINK, LinearPredictor
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "ProtocolTrace",
     "run_case1",
     "run_case2",
-    "replay_result_values",
 ]
 
 BYTES_PER_REAL = 8
@@ -108,15 +105,6 @@ class ProtocolTrace:
         return text
 
 
-def replay_result_values(messages: Iterable[Message]) -> dict[str, float]:
-    """Pure reducer: final reported discrepancy value per sending node."""
-    out: dict[str, float] = {}
-    for message in messages:
-        if message.kind == KIND_DISCREPANCY_RESULT:
-            out[message.sender] = message.payload[0]
-    return out
-
-
 def _source_node_id(index: int) -> str:
     return f"source_{index}"
 
@@ -144,26 +132,6 @@ def run_case1(pool: SourcePool) -> ProtocolTrace:
     return ProtocolTrace(messages=tuple(messages), rounds=2, result=tuple(results))
 
 
-class _SourceOracle:
-    """Source-side term of the split objective, mean_src (w.x + b + y)^2: the
-    source labels are flipped, so its gradient is 2 (G theta + h) from the
-    moments (G, h) of the whole source."""
-
-    def __init__(self, source: Dataset):
-        self.source = source
-        self.gram, self.moment = moments(source)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.gram @ theta + self.moment)
-
-    def finish(self, predictor: LinearPredictor, reference_risk: float) -> float:
-        """Total weighted 0/1 risk (clamped to [0, 1]) of the final candidate:
-        local flipped-label risk plus the learner's reference risk."""
-        predicted = predictor.predict_labels(self.source.features)
-        local_risk = float(np.mean(predicted != -self.source.labels))
-        return min(max(local_risk + reference_risk, 0.0), 1.0)
-
-
 def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     """Gradient-query protocol; the reference dataset never leaves the learner.
 
@@ -180,18 +148,19 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     reference = pool.reference
     query_bytes = BYTES_PER_REAL * (d + 1)
     final_query_bytes = BYTES_PER_REAL * (d + 2)
-    # reference term mean_ref (w.x + b - y)^2 + (RELAX_RIDGE/2) ||w||^2,
-    # the same system `empirical_discrepancy` solves
+    # learner-side term mean_ref (w.x + b - y)^2 plus the relaxation's ridge
+    # on w: the reference half of the system `empirical_discrepancy` solves
     gram_ref, moment_ref = moments(reference)
-    w_diagonal = np.arange(d)
-    gram_ref[w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0
+    system_ref = ridged_system(gram_ref)
 
     messages: list[Message] = []
     results: list[DiscrepancyEstimate] = []
 
     for i, source in enumerate(pool.sources):
         node = _source_node_id(i)
-        oracle = _SourceOracle(source)
+        # source-side term mean_src (w.x + b + y)^2, labels flipped: its
+        # gradient is 2 (G theta + h) from the whole source's moments (G, h)
+        gram_src, moment_src = moments(source)
 
         theta = np.zeros(d + 1)
         grad: np.ndarray | None = None  # total gradient at the accepted theta
@@ -203,14 +172,14 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
                 Message("learner", node, KIND_MODEL_QUERY, query_bytes,
                         round=r, payload=tuple(query))
             )
-            src_grad = oracle.gradient(query)
+            src_grad = 2.0 * (gram_src @ query + moment_src)
             if not np.isfinite(src_grad).all():
                 raise FloatingPointError(f"non-finite gradient from {node}")
             messages.append(
                 Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes,
                         round=r, payload=tuple(src_grad))
             )
-            query_grad = src_grad + 2.0 * (gram_ref @ query - moment_ref)
+            query_grad = src_grad + 2.0 * (system_ref @ query - moment_ref)
 
             if grad is None or 0.5 * float((grad + query_grad) @ (query - theta)) <= (
                 -ARMIJO_C * step * float(grad @ grad)
@@ -228,8 +197,9 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
             Message("learner", node, KIND_MODEL_QUERY, final_query_bytes,
                     round=final_round, payload=tuple(theta) + (ref_risk,))
         )
-        risk = oracle.finish(predictor, ref_risk)
-        estimate = DiscrepancyEstimate.from_risk(risk)
+        # source side: the local flipped-label risk plus the learner's scalar
+        local_risk = float(np.mean(predictor.predict_labels(source.features) != -source.labels))
+        estimate = DiscrepancyEstimate(local_risk + ref_risk)
         messages.append(
             Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL,
                     round=final_round, payload=(estimate.value,))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -173,12 +174,13 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         object.__setattr__(self, "method", methods)
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
-        object.__setattr__(self, "ridge_grid", tuple(float(v) for v in self.ridge_grid))
+        for name in ("lambda_grid", "ridge_grid"):
+            grid = tuple(float(v) for v in getattr(self, name))
+            if not grid or not all(0.0 <= v < math.inf for v in grid):
+                raise ValueError(f"{name} must be a nonempty grid of finite, nonnegative values")
+            object.__setattr__(self, name, grid)
         for name in ("cv_folds", "repeats", "seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
-        if not self.lambda_grid or not self.ridge_grid:
-            raise ValueError("hyperparameter grids must be nonempty")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if self.repeats < 1:

@@ -30,7 +30,6 @@ __all__ = [
     "BoundInputs",
     "solve_weights",
     "excess_risk_bound",
-    "linear_rademacher_bound",
 ]
 
 NEGATIVITY_SLACK = 1e-12
@@ -141,11 +140,6 @@ def _argmin_proportional(problem: WeightProblem) -> SimplexWeights:
 
 def solve_weights(problem: WeightProblem) -> SimplexWeights:
     """Exact minimizer of the weighting objective on the simplex."""
-    if problem.n == 1:
-        return SimplexWeights(np.array([1.0]))
-    if problem.lam == 0.0:
-        return _argmin_proportional(problem)
-
     d = problem.discrepancies
     m = problem.sample_counts.astype(np.float64)
     lam = problem.lam
@@ -193,20 +187,3 @@ def excess_risk_bound(inputs: BoundInputs) -> float:
     )
     return complexity + disagreement + confidence * effective
 
-
-def linear_rademacher_bound(
-    weight_norm_bound: float, data_norm_bound: float, m: int
-) -> float:
-    """Distribution-independent complexity bound B*D/sqrt(m) for bounded
-    linear classifiers with ||w|| <= B on data with ||x|| <= D.
-
-    Other distribution-independent surrogates exist for richer classes
-    (C*sqrt(vc_dim/m) from the VC dimension, or Dudley's covering-number
-    entropy integral) and plug into `excess_risk_bound` the same way via
-    `rademacher_bounds`; only the linear case is provided here.
-    """
-    if weight_norm_bound <= 0 or data_norm_bound <= 0:
-        raise ValueError("norm bounds must be positive")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return weight_norm_bound * data_norm_bound / math.sqrt(m)

@@ -139,7 +139,17 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     del no_method["method"]
     bad_config = tmp_path / "no_method.json"
     bad_config.write_text(json.dumps(no_method))
+    weights_inputs = {"empty": {}, "list": [1, 2], "no_counts": {"discrepancies": [0.1]}}
+    for name, obj in weights_inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    weights_error = f"multisource weights: error: {tmp_path}{os.sep}"
     cases = [
+        (["weights", str(tmp_path / "empty.json"), "--lambda", "1"],
+         weights_error + "empty.json: missing key(s) discrepancies, sample_counts"),
+        (["weights", str(tmp_path / "list.json"), "--lambda", "1"],
+         weights_error + "list.json: expected a JSON object"),
+        (["weights", str(tmp_path / "no_counts.json"), "--lambda", "1"],
+         weights_error + "no_counts.json: missing key(s) sample_counts"),
         (["train", "--method", "ours", "--config", str(bad_config)],
          "multisource train: error: missing ExperimentConfig key(s) in config: method"),
         (["simulate-federated", "--case", "2", "--config", str(small_config), "--rounds", "0"],

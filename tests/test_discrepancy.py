@@ -16,11 +16,18 @@ ONE_D_SOURCE = Dataset([[0.0], [1.0]], [-1.0, -1.0])
 
 
 def test_estimate_validation():
-    DiscrepancyEstimate(value=0.25, solver_risk=0.75)
-    with pytest.raises(ValueError):
-        DiscrepancyEstimate(value=1.5, solver_risk=0.0)
-    with pytest.raises(ValueError):
-        DiscrepancyEstimate(value=0.3, solver_risk=0.3)
+    estimate = DiscrepancyEstimate(0.75)
+    assert (estimate.solver_risk, estimate.value) == (0.75, 0.25)
+    for risk in (0.0, 0.3, 1 / 3, 0.9999999999999999, 1.0):
+        estimate = DiscrepancyEstimate(risk)
+        assert estimate.value == 1.0 - estimate.solver_risk
+        assert 0.0 <= estimate.value <= 1.0
+    assert DiscrepancyEstimate(1.5).solver_risk == 1.0
+    assert DiscrepancyEstimate(1.5).value == 0.0
+    assert DiscrepancyEstimate(-0.25).solver_risk == 0.0
+    assert DiscrepancyEstimate(-0.25).value == 1.0
+    with pytest.raises(ValueError, match="NaN"):
+        DiscrepancyEstimate(float("nan"))
 
 
 def test_self_discrepancy_is_exactly_zero():

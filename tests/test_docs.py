@@ -1,9 +1,13 @@
-"""The README's commands and config example still parse."""
+"""The README's commands and config example still parse, and its library
+quickstart runs."""
 
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
+from helpers import random_dataset
 from multisource.cli import build_parser
 from multisource.harness import config_from_json
 
@@ -23,3 +27,12 @@ def test_readme_commands_and_config_parse():
         build_parser().parse_args(argv[1:])
     [config] = _blocks("json")
     config_from_json(config)
+
+
+def test_readme_quickstart_runs(capsys):
+    [quickstart] = _blocks("python")
+    rng = np.random.default_rng(0)
+    names = ("src_a", "src_b", "src_c", "ref", "test_set")
+    namespace = {name: random_dataset(rng, 40, 2) for name in names}
+    exec(quickstart, namespace)
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0

@@ -9,7 +9,6 @@ from multisource.discrepancy import empirical_discrepancy
 from multisource.federated import (
     BYTES_PER_REAL,
     Message,
-    replay_result_values,
     run_case1,
     run_case2,
 )
@@ -42,14 +41,6 @@ def test_case1_message_and_byte_accounting():
     assert all(m.payload_size == BYTES_PER_REAL * m_ref * (d + 1) for m in broadcasts)
     assert all(m.payload_size == BYTES_PER_REAL for m in results)
     assert trace.total_bytes == n * BYTES_PER_REAL * m_ref * (d + 1) + n * BYTES_PER_REAL
-
-
-def test_case1_replay_reducer():
-    pool = _pool(seed=1)
-    trace = run_case1(pool)
-    replayed = replay_result_values(trace.messages)
-    for i, est in enumerate(trace.result):
-        assert replayed[f"source_{i}"] == est.value
 
 
 def test_case2_full_batch_matches_centralized():
@@ -88,14 +79,6 @@ def test_case2_trace_deterministic():
     assert a.messages == b.messages
     for ea, eb in zip(a.result, b.result):
         assert ea.value == eb.value
-
-
-def test_case2_replay_reducer():
-    pool = _pool(seed=6, n_sources=2, n=15, m_ref=10)
-    trace = run_case2(pool, rounds=30)
-    replayed = replay_result_values(trace.messages)
-    for i, est in enumerate(trace.result):
-        assert replayed[f"source_{i}"] == est.value
 
 
 def test_case2_reaches_the_relaxation_minimizer():

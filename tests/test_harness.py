@@ -351,6 +351,11 @@ def test_config_validation():
         _config(method=("gradient_psychic",))
     with pytest.raises(ValueError):
         _config(lambda_grid=())
+    # a bad grid entry fails when the config is read, not at the sweep's first solve or fit
+    for name, bad in (("lambda_grid", -1.0), ("lambda_grid", float("inf")),
+                      ("ridge_grid", float("nan")), ("ridge_grid", -1.0)):
+        with pytest.raises(ValueError, match=name):
+            _config(**{name: (1.0, bad)})
     with pytest.raises(ValueError):
         _config(repeats=0)
     # a misspelt key used to fall back to the default grid without a word

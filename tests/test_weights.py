@@ -11,7 +11,6 @@ from multisource.weights import (
     SimplexWeights,
     WeightProblem,
     excess_risk_bound,
-    linear_rademacher_bound,
     solve_weights,
 )
 
@@ -220,13 +219,3 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(SimplexWeights(np.array([1.0])), np.zeros(1), np.ones(1),
                     np.zeros(1), 1.0, 1.5)
-
-
-def test_linear_rademacher_bound():
-    assert linear_rademacher_bound(1.0, 1.0, 100) == pytest.approx(0.1, abs=1e-15)
-    assert linear_rademacher_bound(1.0, 1.0, 400) == pytest.approx(0.05, abs=1e-15)
-    assert linear_rademacher_bound(2.0, 3.0, 36) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        linear_rademacher_bound(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        linear_rademacher_bound(1.0, 1.0, 0)
