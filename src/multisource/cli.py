@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
 from .data import load_csv, save_csv
 from .discrepancy import empirical_discrepancy
@@ -66,8 +64,11 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     missing = [key for key in ("discrepancies", "sample_counts") if key not in obj]
     if missing:
         raise ValueError(f"{args.input}: missing key(s) {', '.join(missing)}")
+    for key in ("discrepancies", "sample_counts"):
+        if not (isinstance(obj[key], list) and all(type(v) in (int, float) for v in obj[key])):
+            raise ValueError(f"{args.input}: {key} must be a list of numbers")
     problem = WeightProblem(
-        discrepancies=np.asarray(obj["discrepancies"], dtype=float),
+        discrepancies=obj["discrepancies"],
         sample_counts=obj["sample_counts"],
         lam=args.lam,
     )

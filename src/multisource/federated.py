@@ -26,8 +26,10 @@ Two protocols are simulated with explicit message and byte accounting
           reference-risk scalar, and the source answers with the finished
           discrepancy estimate.
 
-The simulator is a single-threaded event loop; "parallel" execution is
-modeled as round structure so traces are bit-reproducible.
+In case 2 all sources advance in lockstep, one batched product per round,
+and the messages are materialised afterwards in source-major order. No
+source's numbers touch another's, so each source's messages equal, bit for
+bit, those of a run on that source alone.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ KIND_MODEL_QUERY = "model_query"
 KIND_GRADIENT_REPLY = "gradient_reply"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: str
     receiver: str
@@ -139,7 +141,9 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     the backtracking search each consume one), followed by one final
     exchange that evaluates the last accepted candidate. Message count per
     source is therefore 2 * rounds + 2. Each source is searched by Armijo
-    backtracking whose first trial step is 1.0, as in the trainer.
+    backtracking whose first trial step is 1.0, as in the trainer. A
+    non-finite reply raises `FloatingPointError` naming the lowest-index
+    source of the earliest round that has one.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -152,58 +156,59 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     # on w: the reference half of the system `empirical_discrepancy` solves
     gram_ref, moment_ref = moments(reference)
     system_ref = ridged_system(gram_ref)
+    # source-side terms mean_src (w.x + b + y)^2, labels flipped: source i's
+    # gradient is 2 (G_i theta + h_i) from its whole sample's moments (G_i, h_i)
+    gram_src, moment_src = (np.stack(a) for a in zip(*map(moments, pool.sources)))
+
+    theta = np.zeros((pool.n_sources, d + 1))  # row i is source i's; rows never mix
+    grad: np.ndarray | None = None  # total gradients at the accepted thetas
+    step = np.ones(pool.n_sources)
+    queries, replies = [], []  # per round, each source's payload as a tuple of floats
+
+    for _ in range(rounds):
+        query = theta if grad is None else theta - step[:, None] * grad
+        src_grad = 2.0 * (np.matmul(gram_src, query[:, :, None])[:, :, 0] + moment_src)
+        finite = np.isfinite(src_grad).all(axis=1)
+        if not finite.all():
+            raise FloatingPointError(f"non-finite gradient from {_source_node_id(finite.argmin())}")
+        queries.append(list(map(tuple, query.tolist())))
+        replies.append(list(map(tuple, src_grad.tolist())))
+        query_grad = src_grad + 2.0 * (
+            np.matmul(system_ref, query[:, :, None])[:, :, 0] - moment_ref)
+
+        if grad is None:  # the first query, theta = 0, is always accepted
+            theta, grad = query, query_grad
+            step = np.minimum(step * STEP_GROWTH, MAX_STEP)
+            continue
+        # row dot products as (N, 1, k) @ (N, k, 1): each row's bits match a 1-D dot
+        decrease = 0.5 * np.matmul((grad + query_grad)[:, None, :],
+                                   (query - theta)[:, :, None])[:, 0, 0]
+        accept = decrease <= -ARMIJO_C * step * np.matmul(
+            grad[:, None, :], grad[:, :, None])[:, 0, 0]
+        theta = np.where(accept[:, None], query, theta)
+        grad = np.where(accept[:, None], query_grad, grad)
+        step = np.where(accept, np.minimum(step * STEP_GROWTH, MAX_STEP), step * STEP_SHRINK)
 
     messages: list[Message] = []
     results: list[DiscrepancyEstimate] = []
-
-    for i, source in enumerate(pool.sources):
+    final_round = rounds + 1
+    for i, (source, candidate) in enumerate(zip(pool.sources, theta)):
         node = _source_node_id(i)
-        # source-side term mean_src (w.x + b + y)^2, labels flipped: its
-        # gradient is 2 (G theta + h) from the whole source's moments (G, h)
-        gram_src, moment_src = moments(source)
-
-        theta = np.zeros(d + 1)
-        grad: np.ndarray | None = None  # total gradient at the accepted theta
-        step = 1.0
-
-        for r in range(1, rounds + 1):
-            query = theta if grad is None else theta - step * grad
-            messages.append(
-                Message("learner", node, KIND_MODEL_QUERY, query_bytes,
-                        round=r, payload=tuple(query))
-            )
-            src_grad = 2.0 * (gram_src @ query + moment_src)
-            if not np.isfinite(src_grad).all():
-                raise FloatingPointError(f"non-finite gradient from {node}")
-            messages.append(
-                Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes,
-                        round=r, payload=tuple(src_grad))
-            )
-            query_grad = src_grad + 2.0 * (system_ref @ query - moment_ref)
-
-            if grad is None or 0.5 * float((grad + query_grad) @ (query - theta)) <= (
-                -ARMIJO_C * step * float(grad @ grad)
-            ):
-                theta, grad = query, query_grad
-                step = min(step * STEP_GROWTH, MAX_STEP)
-            else:
-                step *= STEP_SHRINK
-
+        for r, (query_rows, reply_rows) in enumerate(zip(queries, replies), start=1):
+            messages.append(Message("learner", node, KIND_MODEL_QUERY, query_bytes,
+                                    round=r, payload=query_rows[i]))
+            messages.append(Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes,
+                                    round=r, payload=reply_rows[i]))
         # final exchange: candidate plus the learner's reference-risk scalar
-        final_round = rounds + 1
-        predictor = LinearPredictor(theta[:-1], theta[-1])
+        predictor = LinearPredictor(candidate[:-1], candidate[-1])
         ref_risk = float(np.mean(predictor.predict_labels(reference.features) != reference.labels))
-        messages.append(
-            Message("learner", node, KIND_MODEL_QUERY, final_query_bytes,
-                    round=final_round, payload=tuple(theta) + (ref_risk,))
-        )
+        messages.append(Message("learner", node, KIND_MODEL_QUERY, final_query_bytes,
+                                round=final_round, payload=(*candidate.tolist(), ref_risk)))
         # source side: the local flipped-label risk plus the learner's scalar
         local_risk = float(np.mean(predictor.predict_labels(source.features) != -source.labels))
         estimate = DiscrepancyEstimate(local_risk + ref_risk)
-        messages.append(
-            Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL,
-                    round=final_round, payload=(estimate.value,))
-        )
+        messages.append(Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL,
+                                round=final_round, payload=(estimate.value,)))
         results.append(estimate)
 
-    return ProtocolTrace(messages=tuple(messages), rounds=rounds + 1, result=tuple(results))
+    return ProtocolTrace(messages=tuple(messages), rounds=final_round, result=tuple(results))

@@ -175,7 +175,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         object.__setattr__(self, "method", methods)
         for name in ("lambda_grid", "ridge_grid"):
-            grid = tuple(float(v) for v in getattr(self, name))
+            try:
+                grid = tuple(float(v) for v in getattr(self, name))
+            except (TypeError, ValueError):  # not a sequence of numbers, e.g. [[1.0]]
+                grid = ()
             if not grid or not all(0.0 <= v < math.inf for v in grid):
                 raise ValueError(f"{name} must be a nonempty grid of finite, nonnegative values")
             object.__setattr__(self, name, grid)

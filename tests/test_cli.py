@@ -139,7 +139,11 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     del no_method["method"]
     bad_config = tmp_path / "no_method.json"
     bad_config.write_text(json.dumps(no_method))
-    weights_inputs = {"empty": {}, "list": [1, 2], "no_counts": {"discrepancies": [0.1]}}
+    nested_grid = dict(json.loads(small_config.read_text()), lambda_grid=[[1.0]])
+    nested_config = tmp_path / "nested_grid.json"
+    nested_config.write_text(json.dumps(nested_grid))
+    weights_inputs = {"empty": {}, "list": [1, 2], "no_counts": {"discrepancies": [0.1]},
+                      "mapping": {"discrepancies": {"a": 0.1}, "sample_counts": [3]}}
     for name, obj in weights_inputs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     weights_error = f"multisource weights: error: {tmp_path}{os.sep}"
@@ -150,6 +154,10 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          weights_error + "list.json: expected a JSON object"),
         (["weights", str(tmp_path / "no_counts.json"), "--lambda", "1"],
          weights_error + "no_counts.json: missing key(s) sample_counts"),
+        (["weights", str(tmp_path / "mapping.json"), "--lambda", "1"],
+         weights_error + "mapping.json: discrepancies must be a list of numbers"),
+        (["train", "--method", "ours", "--config", str(nested_config)],
+         "multisource train: error: lambda_grid must be a nonempty grid"),
         (["train", "--method", "ours", "--config", str(bad_config)],
          "multisource train: error: missing ExperimentConfig key(s) in config: method"),
         (["simulate-federated", "--case", "2", "--config", str(small_config), "--rounds", "0"],

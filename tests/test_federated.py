@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import lstsq_relaxation, random_dataset
-from multisource.data import SourcePool
+from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import empirical_discrepancy
 from multisource.federated import (
     BYTES_PER_REAL,
@@ -121,3 +122,57 @@ def test_jsonl_export_fields(tmp_path):
     first = json.loads(lines[0])
     assert set(first) == {"from", "to", "kind", "payload_size", "round", "payload"}
     assert first["kind"] == "reference_broadcast"
+
+    # every case-2 line parses back to its message, and payloads are plain floats
+    trace = run_case2(pool, rounds=30)
+    text = trace.export_jsonl()
+    assert run_case2(pool, rounds=30).export_jsonl() == text
+    lines = text.split("\n")
+    assert len(lines) == len(trace.messages)
+    for line, message in zip(lines, trace.messages):
+        assert json.loads(line)["payload"] == list(message.payload)
+        assert all(type(v) is float for v in message.payload)
+
+
+def _jsonl_lines(messages, rename=None):
+    """One JSON line per message, with node ids renamed by the dict `rename`."""
+    rename = rename or {}
+    return [json.dumps(replace(m, sender=rename.get(m.sender, m.sender),
+                               receiver=rename.get(m.receiver, m.receiver)).to_json_dict())
+            for m in messages]
+
+
+def test_case2_sources_never_interact():
+    # each source's block is, bit for bit, the trace of a pool holding it alone
+    rng = np.random.default_rng(1011)
+    for _ in range(8):
+        n_sources, d = int(rng.integers(2, 8)), int(rng.integers(1, 12))
+        rounds = int(rng.integers(1, 401))
+        sources = tuple(random_dataset(rng, int(rng.integers(3, 60)), d,
+                                       flip=float(rng.random() * 0.5))
+                        for _ in range(n_sources))
+        reference = random_dataset(rng, int(rng.integers(3, 40)), d)
+        trace = run_case2(SourcePool(sources, reference), rounds)
+        block = 2 * rounds + 2
+        assert len(trace.messages) == n_sources * block
+        lines = _jsonl_lines(trace.messages)
+        blocks = [lines[i * block:(i + 1) * block] for i in range(n_sources)]
+        for i, source in enumerate(sources):
+            solo = run_case2(SourcePool((source,), reference), rounds)
+            assert blocks[i] == _jsonl_lines(solo.messages, {"source_0": f"source_{i}"})
+            assert trace.result[i] == solo.result[0]
+        reverse = run_case2(SourcePool(sources[::-1], reference), rounds)
+        reversed_lines = _jsonl_lines(reverse.messages, {
+            f"source_{i}": f"source_{n_sources - 1 - i}" for i in range(n_sources)})
+        assert [reversed_lines[i * block:(i + 1) * block] for i in range(n_sources)] == blocks[::-1]
+        assert reverse.result == trace.result[::-1]
+
+
+def test_case2_non_finite_reply_raises():
+    # source_1's Gram matrix overflows, so its first reply is NaN
+    pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
+    huge = Dataset(pool.sources[1].features * 1e200, pool.sources[1].labels)
+    pool = SourcePool((pool.sources[0], huge, huge), pool.reference)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
+        run_case2(pool, rounds=5)
