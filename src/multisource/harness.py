@@ -19,6 +19,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -90,15 +91,17 @@ DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_RIDGE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 
 
-def _whole(name: str, value) -> int:
-    """`value` as an int (2.0 becomes 2); a fractional, non-finite or
-    non-numeric value raises a ValueError that names the field."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+def _number(name: str, value, whole: bool = False):
+    """`value` as a finite float, or as an int if `whole` (2.0 becomes 2).
+    Any other value, a bool or a string included, raises a ValueError that
+    names the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value) and (not whole or int(value) == value):
+                return int(value) if whole else float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ValueError(f"{name} must be a {'whole' if whole else 'finite'} number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,12 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         for name in ("n_sources", "samples_per_source", "reference_size", "test_size",
                      "n_features"):
-            value = _whole(name, getattr(self, name))
+            value = _number(name, getattr(self, name), whole=True)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
+        for name in ("class_separation", "positive_fraction"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not (0.0 < self.positive_fraction < 1.0):
             raise ValueError("positive_fraction must lie in (0, 1)")
 
@@ -136,8 +141,13 @@ class CsvDataSpec:
     def __post_init__(self) -> None:
         _resolve_encoding(self.label_encoding)
         paths = self.source_paths
-        object.__setattr__(self, "source_paths",
-                           (paths,) if isinstance(paths, str) else tuple(paths))
+        paths = (paths,) if isinstance(paths, str) else paths
+        if not (isinstance(paths, (tuple, list)) and all(isinstance(p, str) for p in paths)):
+            raise ValueError(f"source_paths must be a path or a list of paths, got {paths!r}")
+        object.__setattr__(self, "source_paths", tuple(paths))
+        for name in ("reference_path", "test_path", "label_column"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +158,12 @@ class CorruptionSetting:
 
     def __post_init__(self) -> None:
         n = self.n_corrupted
-        n = tuple(_whole("n_corrupted", v) for v in ((n,) if np.ndim(n) == 0 else n))
+        n = n if isinstance(n, (tuple, list)) else (n,)
+        n = tuple(_number("n_corrupted", v, whole=True) for v in n)
         if any(v < 0 for v in n):
             raise ValueError("n_corrupted values must be nonnegative")
         object.__setattr__(self, "n_corrupted", n)
-        object.__setattr__(self, "proportion", float(self.proportion))
+        object.__setattr__(self, "proportion", _number("proportion", self.proportion))
         # kind/proportion are validated again by CorruptionSpec at use time
         CorruptionSpec(kind=self.kind, proportion=self.proportion, seed=0)
 
@@ -169,21 +180,22 @@ class ExperimentConfig:
     corruption: CorruptionSetting | None = None
 
     def __post_init__(self) -> None:
-        methods = (self.method,) if isinstance(self.method, str) else tuple(self.method)
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-        object.__setattr__(self, "method", methods)
+        methods = (self.method,) if isinstance(self.method, str) else self.method
+        if not (isinstance(methods, (tuple, list)) and methods
+                and all(m in METHODS for m in methods)):
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS} "
+                             "or a nonempty list of them")
+        object.__setattr__(self, "method", tuple(methods))
         for name in ("lambda_grid", "ridge_grid"):
             try:
-                grid = tuple(float(v) for v in getattr(self, name))
+                grid = tuple(_number(name, v) for v in getattr(self, name))
             except (TypeError, ValueError):  # not a sequence of numbers, e.g. [[1.0]]
                 grid = ()
-            if not grid or not all(0.0 <= v < math.inf for v in grid):
+            if not grid or not all(v >= 0.0 for v in grid):
                 raise ValueError(f"{name} must be a nonempty grid of finite, nonnegative values")
             object.__setattr__(self, name, grid)
         for name in ("cv_folds", "repeats", "seed"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+            object.__setattr__(self, name, _number(name, getattr(self, name), whole=True))
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if self.repeats < 1:
@@ -229,18 +241,14 @@ def generate_synthetic_pool(
     return SourcePool(sources, reference), test
 
 
-def load_csv_pool(spec: CsvDataSpec) -> tuple[SourcePool, Dataset]:
-    def load(path):
-        return load_csv(path, spec.label_column, spec.label_encoding)
-
+def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset]:
+    spec = config.data
+    if isinstance(spec, SyntheticSpec):
+        return generate_synthetic_pool(spec, seed)
+    load = functools.partial(load_csv, label_column=spec.label_column,
+                             label_encoding=spec.label_encoding)
     sources = tuple(load(p) for p in spec.source_paths)
     return SourcePool(sources, load(spec.reference_path)), load(spec.test_path)
-
-
-def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset]:
-    if isinstance(config.data, SyntheticSpec):
-        return generate_synthetic_pool(config.data, seed)
-    return load_csv_pool(config.data)
 
 
 def _cross_validate(
@@ -460,9 +468,11 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _from_dict(cls, obj: dict):
-    """`cls(**obj)`, naming any key that is not one of its fields and any
-    required field that is missing."""
+def _from_dict(cls, obj, key: str):
+    """`cls(**obj)` for the config object under `key`, naming any key that is
+    not one of its fields and any required field that is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"config {key} must be a JSON object, got {obj!r}")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s) in config: {', '.join(unknown)}")
@@ -474,11 +484,14 @@ def _from_dict(cls, obj: dict):
 
 def config_from_json(text: str) -> ExperimentConfig:
     obj = json.loads(text)
-    data_obj = obj.get("data", {})
-    if len(data_obj) != 1 or next(iter(data_obj)) not in _DATA_KINDS:
+    if not isinstance(obj, dict):
+        raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+    data_obj = obj.get("data")
+    if not (isinstance(data_obj, dict) and len(data_obj) == 1
+            and next(iter(data_obj)) in _DATA_KINDS):
         raise ValueError("config data must contain exactly one of 'synthetic' or 'csv_paths'")
     [(kind, spec)] = data_obj.items()
-    obj["data"] = _from_dict(_DATA_KINDS[kind], spec)
+    obj["data"] = _from_dict(_DATA_KINDS[kind], spec, kind)
     if obj.get("corruption") is not None:
-        obj["corruption"] = _from_dict(CorruptionSetting, obj["corruption"])
-    return _from_dict(ExperimentConfig, obj)
+        obj["corruption"] = _from_dict(CorruptionSetting, obj["corruption"], "corruption")
+    return _from_dict(ExperimentConfig, obj, "config")

@@ -9,13 +9,15 @@ predictor, where the per-sample weights s_j encode the source weighting
 (alpha_i / m_i for every point of source i). The bias is never regularized.
 Each loss is defined once, in `loss_terms`, which gives its value, slope
 and curvature in the margin together, so every trial point of the trainer
-reads the data once. Each iteration solves one (d+1)x(d+1) system; the
-Huber-tempered loss is concave past its knot, so its curvature is clipped
-at 0 there and the Hessian stays positive semidefinite. Steps are chosen
-by Armijo backtracking, a pure function of the inputs, so identical inputs
-give identical predictors. A fit normally ends once the gradient norm has
-fallen to 1e-10 of its value at zero, within a few dozen iterations even
-at ridge 0 on separable data, where no minimizer exists.
+reads the data once. The sigmoid is defined once, by the softplus
+ell = log(1 + e^-m): sigma(m) = exp(-ell) and sigma(-m) = -expm1(-ell).
+Each iteration solves one (d+1)x(d+1) system; the Huber-tempered loss is
+concave past its knot, so its curvature is clipped at 0 there and the
+Hessian stays positive semidefinite. Steps are chosen by Armijo
+backtracking, a pure function of the inputs, so identical inputs give
+identical predictors. A fit normally ends once the gradient norm has fallen
+to 1e-10 of its value at zero, within a few dozen iterations even at
+ridge 0 on separable data, where no minimizer exists.
 """
 
 from __future__ import annotations
@@ -100,23 +102,8 @@ class LinearPredictor:
         return np.where(self.decision_function(features) >= 0.0, 1.0, -1.0)
 
     def probabilities(self, features: np.ndarray) -> np.ndarray:
-        """sigmoid(w . x + b), computed without overflow."""
-        return _sigmoid(self.decision_function(features))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _softplus_neg(margins: np.ndarray) -> np.ndarray:
-    # log(1 + exp(-m)) without overflow for very negative margins
-    return np.logaddexp(0.0, -margins)
+        """sigmoid(w . x + b), by the identity of `loss_terms`."""
+        return np.exp(-np.logaddexp(0.0, -self.decision_function(features)))
 
 
 def loss_terms(margins: np.ndarray, loss: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,16 +113,18 @@ def loss_terms(margins: np.ndarray, loss: str) -> tuple[np.ndarray, np.ndarray, 
     The Huber-tempered loss is the logistic loss ell = log(1 + e^-m) up to
     its knot ell = HUBER_C and 2 sqrt(HUBER_C ell) - HUBER_C past it, where
     it is concave (margin < -1.63), so its curvature there is negative.
+    The logistic slope -sigma(-m) and curvature sigma(m) sigma(-m) come from
+    ell by sigma(m) = exp(-ell) and sigma(-m) = -expm1(-ell), which hold to
+    rounding at either tail with no branch on the sign of m.
     """
     margins = np.asarray(margins, dtype=np.float64)
     if loss not in LOSSES:
         raise ValueError(f"unknown loss {loss!r}; expected one of {LOSSES}")
     # the terms are updated in place, so a fit holds few n-vectors at once
-    ell = _softplus_neg(margins)
-    slopes = _sigmoid(-margins)
-    curvatures = _sigmoid(margins)
-    curvatures *= slopes
-    np.negative(slopes, out=slopes)
+    ell = np.logaddexp(0.0, -margins)
+    slopes = np.expm1(-ell)
+    curvatures = np.exp(-ell)
+    curvatures *= -slopes
     if loss == "logistic":
         return ell, slopes, curvatures
     tempered = ell > HUBER_C

@@ -131,13 +131,6 @@ class BoundInputs:
         object.__setattr__(self, "rademacher_bounds", r)
 
 
-def _argmin_proportional(problem: WeightProblem) -> SimplexWeights:
-    d = problem.discrepancies
-    mask = d == d.min()
-    raw = np.where(mask, problem.sample_counts.astype(np.float64), 0.0)
-    return SimplexWeights(raw / raw.sum())
-
-
 def solve_weights(problem: WeightProblem) -> SimplexWeights:
     """Exact minimizer of the weighting objective on the simplex."""
     d = problem.discrepancies
@@ -170,8 +163,9 @@ def solve_weights(problem: WeightProblem) -> SimplexWeights:
     # dividing by max(nu, 1) keeps the weights finite for any finite lam
     raw = m * np.clip((nu - d) / max(nu, 1.0), 0.0, None)
     total = raw.sum()
-    if total <= 0.0:  # lam so small the support collapses numerically
-        return _argmin_proportional(problem)
+    if total <= 0.0:  # lam so small the support collapses numerically:
+        raw = np.where(d == d.min(), m, 0.0)  # the argmin-d set, in proportion to m
+        total = raw.sum()
     return SimplexWeights(raw / total)
 
 

@@ -147,6 +147,26 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     for name, obj in weights_inputs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     weights_error = f"multisource weights: error: {tmp_path}{os.sep}"
+    config = json.loads(small_config.read_text())
+    synthetic = config["data"]["synthetic"]
+    csv_data = {"source_paths": ["a.csv"], "reference_path": "r.csv", "test_path": "t.csv"}
+    # a JSON value of the wrong type is named where the config is read
+    wrong_types = {
+        "class_separation": dict(config, data={"synthetic": dict(synthetic,
+                                                                 class_separation=[1.0])}),
+        "positive_fraction": dict(config, data={"synthetic": dict(synthetic,
+                                                                  positive_fraction="x")}),
+        "n_features": dict(config, data={"synthetic": dict(synthetic, n_features=True)}),
+        "proportion": dict(config, corruption=dict(config["corruption"], proportion=[0.5])),
+        "n_corrupted": dict(config, corruption=dict(config["corruption"], n_corrupted=[1, [2]])),
+        "config synthetic": dict(config, data={"synthetic": 5}),
+        "config corruption": dict(config, corruption=5),
+        "unknown method 5": dict(config, method=5),
+        "source_paths": dict(config, data={"csv_paths": dict(csv_data, source_paths=5)}),
+        "config must be a JSON object": [config],
+    }
+    for field, obj in wrong_types.items():
+        (tmp_path / f"{field}.json").write_text(json.dumps(obj))
     cases = [
         (["weights", str(tmp_path / "empty.json"), "--lambda", "1"],
          weights_error + "empty.json: missing key(s) discrepancies, sample_counts"),
@@ -164,7 +184,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource simulate-federated: error: "),
         (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
          "multisource discrepancy: error: "),
-    ]
+    ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
+          f"multisource train: error: {field}") for field in wrong_types]
     for argv, message in cases:
         assert main(argv) == 1
         captured = capsys.readouterr()

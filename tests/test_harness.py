@@ -394,6 +394,7 @@ def test_config_validation():
     (lambda: _spec(test_size="300"), "test_size"),
     (lambda: _config(cv_folds=2.5), "cv_folds"),
     (lambda: _config(seed=float("-inf")), "seed"),
+    (lambda: _config(repeats=True), "repeats"),
 ])
 def test_whole_number_fields_reject_fractions_and_non_finite_values(make, field):
     with pytest.raises(ValueError, match=f"{field} must be a whole number"):

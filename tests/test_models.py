@@ -78,6 +78,32 @@ def test_huber_terms_equal_logistic_up_to_the_knot():
         assert np.array_equal(hub_term[below].view(np.uint64), log_term[below].view(np.uint64))
 
 
+def _two_branch_sigmoid(z):
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: no exp overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_terms_match_a_two_branch_sigmoid():
+    margins = np.concatenate([np.linspace(-745.0, 745.0, 149_001), [1e300, -1e300, 0.0, -0.0]])
+    # a subnormal result carries its rounding as one absolute unit, not a relative one
+    tol = dict(rtol=1e-14, atol=np.finfo(np.float64).smallest_subnormal)
+    sig_pos, sig_neg = _two_branch_sigmoid(margins), _two_branch_sigmoid(-margins)
+    below_knot = np.logaddexp(0.0, -margins) <= HUBER_C
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for loss in LOSSES:
+            _, slopes, curvatures = loss_terms(margins, loss)
+            keep = below_knot if loss == "huber_logistic" else slice(None)
+            np.testing.assert_allclose(slopes[keep], -sig_neg[keep], **tol)
+            np.testing.assert_allclose(curvatures[keep], (sig_pos * sig_neg)[keep], **tol)
+        probabilities = LinearPredictor(np.ones(1), 0.0).probabilities(margins[:, None])
+    np.testing.assert_allclose(probabilities, sig_pos, **tol)
+
+
 def test_loss_terms_reject_an_unknown_loss():
     with pytest.raises(ValueError, match="unknown loss"):
         loss_terms(np.zeros(3), "squared")
