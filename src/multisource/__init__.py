@@ -8,10 +8,7 @@ deterministic simulator of the decentralized discrepancy protocols.
 
 from .baselines import (
     MedianOfProbsEnsemble,
-    NormalizationStats,
-    apply_normalization,
     componentwise_median,
-    fit_normalization,
     geometric_median,
     train_local_models,
 )

@@ -1,24 +1,22 @@
-"""Comparison methods: robust aggregation of per-source models and
-per-source batch normalization. The Huber-tempered logistic loss of the
-robust-loss baseline lives with the other losses in `models`."""
+"""Comparison methods: robust aggregation of per-source models and the
+per-source standardization of the batch-normalization baseline. The
+Huber-tempered logistic loss of the robust-loss baseline lives with the
+other losses in `models`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SourcePool
+from .data import SourcePool
 from .models import LinearPredictor, train_erm
 
 __all__ = [
-    "NormalizationStats",
     "geometric_median",
     "componentwise_median",
     "MedianOfProbsEnsemble",
-    "fit_normalization",
-    "apply_normalization",
+    "standardize",
     "train_local_models",
     "aggregate_predictors",
 ]
@@ -87,42 +85,19 @@ class MedianOfProbsEnsemble:
         return np.where(np.median(probs, axis=0) >= 0.5, 1.0, -1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizationStats:
-    """Per-feature mean and population standard deviation."""
+def standardize(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column minus its mean over its population std: (z, mean, std).
 
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean and std must be vectors of equal length")
-        if np.any(std < 0):
-            raise ValueError("std entries must be nonnegative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-
-def fit_normalization(data: Dataset) -> NormalizationStats:
-    if data.n_samples == 0:
-        raise ValueError("cannot fit normalization on an empty dataset")
-    return NormalizationStats(
-        mean=data.features.mean(axis=0), std=data.features.std(axis=0)
-    )
-
-
-def apply_normalization(data: Dataset, stats: NormalizationStats) -> Dataset:
-    """Standardize features; near-constant columns (std < 1e-12) map to 0."""
-    if stats.mean.shape[0] != data.n_features:
-        raise ValueError("stats dimensionality does not match the dataset")
-    return data.with_arrays(features=normalize_features(data.features, stats))
-
-
-def normalize_features(features: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    safe = stats.std >= DEGENERATE_STD
-    return np.where(safe, (features - stats.mean) / np.where(safe, stats.std, 1.0), 0.0)
+    A near-constant column (std < DEGENERATE_STD) reports std = inf, so both
+    its standardized values and a weight divided by its std are exactly 0.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.shape[0] == 0:
+        raise ValueError("cannot standardize an empty sample")
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    std[std < DEGENERATE_STD] = np.inf
+    return (features - mean) / std, mean, std
 
 
 def train_local_models(pool: SourcePool, ridge: float = 1e-4) -> list[LinearPredictor]:

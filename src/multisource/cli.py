@@ -30,6 +30,7 @@ from .harness import (
     write_sidecar_json,
     write_summary_csv,
 )
+from .models import TrainingDivergedError
 from .weights import WeightProblem, solve_weights
 
 
@@ -187,11 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand. Invalid input (a bad config or file, a value out of
-    range) prints one error line to stderr and returns 1."""
+    range, data so large that it overflows) prints one error line to stderr
+    and returns 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError, TrainingDivergedError) as exc:
         print(f"multisource {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -134,6 +134,7 @@ def run_case1(pool: SourcePool) -> ProtocolTrace:
     return ProtocolTrace(messages=tuple(messages), rounds=2, result=tuple(results))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite reply raises instead
 def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     """Gradient-query protocol; the reference dataset never leaves the learner.
 
@@ -143,7 +144,7 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     source is therefore 2 * rounds + 2. Each source is searched by Armijo
     backtracking whose first trial step is 1.0, as in the trainer. A
     non-finite reply raises `FloatingPointError` naming the lowest-index
-    source of the earliest round that has one.
+    source of the earliest round that has one, with no numpy warning first.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

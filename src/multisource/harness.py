@@ -29,9 +29,7 @@ import numpy as np
 from .baselines import (
     MedianOfProbsEnsemble,
     aggregate_predictors,
-    apply_normalization,
-    fit_normalization,
-    normalize_features,
+    standardize,
     train_local_models,
 )
 from .corruption import CorruptionSpec, corrupt_pool
@@ -45,7 +43,7 @@ from .data import (
     merge,
 )
 from .discrepancy import empirical_discrepancy
-from .models import train_erm, train_weighted_erm, zero_one_error
+from .models import LinearPredictor, train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
 
 __all__ = [
@@ -275,17 +273,6 @@ def _cross_validate(
     return grid[int(np.argmin(scores))]
 
 
-class _NormalizedPredictor:
-    """Applies reference normalization statistics before the inner model."""
-
-    def __init__(self, inner, stats):
-        self.inner = inner
-        self.stats = stats
-
-    def predict_labels(self, features: np.ndarray) -> np.ndarray:
-        return self.inner.predict_labels(normalize_features(features, self.stats))
-
-
 def _fit_baseline(
     method: str,
     sources: Sequence[Dataset],
@@ -299,11 +286,14 @@ def _fit_baseline(
     if method == "robust_loss":
         return train_erm(merge(tuple(sources) + (reference,)), "huber_logistic", ridge)
     if method == "batch_norm":
-        normalized = [apply_normalization(s, fit_normalization(s)) for s in sources]
-        ref_stats = fit_normalization(reference)
-        normalized.append(apply_normalization(reference, ref_stats))
-        inner = train_erm(merge(normalized), "logistic", ridge)
-        return _NormalizedPredictor(inner, ref_stats)
+        # standardize each sample by its own statistics, then fold the
+        # reference's into the model: w.(x - mean)/std + b = (w/std).x + b - (w/std).mean
+        z_ref, mean, std = standardize(reference.features)
+        merged = merge([s.with_arrays(features=standardize(s.features)[0]) for s in sources]
+                       + [reference.with_arrays(features=z_ref)])
+        inner = train_erm(merged, "logistic", ridge)
+        weights = inner.weights / std
+        return LinearPredictor(weights, inner.bias - weights @ mean)
     locals_ = train_local_models(SourcePool(tuple(sources), reference), ridge)
     if method == "median_of_probs":
         return MedianOfProbsEnsemble(locals_)

@@ -66,7 +66,8 @@ FLOAT_SLACK = 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite objective at the zero predictor; the data are pathological."""
+    """Non-finite objective or gradient at the zero predictor; the data are
+    pathological (for example, features so large that they overflow)."""
 
 
 @dataclass(eq=False)
@@ -214,12 +215,14 @@ def minimize_weighted_loss(
 
     d = features.shape[1]
     theta = np.zeros(d + 1)  # (w, b)
-    value, grad, curvatures = _evaluate(
-        theta[:d], theta[d], features, labels, sample_weight, loss, ridge
-    )
-    if not np.isfinite(value):
-        raise TrainingDivergedError("objective is non-finite at the zero predictor")
-    stop_norm = GRAD_RTOL * np.linalg.norm(grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        value, grad, curvatures = _evaluate(
+            theta[:d], theta[d], features, labels, sample_weight, loss, ridge
+        )
+        grad_norm = np.linalg.norm(grad)
+    if not (np.isfinite(value) and np.isfinite(grad_norm)):
+        raise TrainingDivergedError("objective or its gradient is non-finite at the zero predictor")
+    stop_norm = GRAD_RTOL * grad_norm
 
     for _ in range(MAX_ITERATIONS):
         if np.linalg.norm(grad) <= stop_norm:

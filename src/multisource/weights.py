@@ -92,10 +92,6 @@ class WeightProblem:
         object.__setattr__(self, "sample_counts", m)
         object.__setattr__(self, "lam", float(self.lam))
 
-    @property
-    def n(self) -> int:
-        return self.discrepancies.size
-
     def objective(self, alpha: np.ndarray | SimplexWeights) -> float:
         a = np.asarray(getattr(alpha, "alpha", alpha), dtype=np.float64)
         return float(

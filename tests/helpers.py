@@ -27,7 +27,7 @@ def simplex_grid(n: int, resolution: float) -> np.ndarray:
 
 def grid_search_objective(problem: WeightProblem, resolution: float = 1e-3) -> float:
     """Brute-force minimum of the weighting objective over a simplex grid."""
-    grid = simplex_grid(problem.n, resolution)
+    grid = simplex_grid(problem.discrepancies.size, resolution)
     linear = grid @ problem.discrepancies
     quad = np.sqrt(grid**2 @ (1.0 / problem.sample_counts))
     return float(np.min(linear + problem.lam * quad))

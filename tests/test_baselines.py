@@ -5,12 +5,10 @@ import pytest
 
 from multisource.baselines import (
     MedianOfProbsEnsemble,
-    NormalizationStats,
     aggregate_predictors,
-    apply_normalization,
     componentwise_median,
-    fit_normalization,
     geometric_median,
+    standardize,
     train_local_models,
 )
 from multisource.data import Dataset, SourcePool
@@ -162,41 +160,37 @@ def test_huber_never_exceeds_logistic():
             assert hub == log
 
 
-def test_normalization_identity():
+def test_standardize_identity():
     rng = np.random.default_rng(5)
-    ds = Dataset(rng.standard_normal((40, 3)) * 4 + 2, np.where(rng.random(40) < 0.5, 1.0, -1.0))
-    out = apply_normalization(ds, fit_normalization(ds))
-    assert np.max(np.abs(out.features.mean(axis=0))) <= 1e-10
-    assert np.max(np.abs(out.features.std(axis=0) - 1.0)) <= 1e-10
-    assert np.array_equal(out.labels, ds.labels)
+    features = rng.standard_normal((40, 3)) * 4 + 2
+    z, mean, std = standardize(features)
+    assert np.max(np.abs(z.mean(axis=0))) <= 1e-10
+    assert np.max(np.abs(z.std(axis=0) - 1.0)) <= 1e-10
+    assert np.array_equal(mean, features.mean(axis=0))
+    assert np.array_equal(std, features.std(axis=0))
 
 
-def test_normalization_degenerate_column():
-    ds = Dataset(np.column_stack([np.full(5, 7.0), np.arange(5.0)]),
-                 np.ones(5))
-    out = apply_normalization(ds, fit_normalization(ds))
-    assert np.array_equal(out.features[:, 0], np.zeros(5))
+def test_standardize_degenerate_column():
+    z, _, std = standardize(np.column_stack([np.full(5, 7.1), np.arange(5.0)]))
+    assert np.all(z[:, 0] == 0.0)
+    assert std[0] == np.inf
+    assert np.all(np.array([2.5, -3.0]) / std[0] == 0.0)
 
 
-def test_normalization_is_affine():
-    # for fixed stats, T(a x + c) = a T(x) + ((a - 1) mean + c) / std
+def test_standardize_is_invariant_under_positive_affine_maps():
     rng = np.random.default_rng(6)
-    ds = Dataset(rng.standard_normal((20, 2)), np.ones(20))
-    stats = fit_normalization(ds)
-    a, c = 3.0, -1.5
-    scaled = Dataset(a * ds.features + c, ds.labels)
-    out_scaled = apply_normalization(scaled, stats).features
-    out_plain = apply_normalization(ds, stats).features
-    shift = ((a - 1.0) * stats.mean + c) / stats.std
-    assert np.max(np.abs(out_scaled - (a * out_plain + shift))) <= 1e-9
+    features = rng.standard_normal((20, 2))
+    scale, shift = np.array([3.0, 0.02]), np.array([-1.5, 40.0])
+    z_mapped, mean, std = standardize(scale * features + shift)
+    z_plain, mean_plain, std_plain = standardize(features)
+    assert np.max(np.abs(z_mapped - z_plain)) <= 1e-9
+    assert np.max(np.abs(mean - (scale * mean_plain + shift))) <= 1e-9
+    assert np.max(np.abs(std - scale * std_plain)) <= 1e-12
 
 
-def test_normalization_stats_validation():
+def test_standardize_rejects_an_empty_matrix():
     with pytest.raises(ValueError):
-        NormalizationStats(np.zeros(2), np.array([-1.0, 1.0]))
-    empty = Dataset(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError):
-        fit_normalization(empty)
+        standardize(np.empty((0, 2)))
 
 
 def test_train_local_models_identical_sources():

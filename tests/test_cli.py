@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,16 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     }
     for field, obj in wrong_types.items():
         (tmp_path / f"{field}.json").write_text(json.dumps(obj))
+    # features so large that the trainer's gradient and case 2's replies overflow
+    for name in ("huge_source", "huge_reference", "huge_test"):
+        rng = np.random.default_rng(len(name))
+        save_csv(Dataset(1e200 * rng.standard_normal((40, 2)),
+                         np.where(rng.random(40) < 0.5, 1.0, -1.0)), tmp_path / f"{name}.csv")
+    huge_config = tmp_path / "huge.json"
+    huge_config.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
+        "source_paths": [str(tmp_path / "huge_source.csv")],
+        "reference_path": str(tmp_path / "huge_reference.csv"),
+        "test_path": str(tmp_path / "huge_test.csv")}})))
     cases = [
         (["weights", str(tmp_path / "empty.json"), "--lambda", "1"],
          weights_error + "empty.json: missing key(s) discrepancies, sample_counts"),
@@ -184,10 +195,16 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource simulate-federated: error: "),
         (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
          "multisource discrepancy: error: "),
+        (["train", "--method", "all_data", "--config", str(huge_config)],
+         "multisource train: error: objective or its gradient is non-finite"),
+        (["simulate-federated", "--case", "2", "--config", str(huge_config)],
+         "multisource simulate-federated: error: non-finite gradient from source_0"),
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
           f"multisource train: error: {field}") for field in wrong_types]
     for argv, message in cases:
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning on the way fails the case
+            assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from multisource import harness
-from multisource.baselines import train_local_models
+from multisource.baselines import standardize, train_local_models
 from multisource.data import Dataset, SourcePool, merge
 from multisource.harness import (
     CorruptionSetting,
@@ -14,6 +14,7 @@ from multisource.harness import (
     ExperimentConfig,
     SyntheticSpec,
     _cross_validate,
+    _fit_baseline,
     _fitter,
     build_pool,
     config_from_json,
@@ -121,17 +122,46 @@ def test_geometric_median_of_identical_sources_is_local_model():
     assert np.max(np.abs(agg.weights - local.weights)) <= 1e-8
 
 
+def _standardized(data: Dataset) -> Dataset:
+    return data.with_arrays(features=standardize(data.features)[0])
+
+
 def test_batch_norm_matches_all_data_on_standardized_pool():
-    from multisource.baselines import apply_normalization, fit_normalization
     pool, test = generate_synthetic_pool(_spec(), seed=9)
-    std_sources = tuple(apply_normalization(s, fit_normalization(s)) for s in pool.sources)
-    std_ref = apply_normalization(pool.reference, fit_normalization(pool.reference))
-    std_pool = SourcePool(std_sources, std_ref)
-    std_test = apply_normalization(test, fit_normalization(std_ref))
+    std_pool = SourcePool(tuple(map(_standardized, pool.sources)), _standardized(pool.reference))
+    _, mean, std = standardize(std_pool.reference.features)
+    std_test = test.with_arrays(features=(test.features - mean) / std)
     cfg = _config()
     a = run_baseline(std_pool, std_test, cfg, "all_data")
     b = run_baseline(std_pool, std_test, cfg, "batch_norm")
     assert abs(a.test_error - b.test_error) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-2.0, 2.0),
+       shift=st.floats(-50.0, 50.0))
+def test_batch_norm_folds_the_reference_statistics_into_a_linear_predictor(
+        seed, log_scale, shift):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, 3))
+
+    def draw(n):
+        labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        features = rng.standard_normal((n, 3))
+        features[:, 0] += labels
+        return Dataset(scale * features + shift, labels)
+
+    sources, test = (draw(30), draw(25)), draw(200)
+    reference = draw(20)
+    reference = reference.with_arrays(features=np.column_stack(
+        [reference.features[:, :2], np.full(20, shift + 0.1)]))  # a constant column
+    predictor = _fit_baseline("batch_norm", sources, reference, 1e-2)
+    assert isinstance(predictor, LinearPredictor)
+    assert predictor.weights[2] == 0.0
+    _, mean, std = standardize(reference.features)
+    inner = train_erm(merge([_standardized(d) for d in sources + (reference,)]), "logistic", 1e-2)
+    assert np.array_equal(predictor.predict_labels(test.features),
+                          inner.predict_labels((test.features - mean) / std))
 
 
 def test_run_ours_populates_alpha_and_discrepancies():

@@ -43,3 +43,16 @@ def test_every_private_top_level_name_is_used():
     unused = [f"{module}.{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
     assert unused == []
+
+
+def test_every_benchmark_fit_span_names_a_live_function():
+    # bench/measure.py times these by name; one that no longer resolves
+    # would make its ms-per-fit metric read 0 instead of failing
+    source = Path(__file__).parents[1] / "bench" / "measure.py"
+    [spans] = [ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+               if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "FIT_SPANS" for t in node.targets)]
+    assert spans
+    for span in spans:
+        layer, name = span.split(".")
+        assert callable(getattr(importlib.import_module(f"multisource.{layer}"), name, None)), span
