@@ -51,7 +51,7 @@ def main() -> None:
     for name, trace in (("case 1", trace1), ("case 2", trace2)):
         values = [est.value for est in trace.result]
         gap = max(abs(a - b) for a, b in zip(values, central))
-        print(f"{name}: {len(trace.messages):6d} messages, {trace.total_bytes:10d} bytes, "
+        print(f"{name}: {trace.n_messages:6d} messages, {trace.total_bytes:10d} bytes, "
               f"max |d - centralized| = {gap:.2e}")
 
 

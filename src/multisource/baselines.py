@@ -90,12 +90,16 @@ def standardize(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     A near-constant column (std < DEGENERATE_STD) reports std = inf, so both
     its standardized values and a weight divided by its std are exactly 0.
+    Features so large that their std overflows raise `FloatingPointError`.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] == 0:
         raise ValueError("cannot standardize an empty sample")
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
+    if not np.isfinite(std).all():  # also when the mean overflowed
+        raise FloatingPointError("feature standard deviations overflowed; rescale the features")
     std[std < DEGENERATE_STD] = np.inf
     return (features - mean) / std, mean, std
 

@@ -126,7 +126,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace.export_jsonl(args.trace)
     print(json.dumps({
         "case": args.case,
-        "messages": len(trace.messages),
+        "messages": trace.n_messages,
         "total_bytes": trace.total_bytes,
         "rounds": trace.rounds,
         "discrepancies": [est.value for est in trace.result],

@@ -81,6 +81,7 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
     The relaxation minimizes mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2
     + (RELAX_RIDGE/2) ||w||^2. Its normal-equation matrix is positive definite
     for any positive ridge, so the minimizer is a single linear solve.
+    Features so large that their moments overflow raise `FloatingPointError`.
     """
     if source.n_features != reference.n_features:
         raise ValueError(
@@ -88,10 +89,14 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
         )
     if source.n_samples == 0 or reference.n_samples == 0:
         raise ValueError("both datasets must be nonempty")
-    gram_src, moment_src = moments(source)
-    gram_ref, moment_ref = moments(reference)
-    system = ridged_system(gram_src + gram_ref)
-    theta = np.linalg.solve(system, moment_ref - moment_src)  # source labels are flipped
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
+        gram_src, moment_src = moments(source)
+        gram_ref, moment_ref = moments(reference)
+        system = ridged_system(gram_src + gram_ref)
+        target = moment_ref - moment_src  # source labels are flipped
+    if not (np.isfinite(system).all() and np.isfinite(target).all()):
+        raise FloatingPointError("feature moments overflowed; rescale the features")
+    theta = np.linalg.solve(system, target)
     predictor = LinearPredictor(theta[:-1], theta[-1])
     miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))
     miss_ref = int(np.sum(predictor.predict_labels(reference.features) != reference.labels))

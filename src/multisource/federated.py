@@ -27,15 +27,17 @@ Two protocols are simulated with explicit message and byte accounting
           discrepancy estimate.
 
 In case 2 all sources advance in lockstep, one batched product per round,
-and the messages are materialised afterwards in source-major order. No
-source's numbers touch another's, so each source's messages equal, bit for
-bit, those of a run on that source alone.
+and the trace builds its messages, in source-major order, only when they
+are read. No source's numbers touch another's, so each source's messages
+equal, bit for bit, those of a run on that source alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +94,17 @@ class Message:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolTrace:
-    messages: tuple[Message, ...]
+    """A run's estimates, message count and byte total; `messages` is built on first read."""
+
+    n_messages: int
+    total_bytes: int
     rounds: int
     result: tuple[DiscrepancyEstimate, ...]
+    build_messages: Callable[[], Iterable[Message]] = field(repr=False)
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.payload_size for m in self.messages)
+    @cached_property
+    def messages(self) -> tuple[Message, ...]:
+        return tuple(self.build_messages())
 
     def export_jsonl(self, path: str | Path | None = None) -> str:
         text = "\n".join(json.dumps(m.to_json_dict()) for m in self.messages)
@@ -113,25 +119,16 @@ def _source_node_id(index: int) -> str:
 
 def run_case1(pool: SourcePool) -> ProtocolTrace:
     """Reference broadcast, then local estimation at every source node."""
-    d = pool.n_features
-    m_ref = pool.reference.n_samples
-    broadcast_bytes = BYTES_PER_REAL * m_ref * (d + 1)
-
-    messages: list[Message] = []
-    for i in range(pool.n_sources):
-        messages.append(
-            Message("learner", _source_node_id(i), KIND_REFERENCE_BROADCAST,
-                    broadcast_bytes, round=0)
-        )
-    results = []
-    for i, source in enumerate(pool.sources):
-        estimate = empirical_discrepancy(source, pool.reference)
-        results.append(estimate)
-        messages.append(
-            Message(_source_node_id(i), "learner", KIND_DISCREPANCY_RESULT,
-                    BYTES_PER_REAL, round=1, payload=(estimate.value,))
-        )
-    return ProtocolTrace(messages=tuple(messages), rounds=2, result=tuple(results))
+    broadcast_bytes = BYTES_PER_REAL * pool.reference.n_samples * (pool.n_features + 1)
+    results = tuple(empirical_discrepancy(source, pool.reference) for source in pool.sources)
+    messages = [Message("learner", _source_node_id(i), KIND_REFERENCE_BROADCAST,
+                        broadcast_bytes, round=0) for i in range(pool.n_sources)]
+    messages += [Message(_source_node_id(i), "learner", KIND_DISCREPANCY_RESULT,
+                         BYTES_PER_REAL, round=1, payload=(estimate.value,))
+                 for i, estimate in enumerate(results)]
+    return ProtocolTrace(n_messages=len(messages),
+                         total_bytes=sum(m.payload_size for m in messages),
+                         rounds=2, result=results, build_messages=lambda: messages)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite reply raises instead
@@ -141,7 +138,8 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     Exactly `rounds` query/reply pairs are exchanged per source (trials of
     the backtracking search each consume one), followed by one final
     exchange that evaluates the last accepted candidate. Message count per
-    source is therefore 2 * rounds + 2. Each source is searched by Armijo
+    source is therefore 2 * rounds + 2; they are built when the trace's
+    `messages` is first read. Each source is searched by Armijo
     backtracking whose first trial step is 1.0, as in the trainer. A
     non-finite reply raises `FloatingPointError` naming the lowest-index
     source of the earliest round that has one, with no numpy warning first.
@@ -161,19 +159,20 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     # gradient is 2 (G_i theta + h_i) from its whole sample's moments (G_i, h_i)
     gram_src, moment_src = (np.stack(a) for a in zip(*map(moments, pool.sources)))
 
-    theta = np.zeros((pool.n_sources, d + 1))  # row i is source i's; rows never mix
+    n = pool.n_sources
+    theta = np.zeros((n, d + 1))  # row i is source i's; rows never mix
     grad: np.ndarray | None = None  # total gradients at the accepted thetas
-    step = np.ones(pool.n_sources)
-    queries, replies = [], []  # per round, each source's payload as a tuple of floats
+    step = np.ones(n)
+    queries = np.empty((rounds, n, d + 1))  # queries[r, i] is round r + 1's query to source i
+    replies = np.empty((rounds, n, d + 1))
 
-    for _ in range(rounds):
+    for r in range(rounds):
         query = theta if grad is None else theta - step[:, None] * grad
         src_grad = 2.0 * (np.matmul(gram_src, query[:, :, None])[:, :, 0] + moment_src)
         finite = np.isfinite(src_grad).all(axis=1)
         if not finite.all():
             raise FloatingPointError(f"non-finite gradient from {_source_node_id(finite.argmin())}")
-        queries.append(list(map(tuple, query.tolist())))
-        replies.append(list(map(tuple, src_grad.tolist())))
+        queries[r], replies[r] = query, src_grad
         query_grad = src_grad + 2.0 * (
             np.matmul(system_ref, query[:, :, None])[:, :, 0] - moment_ref)
 
@@ -190,26 +189,31 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
         grad = np.where(accept[:, None], query_grad, grad)
         step = np.where(accept, np.minimum(step * STEP_GROWTH, MAX_STEP), step * STEP_SHRINK)
 
-    messages: list[Message] = []
-    results: list[DiscrepancyEstimate] = []
-    final_round = rounds + 1
-    for i, (source, candidate) in enumerate(zip(pool.sources, theta)):
-        node = _source_node_id(i)
-        for r, (query_rows, reply_rows) in enumerate(zip(queries, replies), start=1):
-            messages.append(Message("learner", node, KIND_MODEL_QUERY, query_bytes,
-                                    round=r, payload=query_rows[i]))
-            messages.append(Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes,
-                                    round=r, payload=reply_rows[i]))
-        # final exchange: candidate plus the learner's reference-risk scalar
+    # final exchange: the learner sends the candidate plus its reference-risk
+    # scalar, and the source answers with its local flipped-label risk added
+    final_queries, results = [], []
+    for source, candidate in zip(pool.sources, theta):
         predictor = LinearPredictor(candidate[:-1], candidate[-1])
         ref_risk = float(np.mean(predictor.predict_labels(reference.features) != reference.labels))
-        messages.append(Message("learner", node, KIND_MODEL_QUERY, final_query_bytes,
-                                round=final_round, payload=(*candidate.tolist(), ref_risk)))
-        # source side: the local flipped-label risk plus the learner's scalar
         local_risk = float(np.mean(predictor.predict_labels(source.features) != -source.labels))
-        estimate = DiscrepancyEstimate(local_risk + ref_risk)
-        messages.append(Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL,
-                                round=final_round, payload=(estimate.value,)))
-        results.append(estimate)
+        final_queries.append((*candidate.tolist(), ref_risk))
+        results.append(DiscrepancyEstimate(local_risk + ref_risk))
 
-    return ProtocolTrace(messages=tuple(messages), rounds=final_round, result=tuple(results))
+    final_round = rounds + 1
+
+    def build_messages() -> Iterable[Message]:
+        for i, (final_query, estimate) in enumerate(zip(final_queries, results)):
+            node = _source_node_id(i)
+            pairs = zip(queries[:, i].tolist(), replies[:, i].tolist())
+            for r, (query, reply) in enumerate(pairs, start=1):
+                yield Message("learner", node, KIND_MODEL_QUERY, query_bytes, r, tuple(query))
+                yield Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes, r, tuple(reply))
+            yield Message("learner", node, KIND_MODEL_QUERY, final_query_bytes, final_round,
+                          final_query)
+            yield Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL, final_round,
+                          (estimate.value,))
+
+    return ProtocolTrace(
+        n_messages=n * (2 * rounds + 2),
+        total_bytes=n * (2 * rounds * query_bytes + final_query_bytes + BYTES_PER_REAL),
+        rounds=final_round, result=tuple(results), build_messages=build_messages)

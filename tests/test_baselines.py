@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,19 @@ def test_standardize_is_invariant_under_positive_affine_maps():
     assert np.max(np.abs(z_mapped - z_plain)) <= 1e-9
     assert np.max(np.abs(mean - (scale * mean_plain + shift))) <= 1e-9
     assert np.max(np.abs(std - scale * std_plain)) <= 1e-12
+
+
+def test_standardize_raises_on_overflow_not_on_a_constant_column():
+    rng = np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the error
+        with pytest.raises(FloatingPointError, match="standard deviations overflowed"):
+            standardize(1e200 * rng.standard_normal((40, 2)))
+        # beside a large column that does not overflow, a constant one is still degenerate
+        z, _, std = standardize(np.column_stack([np.full(40, 7.1),
+                                                 1e150 * rng.standard_normal(40)]))
+    assert std[0] == np.inf and np.all(z[:, 0] == 0.0)
+    assert np.isfinite(std[1]) and std[1] > 1e149
 
 
 def test_standardize_rejects_an_empty_matrix():

@@ -168,7 +168,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     }
     for field, obj in wrong_types.items():
         (tmp_path / f"{field}.json").write_text(json.dumps(obj))
-    # features so large that the trainer's gradient and case 2's replies overflow
+    # features so large that the trainer's gradient, case 2's replies, the
+    # discrepancy's moments and the batch-norm standard deviations overflow
     for name in ("huge_source", "huge_reference", "huge_test"):
         rng = np.random.default_rng(len(name))
         save_csv(Dataset(1e200 * rng.standard_normal((40, 2)),
@@ -199,6 +200,15 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource train: error: objective or its gradient is non-finite"),
         (["simulate-federated", "--case", "2", "--config", str(huge_config)],
          "multisource simulate-federated: error: non-finite gradient from source_0"),
+        (["discrepancy", str(tmp_path / "huge_source.csv"),
+          "--reference", str(tmp_path / "huge_reference.csv")],
+         "multisource discrepancy: error: feature moments overflowed"),
+        (["train", "--method", "ours", "--config", str(huge_config)],
+         "multisource train: error: feature moments overflowed"),
+        (["simulate-federated", "--case", "1", "--config", str(huge_config)],
+         "multisource simulate-federated: error: feature moments overflowed"),
+        (["train", "--method", "batch_norm", "--config", str(huge_config)],
+         "multisource train: error: feature standard deviations overflowed"),
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
           f"multisource train: error: {field}") for field in wrong_types]
     for argv, message in cases:

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from helpers import lstsq_relaxation, random_dataset
+from multisource import federated
+from multisource.cli import main
 from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import empirical_discrepancy
 from multisource.federated import (
@@ -13,6 +21,7 @@ from multisource.federated import (
     run_case1,
     run_case2,
 )
+from multisource.harness import ExperimentConfig, SyntheticSpec, build_pool, config_to_json
 
 
 def _pool(seed=0, n_sources=3, n=30, m_ref=20, d=2):
@@ -176,3 +185,61 @@ def test_case2_non_finite_reply_raises():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
         run_case2(pool, rounds=5)
+
+
+def _synthetic_config(path, n_sources, samples, reference_size, d, seed):
+    config = ExperimentConfig(
+        data=SyntheticSpec(n_sources=n_sources, samples_per_source=samples,
+                           reference_size=reference_size, test_size=10, n_features=d,
+                           class_separation=2.0),
+        method=("ours",), seed=seed)
+    path.write_text(config_to_json(config))
+    return config
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_sources=st.integers(1, 7), d=st.integers(1, 11), rounds=st.integers(1, 300),
+       samples=st.integers(2, 60), reference_size=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), case=st.sampled_from((1, 2)))
+def test_stored_counts_match_the_built_trace(n_sources, d, rounds, samples, reference_size,
+                                             seed, case):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, trace_path = Path(tmp) / "config.json", Path(tmp) / "trace.jsonl"
+        config = _synthetic_config(path, n_sources, samples, reference_size, d, seed)
+        pool, _ = build_pool(config, config.seed)
+        trace = run_case1(pool) if case == 1 else run_case2(pool, rounds)
+        assert trace.n_messages == len(trace.messages)
+        assert trace.total_bytes == sum(m.payload_size for m in trace.messages)
+        argv = ["simulate-federated", "--case", str(case), "--config", str(path),
+                "--rounds", str(rounds)]
+        plain = _cli_stdout(argv)
+        assert _cli_stdout(argv + ["--trace", str(trace_path)]) == plain
+        assert trace_path.read_text() == trace.export_jsonl() + "\n"
+        assert json.loads(plain)["messages"] == trace.n_messages
+
+
+def test_case2_builds_no_message_until_read(monkeypatch, tmp_path):
+    built = []
+
+    class CountingMessage(Message):
+        def __post_init__(self):
+            built.append(self)
+            Message.__post_init__(self)
+
+    monkeypatch.setattr(federated, "Message", CountingMessage)
+    n_sources, rounds = 3, 12
+    trace = run_case2(_pool(seed=6, n_sources=n_sources), rounds)
+    path = tmp_path / "config.json"
+    _synthetic_config(path, n_sources, 20, 15, 2, seed=6)
+    _cli_stdout(["simulate-federated", "--case", "2", "--config", str(path),
+                 "--rounds", str(rounds)])
+    assert len(built) == 0
+    assert len(trace.messages) == 2 * n_sources * (rounds + 1) == len(built)
+    assert trace.messages == tuple(built)  # read once, built once
