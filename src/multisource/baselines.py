@@ -88,19 +88,21 @@ class MedianOfProbsEnsemble:
 def standardize(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each column minus its mean over its population std: (z, mean, std).
 
-    A near-constant column (std < DEGENERATE_STD) reports std = inf, so both
-    its standardized values and a weight divided by its std are exactly 0.
-    Features so large that their std overflows raise `FloatingPointError`.
+    A near-constant column (std < DEGENERATE_STD), or one finite value
+    repeated at any magnitude, reports std = inf, so both its standardized
+    values and a weight divided by its std are exactly 0. Other features so
+    large that their std overflows raise `FloatingPointError`.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] == 0:
         raise ValueError("cannot standardize an empty sample")
+    constant = np.isfinite(features[0]) & (features == features[0]).all(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        mean = features.mean(axis=0)
+        mean = np.where(constant, features[0], features.mean(axis=0))
         std = features.std(axis=0)
-    if not np.isfinite(std).all():  # also when the mean overflowed
+    if not np.isfinite(std[~constant]).all():  # also when the mean overflowed
         raise FloatingPointError("feature standard deviations overflowed; rescale the features")
-    std[std < DEGENERATE_STD] = np.inf
+    std[constant | (std < DEGENERATE_STD)] = np.inf
     return (features - mean) / std, mean, std
 
 

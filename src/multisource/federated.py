@@ -26,10 +26,10 @@ Two protocols are simulated with explicit message and byte accounting
           reference-risk scalar, and the source answers with the finished
           discrepancy estimate.
 
-In case 2 all sources advance in lockstep, one batched product per round,
-and the trace builds its messages, in source-major order, only when they
-are read. No source's numbers touch another's, so each source's messages
-equal, bit for bit, those of a run on that source alone.
+In case 2 all sources advance in lockstep (two batched products a round,
+replies checked for finite values once, after the last), and the trace
+builds its messages, source-major, only when they are read. No source's
+numbers touch another's: each source's messages equal, bit for bit, a solo run's.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     `messages` is first read. Each source is searched by Armijo
     backtracking whose first trial step is 1.0, as in the trainer. A
     non-finite reply raises `FloatingPointError` naming the lowest-index
-    source of the earliest round that has one, with no numpy warning first.
+    source of the earliest round that has one, and overflowed reference
+    moments raise it before round 1, in both cases with no numpy warning.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -154,40 +155,42 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     # learner-side term mean_ref (w.x + b - y)^2 plus the relaxation's ridge
     # on w: the reference half of the system `empirical_discrepancy` solves
     gram_ref, moment_ref = moments(reference)
-    system_ref = ridged_system(gram_ref)
+    # each gradient's factor 2 is folded in once: (2G) q + 2h has the bits of 2 (G q + h)
+    system_ref, moment_ref = 2.0 * ridged_system(gram_ref), 2.0 * moment_ref
+    if not (np.isfinite(system_ref).all() and np.isfinite(moment_ref).all()):
+        raise FloatingPointError("reference moments overflowed; rescale the features")
     # source-side terms mean_src (w.x + b + y)^2, labels flipped: source i's
     # gradient is 2 (G_i theta + h_i) from its whole sample's moments (G_i, h_i)
-    gram_src, moment_src = (np.stack(a) for a in zip(*map(moments, pool.sources)))
+    gram_src, moment_src = (2.0 * np.stack(a) for a in zip(*map(moments, pool.sources)))
 
     n = pool.n_sources
-    theta = np.zeros((n, d + 1))  # row i is source i's; rows never mix
-    grad: np.ndarray | None = None  # total gradients at the accepted thetas
-    step = np.ones(n)
     queries = np.empty((rounds, n, d + 1))  # queries[r, i] is round r + 1's query to source i
     replies = np.empty((rounds, n, d + 1))
-
-    for r in range(rounds):
-        query = theta if grad is None else theta - step[:, None] * grad
-        src_grad = 2.0 * (np.matmul(gram_src, query[:, :, None])[:, :, 0] + moment_src)
-        finite = np.isfinite(src_grad).all(axis=1)
-        if not finite.all():
-            raise FloatingPointError(f"non-finite gradient from {_source_node_id(finite.argmin())}")
-        queries[r], replies[r] = query, src_grad
-        query_grad = src_grad + 2.0 * (
-            np.matmul(system_ref, query[:, :, None])[:, :, 0] - moment_ref)
-
-        if grad is None:  # the first query, theta = 0, is always accepted
-            theta, grad = query, query_grad
-            step = np.minimum(step * STEP_GROWTH, MAX_STEP)
-            continue
-        # row dot products as (N, 1, k) @ (N, k, 1): each row's bits match a 1-D dot
-        decrease = 0.5 * np.matmul((grad + query_grad)[:, None, :],
-                                   (query - theta)[:, :, None])[:, 0, 0]
-        accept = decrease <= -ARMIJO_C * step * np.matmul(
-            grad[:, None, :], grad[:, :, None])[:, 0, 0]
-        theta = np.where(accept[:, None], query, theta)
-        grad = np.where(accept[:, None], query_grad, grad)
-        step = np.where(accept, np.minimum(step * STEP_GROWTH, MAX_STEP), step * STEP_SHRINK)
+    # row i is source i's. With grad = 0 the first query is theta = 0, and its
+    # Armijo test, 0 <= -0, accepts it, as every first query is accepted
+    theta, grad, query_grad, total, move = np.zeros((5, n, d + 1))
+    step = np.ones(n)
+    for query, reply in zip(queries, replies):  # views: each round writes in place
+        np.multiply(step[:, None], grad, out=move)
+        np.subtract(theta, move, out=query)
+        np.matmul(gram_src, query[:, :, None], out=reply[:, :, None])
+        np.add(reply, moment_src, out=reply)
+        np.matmul(system_ref, query[:, :, None], out=query_grad[:, :, None])
+        np.subtract(query_grad, moment_ref, out=query_grad)
+        np.add(reply, query_grad, out=query_grad)
+        # Armijo on F(q) - F(theta) = (g + g_q).(q - theta) / 2 with the 1/2
+        # moved to the right; each row's vecdot has the bits of a 1-D dot
+        np.add(grad, query_grad, out=total)
+        np.subtract(query, theta, out=move)
+        accept = np.vecdot(total, move) <= -2.0 * ARMIJO_C * step * np.vecdot(grad, grad)
+        np.copyto(theta, query, where=accept[:, None])
+        np.copyto(grad, query_grad, where=accept[:, None])
+        step *= np.where(accept, STEP_GROWTH, STEP_SHRINK)
+        np.minimum(step, MAX_STEP, out=step)
+    # one check for all rounds: rows never mix, and the loop ignores overflow
+    finite = np.isfinite(replies).all(axis=2)
+    if not finite.all():
+        raise FloatingPointError(f"non-finite gradient from {_source_node_id(finite.argmin() % n)}")
 
     # final exchange: the learner sends the candidate plus its reference-risk
     # scalar, and the source answers with its local flipped-label risk added

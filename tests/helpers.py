@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from multisource.data import Dataset
+from multisource.discrepancy import moments, ridged_system
+from multisource.federated import MAX_STEP, STEP_GROWTH
+from multisource.models import ARMIJO_C, STEP_SHRINK
 from multisource.weights import WeightProblem
 
 
@@ -88,6 +91,32 @@ def lstsq_discrepancy(source: Dataset, reference: Dataset, ridge: float = 1e-6) 
     risk = (mistakes(source, -source.labels) * m_ref
             + mistakes(reference, reference.labels) * m_src) / (m_src * m_ref)
     return min(max(1.0 - risk, 0.0), 1.0)
+
+
+def case2_oracle(source: Dataset, reference: Dataset, rounds: int):
+    """One source's case-2 search, written plainly: (queries, replies, final theta).
+
+    Each round's reply is 2 (G q + h) from the source's moments; the total
+    gradient adds 2 (S q - h_ref) from the reference's ridged system, and
+    Armijo backtracking decides from gradients alone.
+    """
+    gram_src, moment_src = moments(source)
+    gram_ref, moment_ref = moments(reference)
+    system_ref = ridged_system(gram_ref)
+    theta, grad, step = np.zeros(source.n_features + 1), None, 1.0
+    queries, replies = [], []
+    for _ in range(rounds):
+        query = theta if grad is None else theta - step * grad
+        reply = 2.0 * (gram_src @ query + moment_src)
+        query_grad = reply + 2.0 * (system_ref @ query - moment_ref)
+        queries.append(query)
+        replies.append(reply)
+        if grad is None or (0.5 * np.dot(grad + query_grad, query - theta)
+                            <= -ARMIJO_C * step * np.dot(grad, grad)):
+            theta, grad, step = query, query_grad, min(step * STEP_GROWTH, MAX_STEP)
+        else:
+            step *= STEP_SHRINK
+    return np.array(queries), np.array(replies), theta
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

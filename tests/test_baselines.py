@@ -198,8 +198,14 @@ def test_standardize_raises_on_overflow_not_on_a_constant_column():
         # beside a large column that does not overflow, a constant one is still degenerate
         z, _, std = standardize(np.column_stack([np.full(40, 7.1),
                                                  1e150 * rng.standard_normal(40)]))
+        # one value repeated is degenerate at any magnitude, even where its
+        # squared deviations (1e300) or its sum (1e308) would overflow
+        huge_z, huge_mean, huge_std = standardize(np.column_stack([
+            np.full(40, 1e300), np.full(40, -1e308), rng.standard_normal(40)]))
     assert std[0] == np.inf and np.all(z[:, 0] == 0.0)
     assert np.isfinite(std[1]) and std[1] > 1e149
+    assert np.array_equal(huge_std[:2], [np.inf, np.inf]) and np.all(huge_z[:, :2] == 0.0)
+    assert np.array_equal(huge_mean[:2], [1e300, -1e308]) and np.isfinite(huge_std[2])
 
 
 def test_standardize_rejects_an_empty_matrix():

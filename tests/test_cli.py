@@ -170,15 +170,18 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         (tmp_path / f"{field}.json").write_text(json.dumps(obj))
     # features so large that the trainer's gradient, case 2's replies, the
     # discrepancy's moments and the batch-norm standard deviations overflow
-    for name in ("huge_source", "huge_reference", "huge_test"):
+    for name, scale in (("huge_source", 1e200), ("huge_reference", 1e200),
+                        ("huge_test", 1e200), ("plain_reference", 1.0)):
         rng = np.random.default_rng(len(name))
-        save_csv(Dataset(1e200 * rng.standard_normal((40, 2)),
+        save_csv(Dataset(scale * rng.standard_normal((40, 2)),
                          np.where(rng.random(40) < 0.5, 1.0, -1.0)), tmp_path / f"{name}.csv")
-    huge_config = tmp_path / "huge.json"
-    huge_config.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
-        "source_paths": [str(tmp_path / "huge_source.csv")],
-        "reference_path": str(tmp_path / "huge_reference.csv"),
-        "test_path": str(tmp_path / "huge_test.csv")}})))
+    huge_config, huge_source_config = tmp_path / "huge.json", tmp_path / "huge_source.json"
+    for path, reference in ((huge_config, "huge_reference"),
+                            (huge_source_config, "plain_reference")):
+        path.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
+            "source_paths": [str(tmp_path / "huge_source.csv")],
+            "reference_path": str(tmp_path / f"{reference}.csv"),
+            "test_path": str(tmp_path / "huge_test.csv")}})))
     cases = [
         (["weights", str(tmp_path / "empty.json"), "--lambda", "1"],
          weights_error + "empty.json: missing key(s) discrepancies, sample_counts"),
@@ -199,6 +202,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         (["train", "--method", "all_data", "--config", str(huge_config)],
          "multisource train: error: objective or its gradient is non-finite"),
         (["simulate-federated", "--case", "2", "--config", str(huge_config)],
+         "multisource simulate-federated: error: reference moments overflowed"),
+        (["simulate-federated", "--case", "2", "--config", str(huge_source_config)],
          "multisource simulate-federated: error: non-finite gradient from source_0"),
         (["discrepancy", str(tmp_path / "huge_source.csv"),
           "--reference", str(tmp_path / "huge_reference.csv")],

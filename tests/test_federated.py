@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import lstsq_relaxation, random_dataset
+from helpers import case2_oracle, lstsq_relaxation, random_dataset
 from multisource import federated
 from multisource.cli import main
 from multisource.data import Dataset, SourcePool
@@ -177,14 +177,51 @@ def test_case2_sources_never_interact():
         assert reverse.result == trace.result[::-1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_sources=st.integers(1, 6), d=st.integers(1, 11), rounds=st.integers(1, 300),
+       log_scales=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_case2_matches_a_plain_per_source_loop_bit_for_bit(n_sources, d, rounds, log_scales,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    source_scale, reference_scale = 10.0 ** np.array(log_scales)
+
+    def scaled(n, scale, flip=0.0):
+        data = random_dataset(rng, n, d, flip)
+        return Dataset(data.features * scale, data.labels)
+
+    sources = tuple(scaled(int(rng.integers(3, 60)), source_scale, float(rng.random() * 0.5))
+                    for _ in range(n_sources))
+    reference = scaled(int(rng.integers(3, 40)), reference_scale)
+    messages = run_case2(SourcePool(sources, reference), rounds).messages
+    block = 2 * rounds + 2
+    for i, source in enumerate(sources):
+        queries, replies, theta = case2_oracle(source, reference, rounds)
+        own = messages[i * block:(i + 1) * block]
+        assert np.array([m.payload for m in own[0:-2:2]]).tobytes() == queries.tobytes()
+        assert np.array([m.payload for m in own[1:-2:2]]).tobytes() == replies.tobytes()
+        assert np.array(own[-2].payload[:-1]).tobytes() == theta.tobytes()
+
+
 def test_case2_non_finite_reply_raises():
     # source_1's Gram matrix overflows, so its first reply is NaN
     pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
     huge = Dataset(pool.sources[1].features * 1e200, pool.sources[1].labels)
-    pool = SourcePool((pool.sources[0], huge, huge), pool.reference)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
-        run_case2(pool, rounds=5)
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
+        run_case2(SourcePool((pool.sources[0], huge, huge), pool.reference), rounds=5)
+    # only the last source overflows, from round 2 on (its first reply, at
+    # theta = 0, is finite): the name is its index, not a round's
+    late = Dataset(pool.sources[1].features * 1e140, pool.sources[1].labels)
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
+        run_case2(SourcePool(pool.sources[:2] + (late,), pool.reference), rounds=5)
+
+
+def test_case2_overflowed_reference_is_named_not_a_source():
+    pool = _pool(seed=10, n_sources=2, n=20, m_ref=20)
+    huge = Dataset(pool.reference.features * 1e200, pool.reference.labels)
+    with pytest.raises(FloatingPointError,
+                       match=r"^reference moments overflowed; rescale the features$"):
+        run_case2(SourcePool(pool.sources, huge), rounds=5)
 
 
 def _synthetic_config(path, n_sources, samples, reference_size, d, seed):
