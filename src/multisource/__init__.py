@@ -14,25 +14,18 @@ from .baselines import (
 )
 from .corruption import CorruptionSpec, corrupt, corrupt_pool
 from .data import Dataset, SourcePool, kfold_indices, load_csv, merge, save_csv
-from .discrepancy import (
-    DiscrepancyEstimate,
-    empirical_discrepancy,
-    exact_discrepancy_oracle,
-)
+from .discrepancy import DiscrepancyEstimate, empirical_discrepancy
 from .federated import Message, ProtocolTrace, run_case1, run_case2
 from .harness import (
     ExperimentConfig,
     RunResult,
     SyntheticSpec,
     generate_synthetic_pool,
-    run_baseline,
-    run_ours,
     run_sweep,
 )
 from .models import (
     HUBER_C,
     LinearPredictor,
-    logistic_loss,
     train_erm,
     train_weighted_erm,
     zero_one_error,

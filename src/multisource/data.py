@@ -128,6 +128,8 @@ class SourcePool:
         sources = tuple(self.sources)
         if len(sources) < 1:
             raise ValueError("a pool needs at least one source")
+        if self.reference.n_samples < 1:
+            raise ValueError("the reference is empty")
         d = self.reference.n_features
         for i, src in enumerate(sources):
             if src.n_features != d:

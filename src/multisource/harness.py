@@ -58,8 +58,6 @@ __all__ = [
     "SweepCell",
     "generate_synthetic_pool",
     "build_pool",
-    "run_ours",
-    "run_baseline",
     "run_method",
     "run_sweep",
     "write_results_csv",
@@ -354,20 +352,6 @@ def run_method(
         discrepancies=discrepancies,
         seed=seed,
     )
-
-
-def run_ours(pool: SourcePool, test_data: Dataset, config: ExperimentConfig,
-             seed: int | None = None) -> RunResult:
-    """`run_method` for the weighting pipeline."""
-    return run_method(pool, test_data, config, "ours", seed)
-
-
-def run_baseline(pool: SourcePool, test_data: Dataset, config: ExperimentConfig,
-                 method: str, seed: int | None = None) -> RunResult:
-    """`run_method` for a comparison method; rejects "ours"."""
-    if method == "ours":
-        raise ValueError(f"not a baseline method: {method!r}")
-    return run_method(pool, test_data, config, method, seed)
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepCell]:

@@ -34,11 +34,8 @@ __all__ = [
     "HUBER_C",
     "LinearPredictor",
     "TrainingDivergedError",
-    "logistic_loss",
     "zero_one_error",
     "loss_terms",
-    "weighted_objective",
-    "weighted_objective_grad",
     "minimize_weighted_loss",
     "stack_weighted_pool",
     "train_weighted_erm",
@@ -161,32 +158,6 @@ def _evaluate(
     return float(sample_weight @ values + 0.5 * ridge * (w @ w)), grad, curvatures
 
 
-def weighted_objective(
-    w: np.ndarray,
-    b: float,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sample_weight: np.ndarray,
-    loss: str,
-    ridge: float,
-) -> float:
-    return _evaluate(w, b, features, labels, sample_weight, loss, ridge)[0]
-
-
-def weighted_objective_grad(
-    w: np.ndarray,
-    b: float,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sample_weight: np.ndarray,
-    loss: str,
-    ridge: float,
-) -> tuple[float, np.ndarray, float]:
-    """Objective value and its gradient with respect to (w, b)."""
-    value, grad, _ = _evaluate(w, b, features, labels, sample_weight, loss, ridge)
-    return value, grad[:-1], float(grad[-1])
-
-
 def minimize_weighted_loss(
     features: np.ndarray,
     labels: np.ndarray,
@@ -267,6 +238,8 @@ def stack_weighted_pool(
     alpha = np.asarray(getattr(alpha, "alpha", alpha), dtype=np.float64)
     if alpha.shape != (pool.n_sources,):
         raise ValueError(f"alpha has length {alpha.shape}, pool has {pool.n_sources} sources")
+    if not (np.isfinite(alpha).all() and (alpha >= 0.0).all()):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha.tolist()}")
     features = np.vstack([s.features for s in pool.sources])
     labels = np.concatenate([s.labels for s in pool.sources])
     weights = np.concatenate(
@@ -290,14 +263,6 @@ def train_erm(dataset: Dataset, loss: str = "logistic", ridge: float = 1e-4) -> 
     """Plain regularized ERM on a single dataset."""
     weights = np.full(dataset.n_samples, 1.0 / dataset.n_samples)
     return minimize_weighted_loss(dataset.features, dataset.labels, weights, loss, ridge)
-
-
-def logistic_loss(predictor: LinearPredictor, x: np.ndarray, y: float) -> float:
-    """The logistic loss of the margin y * (w . x + b) at one point x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (predictor.n_features,):
-        raise ValueError(f"expected a vector of length {predictor.n_features}")
-    return float(loss_terms(float(y) * predictor.decision_function(x), "logistic")[0])
 
 
 def zero_one_error(predictor, data: Dataset) -> float:

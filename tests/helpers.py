@@ -10,6 +10,8 @@ from multisource.federated import MAX_STEP, STEP_GROWTH
 from multisource.models import ARMIJO_C, STEP_SHRINK
 from multisource.weights import WeightProblem
 
+ORACLE_MAX_POINTS = 200
+
 
 def simplex_grid(n: int, resolution: float) -> np.ndarray:
     """All simplex points on a regular grid with the given step (n <= 3)."""
@@ -36,8 +38,111 @@ def grid_search_objective(problem: WeightProblem, resolution: float = 1e-3) -> f
     return float(np.min(linear + problem.lam * quad))
 
 
+def _halfplane_directions(points: np.ndarray) -> np.ndarray:
+    """Directions whose threshold sweeps realize every halfplane labeling.
+
+    The set of labelings changes only at normals perpendicular to some
+    point-pair difference. One representative per angular arc between
+    consecutive critical normals (plus the criticals themselves) therefore
+    covers all of them. Differences are sign-canonicalized so the result is
+    identical however the points were ordered.
+    """
+    n = points.shape[0]
+    ii, jj = np.triu_indices(n, k=1)
+    diffs = points[jj] - points[ii]
+    diffs = diffs[np.any(diffs != 0.0, axis=1)]
+    if diffs.size == 0:
+        return np.array([[1.0, 0.0]])
+    flip = (diffs[:, 0] < 0) | ((diffs[:, 0] == 0) & (diffs[:, 1] < 0))
+    diffs[flip] *= -1.0
+    # normals to the differences, folded into [0, pi)
+    critical = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]) + 0.5 * np.pi, np.pi)
+    critical = np.unique(critical)
+    if critical.size == 1:
+        reps = np.array([np.mod(critical[0] + 0.5 * np.pi, np.pi)])
+    else:
+        mids = 0.5 * (critical[:-1] + critical[1:])
+        wrap = np.mod(0.5 * (critical[-1] + critical[0] + np.pi), np.pi)
+        reps = np.concatenate([mids, [wrap]])
+    angles = np.concatenate([critical, reps])
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _max_gap_counts(
+    projections: np.ndarray, labels: np.ndarray, is_source: np.ndarray
+) -> int:
+    """Largest |m_ref * mistakes_src - m_src * mistakes_ref| over all threshold
+    classifiers (both orientations) along one projection axis, as an integer."""
+    order = np.argsort(projections, kind="stable")
+    s = projections[order]
+    pos = labels[order] > 0
+    src = is_source[order]
+
+    m_src = int(src.sum())
+    m_ref = int(len(src) - m_src)
+    # prefix[k] = count among the k smallest projections
+    src_pos = np.concatenate([[0], np.cumsum(src & pos)])
+    src_neg = np.concatenate([[0], np.cumsum(src & ~pos)])
+    ref_pos = np.concatenate([[0], np.cumsum(~src & pos)])
+    ref_neg = np.concatenate([[0], np.cumsum(~src & ~pos)])
+
+    n = len(s)
+    valid = np.ones(n + 1, dtype=bool)
+    valid[1:n] = s[:-1] < s[1:]  # cannot thread a threshold between tied values
+    ks = np.flatnonzero(valid)
+
+    # orientation A: the n-k largest projections are labeled +1
+    mis_src_a = src_pos[ks] + (src_neg[-1] - src_neg[ks])
+    mis_ref_a = ref_pos[ks] + (ref_neg[-1] - ref_neg[ks])
+    # orientation B: the k smallest projections are labeled +1
+    mis_src_b = src_neg[ks] + (src_pos[-1] - src_pos[ks])
+    mis_ref_b = ref_neg[ks] + (ref_pos[-1] - ref_pos[ks])
+
+    gap_a = np.abs(mis_src_a * m_ref - mis_ref_a * m_src)
+    gap_b = np.abs(mis_src_b * m_ref - mis_ref_b * m_src)
+    return int(max(gap_a.max(), gap_b.max()))
+
+
+def exact_discrepancy_oracle(
+    source: Dataset, reference: Dataset, hypothesis_family: str
+) -> float:
+    """Exact sup over the family of |risk_source(h) - risk_reference(h)|.
+
+    `thresholds_1d` enumerates all threshold classifiers of both orientations
+    on 1-feature data; `lines_2d` enumerates all halfplane labelings of
+    2-feature data. Guarded to at most 200 total samples.
+    """
+    if source.n_features != reference.n_features:
+        raise ValueError("datasets must share the feature dimension")
+    if source.n_samples == 0 or reference.n_samples == 0:
+        raise ValueError("both datasets must be nonempty")
+    total = source.n_samples + reference.n_samples
+    if total > ORACLE_MAX_POINTS:
+        raise ValueError(f"oracle limited to {ORACLE_MAX_POINTS} samples, got {total}")
+
+    points = np.vstack([source.features, reference.features])
+    labels = np.concatenate([source.labels, reference.labels])
+    is_source = np.zeros(total, dtype=bool)
+    is_source[: source.n_samples] = True
+
+    if hypothesis_family == "thresholds_1d":
+        if source.n_features != 1:
+            raise ValueError("thresholds_1d requires exactly 1 feature")
+        best = _max_gap_counts(points[:, 0], labels, is_source)
+    elif hypothesis_family == "lines_2d":
+        if source.n_features != 2:
+            raise ValueError("lines_2d requires exactly 2 features")
+        best = 0
+        for direction in _halfplane_directions(points):
+            best = max(best, _max_gap_counts(points @ direction, labels, is_source))
+    else:
+        raise ValueError(f"unknown hypothesis family {hypothesis_family!r}")
+
+    return best / (source.n_samples * reference.n_samples)
+
+
 def brute_force_threshold_gap(source: Dataset, reference: Dataset) -> float:
-    """Exhaustive 1-D threshold enumeration, independent of the library oracle.
+    """Exhaustive 1-D threshold enumeration, independent of `exact_discrepancy_oracle`.
 
     Thresholds run strictly between consecutive distinct values (plus one
     below and one above everything), in both orientations.

@@ -11,30 +11,22 @@ import time
 
 import numpy as np
 
-from helpers import grid_search_objective, random_dataset
+from helpers import exact_discrepancy_oracle, grid_search_objective, random_dataset
 from multisource.baselines import geometric_median
 from multisource.data import Dataset, SourcePool
-from multisource.discrepancy import empirical_discrepancy, exact_discrepancy_oracle
+from multisource.discrepancy import empirical_discrepancy
 from multisource.federated import run_case1, run_case2
 from multisource.harness import (
     CorruptionSetting,
     ExperimentConfig,
     SyntheticSpec,
     generate_synthetic_pool,
-    run_baseline,
-    run_ours,
+    run_method,
     run_sweep,
     write_results_csv,
     write_summary_csv,
 )
-from multisource.models import (
-    HUBER_C,
-    LinearPredictor,
-    logistic_loss,
-    stack_weighted_pool,
-    weighted_objective,
-    weighted_objective_grad,
-)
+from multisource.models import HUBER_C, _evaluate, loss_terms, stack_weighted_pool
 from multisource.weights import (
     BoundInputs,
     SimplexWeights,
@@ -135,16 +127,15 @@ def test_c04_gradient_correctness():
         for _ in range(10):
             w = rng.standard_normal(3)
             b = float(rng.standard_normal())
-            _, gw, gb = weighted_objective_grad(w, b, X, y, s, "logistic", 1e-2)
+            analytic = _evaluate(w, b, X, y, s, "logistic", 1e-2)[1]
             numeric = np.zeros(4)
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = step
-                numeric[k] = (weighted_objective(w + e, b, X, y, s, "logistic", 1e-2)
-                              - weighted_objective(w - e, b, X, y, s, "logistic", 1e-2)) / (2 * step)
-            numeric[3] = (weighted_objective(w, b + step, X, y, s, "logistic", 1e-2)
-                          - weighted_objective(w, b - step, X, y, s, "logistic", 1e-2)) / (2 * step)
-            analytic = np.append(gw, gb)
+                numeric[k] = (_evaluate(w + e, b, X, y, s, "logistic", 1e-2)[0]
+                              - _evaluate(w - e, b, X, y, s, "logistic", 1e-2)[0]) / (2 * step)
+            numeric[3] = (_evaluate(w, b + step, X, y, s, "logistic", 1e-2)[0]
+                          - _evaluate(w, b - step, X, y, s, "logistic", 1e-2)[0]) / (2 * step)
             rel = np.abs(analytic - numeric) / np.maximum(1e-6, np.abs(numeric))
             worst = max(worst, float(rel.max()))
     _report(4, "analytic gradient matches central differences (rel <= 1e-5)",
@@ -153,13 +144,11 @@ def test_c04_gradient_correctness():
 
 def test_c05_huber_knot_and_domination():
     margin_at_c = -math.log(math.expm1(HUBER_C))
-    pred = LinearPredictor(np.array([1.0]), 0.0)
-    ell = logistic_loss(pred, np.array([margin_at_c]), 1.0)
+    ell = float(loss_terms(margin_at_c, "logistic")[0])
     knot_gap = abs((2.0 * math.sqrt(HUBER_C * ell) - HUBER_C) - ell)
     dominated = True
     for margin in np.linspace(-40.0, 40.0, 1000):
-        x = np.array([margin])
-        log = logistic_loss(pred, x, 1.0)
+        log = float(loss_terms(margin, "logistic")[0])
         hub = log if log <= HUBER_C else 2.0 * math.sqrt(HUBER_C * log) - HUBER_C
         dominated &= hub <= log + 1e-12
     _report(5, "huber knot continuous (<=1e-12) and huber <= logistic on margin grid",
@@ -245,12 +234,12 @@ def test_c08_lambda_extremes_reproduce_naive_methods():
                                     ridge_grid=(1e-2,), seed=seed)
         base_cfg = ExperimentConfig(data=spec, method=("all_data",), lambda_grid=(1.0,),
                                     ridge_grid=(1e-2,), seed=seed)
-        forced_huge.append(run_ours(pool, test, huge_cfg).test_error)
-        forced_zero.append(run_ours(pool, test, zero_cfg).test_error)
+        forced_huge.append(run_method(pool, test, huge_cfg, "ours").test_error)
+        forced_zero.append(run_method(pool, test, zero_cfg, "ours").test_error)
         all_data.append(
-            run_baseline(pool, test, base_cfg, "all_data").test_error)
+            run_method(pool, test, base_cfg, "all_data").test_error)
         reference_only.append(
-            run_baseline(pool, test, base_cfg, "reference_only").test_error)
+            run_method(pool, test, base_cfg, "reference_only").test_error)
     gap_huge = abs(float(np.mean(forced_huge)) - float(np.mean(all_data)))
     gap_zero = abs(float(np.mean(forced_zero)) - float(np.mean(reference_only)))
     _report(8, "forced lam extremes reproduce all_data / reference_only (0.01)",

@@ -182,6 +182,13 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
             "source_paths": [str(tmp_path / "huge_source.csv")],
             "reference_path": str(tmp_path / f"{reference}.csv"),
             "test_path": str(tmp_path / "huge_test.csv")}})))
+    # a header-only reference is named where the pool is built
+    save_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
+    empty_reference_config = tmp_path / "empty_reference.json"
+    empty_reference_config.write_text(json.dumps(dict(config, corruption=None, data={
+        "csv_paths": {"source_paths": [str(tmp_path / "plain_reference.csv")],
+                      "reference_path": str(tmp_path / "reference.csv"),
+                      "test_path": str(tmp_path / "plain_reference.csv")}})))
     cases = [
         (["weights", str(tmp_path / "empty.json"), "--lambda", "1"],
          weights_error + "empty.json: missing key(s) discrepancies, sample_counts"),
@@ -214,6 +221,13 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource simulate-federated: error: feature moments overflowed"),
         (["train", "--method", "batch_norm", "--config", str(huge_config)],
          "multisource train: error: feature standard deviations overflowed"),
+        (["train", "--method", "reference_only", "--config", str(empty_reference_config)],
+         "multisource train: error: the reference is empty"),
+        (["experiment", "--config", str(empty_reference_config),
+          "--out", str(tmp_path / "results.csv")],
+         "multisource experiment: error: the reference is empty"),
+        (["simulate-federated", "--case", "2", "--config", str(empty_reference_config)],
+         "multisource simulate-federated: error: the reference is empty"),
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
           f"multisource train: error: {field}") for field in wrong_types]
     for argv, message in cases:

@@ -55,6 +55,8 @@ def test_pool_validation():
         SourcePool((a, b), a)
     with pytest.raises(ValueError, match="at least one source"):
         SourcePool((), a)
+    with pytest.raises(ValueError, match="reference is empty"):
+        SourcePool((a,), Dataset(np.empty((0, 1)), np.empty(0)))
 
 
 def test_load_csv_zero_one_encoding(tmp_path):

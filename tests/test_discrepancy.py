@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import brute_force_threshold_gap, lstsq_discrepancy, random_dataset, spearman
-from multisource.data import Dataset
-from multisource.discrepancy import (
-    DiscrepancyEstimate,
-    empirical_discrepancy,
+from helpers import (
+    brute_force_threshold_gap,
     exact_discrepancy_oracle,
+    lstsq_discrepancy,
+    random_dataset,
+    spearman,
 )
+from multisource.data import Dataset
+from multisource.discrepancy import DiscrepancyEstimate, empirical_discrepancy
 
 ONE_D_REFERENCE = Dataset([[0.0], [1.0]], [-1.0, 1.0])
 ONE_D_SOURCE = Dataset([[0.0], [1.0]], [-1.0, -1.0])

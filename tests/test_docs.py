@@ -1,6 +1,8 @@
-"""The README's commands and config example still parse, and its library
-quickstart runs."""
+"""The README's commands and config example still parse, its library
+quickstart runs, and every name its module map gives still exists."""
 
+import functools
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -36,3 +38,19 @@ def test_readme_quickstart_runs(capsys):
     namespace = {name: random_dataset(rng, 40, 2) for name in names}
     exec(quickstart, namespace)
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
+def test_module_map_names_resolve():
+    rows = re.findall(r"^\| `(multisource\.\w+)` \| (.*) \|$", README, flags=re.MULTILINE)
+    assert len(rows) >= 8
+    missing = []
+    for module_name, description in rows:
+        if module_name == "multisource.cli":  # its `multisource` is the command
+            continue
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", description):
+            try:
+                functools.reduce(getattr, name.split("."), module)
+            except AttributeError:
+                missing.append(f"{module_name}.{name}")
+    assert not missing

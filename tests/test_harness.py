@@ -20,9 +20,7 @@ from multisource.harness import (
     config_from_json,
     config_to_json,
     generate_synthetic_pool,
-    run_baseline,
     run_method,
-    run_ours,
     run_sweep,
     write_results_csv,
     write_summary_csv,
@@ -132,8 +130,8 @@ def test_batch_norm_matches_all_data_on_standardized_pool():
     _, mean, std = standardize(std_pool.reference.features)
     std_test = test.with_arrays(features=(test.features - mean) / std)
     cfg = _config()
-    a = run_baseline(std_pool, std_test, cfg, "all_data")
-    b = run_baseline(std_pool, std_test, cfg, "batch_norm")
+    a = run_method(std_pool, std_test, cfg, "all_data")
+    b = run_method(std_pool, std_test, cfg, "batch_norm")
     assert abs(a.test_error - b.test_error) <= 1e-6
 
 
@@ -166,7 +164,7 @@ def test_batch_norm_folds_the_reference_statistics_into_a_linear_predictor(
 
 def test_run_ours_populates_alpha_and_discrepancies():
     pool, test = generate_synthetic_pool(_spec(), seed=2)
-    result = run_ours(pool, test, _config())
+    result = run_method(pool, test, _config(), "ours")
     assert result.alpha is not None and len(result.alpha) == pool.n_sources + 1
     assert result.discrepancies is not None
     assert result.discrepancies[-1] == 0.0  # the appended reference
@@ -176,8 +174,8 @@ def test_run_ours_populates_alpha_and_discrepancies():
 
 def test_run_ours_singleton_grids_skip_cv():
     pool, test = generate_synthetic_pool(_spec(), seed=2)
-    a = run_ours(pool, test, _config())
-    b = run_ours(pool, test, _config())
+    a = run_method(pool, test, _config(), "ours")
+    b = run_method(pool, test, _config(), "ours")
     assert a.test_error == b.test_error
     assert a.selected_lambda == 1.0 and a.selected_ridge == 1e-2
 
@@ -256,23 +254,15 @@ def test_reference_free_baseline_trains_once_per_ridge(monkeypatch):
     monkeypatch.setattr(harness, "train_local_models", counting)
     pool, test = generate_synthetic_pool(_spec(), seed=7)
     cfg = _config(ridge_grid=(1e-2, 1e-1, 1.0), cv_folds=3)
-    result = run_baseline(pool, test, cfg, "geometric_median")
+    result = run_method(pool, test, cfg, "geometric_median")
     assert sorted(calls) == [1e-2, 1e-1, 1.0]
     assert result.selected_ridge in cfg.ridge_grid
 
 
-def test_run_baseline_rejects_ours():
-    pool, test = generate_synthetic_pool(_spec(), seed=2)
-    with pytest.raises(ValueError):
-        run_baseline(pool, test, _config(), "ours")
-
-
 def test_run_method_rejects_unknown_method():
     pool, test = generate_synthetic_pool(_spec(), seed=2)
-    for run in (lambda: run_method(pool, test, _config(), "gradient_psychic"),
-                lambda: run_baseline(pool, test, _config(), "gradient_psychic")):
-        with pytest.raises(ValueError, match="unknown method 'gradient_psychic'"):
-            run()
+    with pytest.raises(ValueError, match="unknown method 'gradient_psychic'"):
+        run_method(pool, test, _config(), "gradient_psychic")
 
 
 @pytest.mark.parametrize("method", ["reference_only", "all_data", "geometric_median",
@@ -280,7 +270,7 @@ def test_run_method_rejects_unknown_method():
                                     "robust_loss", "batch_norm"])
 def test_every_baseline_runs(method):
     pool, test = generate_synthetic_pool(_spec(), seed=7)
-    result = run_baseline(pool, test, _config(), method)
+    result = run_method(pool, test, _config(), method)
     assert 0.0 <= result.test_error <= 1.0
     assert result.alpha is None and result.selected_lambda is None
 

@@ -10,14 +10,12 @@ from multisource.models import (
     HUBER_C,
     LOSSES,
     LinearPredictor,
-    logistic_loss,
+    _evaluate,
     loss_terms,
     minimize_weighted_loss,
     stack_weighted_pool,
     train_erm,
     train_weighted_erm,
-    weighted_objective,
-    weighted_objective_grad,
     zero_one_error,
 )
 
@@ -37,25 +35,27 @@ def _random_pool(rng, n_sources=3, n=25, d=4):
 
 def test_logistic_loss_zero_margin():
     pred = LinearPredictor(np.zeros(3), 0.0)
-    assert logistic_loss(pred, np.array([1.0, -2.0, 0.5]), 1.0) == pytest.approx(math.log(2))
+    margin = 1.0 * pred.decision_function(np.array([1.0, -2.0, 0.5]))
+    assert loss_terms(margin, "logistic")[0] == pytest.approx(math.log(2))
 
 
 def test_logistic_loss_saturates_without_overflow():
     pred = LinearPredictor(np.array([50.0]), 0.0)
-    assert logistic_loss(pred, np.array([1.0]), 1.0) < 1e-20
+    assert loss_terms(1.0 * pred.decision_function(np.array([1.0])), "logistic")[0] < 1e-20
     # very negative margin must not overflow either
-    assert np.isfinite(logistic_loss(pred, np.array([20.0]), -1.0))
+    assert np.isfinite(loss_terms(-1.0 * pred.decision_function(np.array([20.0])), "logistic")[0])
 
 
 def test_logistic_loss_margin_minus_three():
     pred = LinearPredictor(np.array([3.0]), 0.0)
-    assert logistic_loss(pred, np.array([1.0]), -1.0) == pytest.approx(LOG1P_EXP3, rel=1e-12)
+    margin = -1.0 * pred.decision_function(np.array([1.0]))
+    assert loss_terms(margin, "logistic")[0] == pytest.approx(LOG1P_EXP3, rel=1e-12)
 
 
 def test_logistic_loss_dimension_mismatch():
     pred = LinearPredictor(np.ones(2), 0.0)
-    with pytest.raises(ValueError):
-        logistic_loss(pred, np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="features"):
+        pred.decision_function(np.ones(3))
 
 
 @pytest.mark.parametrize("loss", LOSSES)
@@ -149,20 +149,19 @@ def test_gradient_matches_central_differences(loss):
     for _ in range(10):
         w = rng.standard_normal(pool.n_features)
         b = float(rng.standard_normal())
-        _, gw, gb = weighted_objective_grad(w, b, X, y, s, loss, 0.01)
+        analytic = _evaluate(w, b, X, y, s, loss, 0.01)[1]
         numeric = np.zeros(pool.n_features + 1)
         for k in range(pool.n_features):
             e = np.zeros(pool.n_features)
             e[k] = h
             numeric[k] = (
-                weighted_objective(w + e, b, X, y, s, loss, 0.01)
-                - weighted_objective(w - e, b, X, y, s, loss, 0.01)
+                _evaluate(w + e, b, X, y, s, loss, 0.01)[0]
+                - _evaluate(w - e, b, X, y, s, loss, 0.01)[0]
             ) / (2 * h)
         numeric[-1] = (
-            weighted_objective(w, b + h, X, y, s, loss, 0.01)
-            - weighted_objective(w, b - h, X, y, s, loss, 0.01)
+            _evaluate(w, b + h, X, y, s, loss, 0.01)[0]
+            - _evaluate(w, b - h, X, y, s, loss, 0.01)[0]
         ) / (2 * h)
-        analytic = np.append(gw, gb)
         rel = np.abs(analytic - numeric) / np.maximum(1e-6, np.abs(numeric))
         assert rel.max() <= 1e-5
 
@@ -197,14 +196,14 @@ def test_optimizer_beats_random_predictors(loss):
     alpha = np.array([0.4, 0.6])
     X, y, s = stack_weighted_pool(pool, alpha)
     trained = minimize_weighted_loss(X, y, s, loss, 1e-3)
-    best = weighted_objective(trained.weights, trained.bias, X, y, s, loss, 1e-3)
-    zero = weighted_objective(np.zeros(3), 0.0, X, y, s, loss, 1e-3)
+    best = _evaluate(trained.weights, trained.bias, X, y, s, loss, 1e-3)[0]
+    zero = _evaluate(np.zeros(3), 0.0, X, y, s, loss, 1e-3)[0]
     assert best <= zero
     for _ in range(100):
         w = rng.standard_normal(3)
         w /= max(1.0, np.linalg.norm(w))
         b = float(rng.uniform(-1, 1))
-        assert best <= weighted_objective(w, b, X, y, s, loss, 1e-3) + 1e-12
+        assert best <= _evaluate(w, b, X, y, s, loss, 1e-3)[0] + 1e-12
 
 
 def test_alpha_and_ridge_scaling():
@@ -219,8 +218,8 @@ def test_alpha_and_ridge_scaling():
     for _ in range(10):
         w = rng.standard_normal(3)
         b = float(rng.standard_normal())
-        va = weighted_objective(w, b, Xa, ya, sa, "logistic", 1e-2)
-        vb = weighted_objective(w, b, Xb, yb, sb, "logistic", c * 1e-2)
+        va = _evaluate(w, b, Xa, ya, sa, "logistic", 1e-2)[0]
+        vb = _evaluate(w, b, Xb, yb, sb, "logistic", c * 1e-2)[0]
         assert vb == pytest.approx(c * va, rel=1e-12)
     base = train_weighted_erm(pool, alpha, "logistic", 1e-2)
     scaled = train_weighted_erm(pool, c * alpha, "logistic", c * 1e-2)
@@ -239,8 +238,8 @@ def test_objective_invariant_under_source_permutation():
     b = 0.3
     Xa, ya, sa = stack_weighted_pool(SourcePool((ds,), ref), alpha)
     Xb, yb, sb = stack_weighted_pool(SourcePool((shuffled,), ref), alpha)
-    va = weighted_objective(w, b, Xa, ya, sa, "logistic", 1e-2)
-    vb = weighted_objective(w, b, Xb, yb, sb, "logistic", 1e-2)
+    va = _evaluate(w, b, Xa, ya, sa, "logistic", 1e-2)[0]
+    vb = _evaluate(w, b, Xb, yb, sb, "logistic", 1e-2)[0]
     assert va == pytest.approx(vb, rel=1e-12)
 
 
@@ -258,6 +257,36 @@ def test_alpha_length_mismatch():
     pool = _random_pool(rng)
     with pytest.raises(ValueError, match="alpha"):
         train_weighted_erm(pool, np.array([0.5, 0.5]), "logistic")
+
+
+def test_alpha_must_be_finite_and_nonnegative():
+    rng = np.random.default_rng(12)
+    pool = _random_pool(rng, n_sources=2)
+    for alpha in ([1.5, -0.5], [-0.0, -1e-300], [math.nan, 1.0], [math.inf, 0.0],
+                  [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="alpha"):
+            train_weighted_erm(pool, np.array(alpha), "logistic")
+    zero = train_weighted_erm(pool, np.zeros(2), "logistic")
+    assert not zero.weights.any() and zero.bias == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(1, 5), d=st.integers(1, 11),
+       ridge=st.sampled_from([1e-4, 1e-2]))
+def test_fit_at_a_simplex_vertex_equals_the_single_source_fit(seed, n_sources, d, ridge):
+    # alpha = e_last puts weight 1/m_ref on the reference rows and 0 on every
+    # source row; the zero-weight rows change only the summation order
+    rng = np.random.default_rng(seed)
+    pool = _random_pool(rng, n_sources=n_sources, n=int(rng.integers(2, 40)), d=d)
+    vertex = np.zeros(n_sources + 1)
+    vertex[-1] = 1.0
+    extended = SourcePool(pool.sources + (pool.reference,), pool.reference)
+    for loss in LOSSES:
+        weighted = train_weighted_erm(extended, vertex, loss, ridge)
+        single = train_erm(pool.reference, loss, ridge)
+        expected = np.append(single.weights, single.bias)
+        gap = np.append(weighted.weights, weighted.bias) - expected
+        assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_trainers_reject_a_bad_ridge():
@@ -282,8 +311,8 @@ def test_curvatures_match_central_differences(loss):
 
 
 def _gradient_norm(predictor, X, y, s, loss, ridge):
-    _, gw, gb = weighted_objective_grad(predictor.weights, predictor.bias, X, y, s, loss, ridge)
-    return float(np.linalg.norm(np.append(gw, gb)))
+    grad = _evaluate(predictor.weights, predictor.bias, X, y, s, loss, ridge)[1]
+    return float(np.linalg.norm(grad))
 
 
 @settings(max_examples=60, deadline=None)
