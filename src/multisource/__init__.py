@@ -6,12 +6,7 @@ minimizer; plus robust-aggregation baselines, corruption generators, and a
 deterministic simulator of the decentralized discrepancy protocols.
 """
 
-from .baselines import (
-    MedianOfProbsEnsemble,
-    componentwise_median,
-    geometric_median,
-    train_local_models,
-)
+from .baselines import MedianOfProbsEnsemble, componentwise_median, geometric_median
 from .corruption import CorruptionSpec, corrupt, corrupt_pool
 from .data import Dataset, SourcePool, kfold_indices, load_csv, merge, save_csv
 from .discrepancy import DiscrepancyEstimate, empirical_discrepancy

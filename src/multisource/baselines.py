@@ -9,15 +9,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import SourcePool
-from .models import LinearPredictor, train_erm
+from .models import LinearPredictor
 
 __all__ = [
     "geometric_median",
     "componentwise_median",
     "MedianOfProbsEnsemble",
     "standardize",
-    "train_local_models",
     "aggregate_predictors",
 ]
 
@@ -104,11 +102,6 @@ def standardize(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise FloatingPointError("feature standard deviations overflowed; rescale the features")
     std[constant | (std < DEGENERATE_STD)] = np.inf
     return (features - mean) / std, mean, std
-
-
-def train_local_models(pool: SourcePool, ridge: float = 1e-4) -> list[LinearPredictor]:
-    """One regularized-logistic model per source, each trained on that source only."""
-    return [train_erm(source, "logistic", ridge) for source in pool.sources]
 
 
 def aggregate_predictors(models: Sequence[LinearPredictor], how: str) -> LinearPredictor:

@@ -43,10 +43,16 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
-    reference = load_csv(args.reference, args.label_column, args.encoding)
+    def load(path: str, role: str):
+        data = load_csv(path, args.label_column, args.encoding)
+        if data.n_samples == 0:  # name the file, which the scorer cannot
+            raise ValueError(f"{path}: the {role} is empty")
+        return data
+
+    reference = load(args.reference, "reference")
     report = []
     for path in args.sources:
-        source = load_csv(path, args.label_column, args.encoding)
+        source = load(path, "source")
         estimate = empirical_discrepancy(source, reference)
         report.append({
             "source": path,

@@ -55,6 +55,7 @@ class DiscrepancyEstimate:
 
 def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(X~^T X~ / m, X~^T y / m), where X~ is X with a constant column appended."""
+    # kept (n, d+1), unlike the trainer's (d+1, n): the other layout changes X~^T y's bits
     design = np.hstack([data.features, np.ones((data.n_samples, 1))])
     return design.T @ design / data.n_samples, design.T @ data.labels / data.n_samples
 
@@ -80,8 +81,10 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
         raise ValueError(
             f"feature mismatch: source has {source.n_features}, reference {reference.n_features}"
         )
-    if source.n_samples == 0 or reference.n_samples == 0:
-        raise ValueError("both datasets must be nonempty")
+    if source.n_samples == 0:
+        raise ValueError("the source is empty")
+    if reference.n_samples == 0:
+        raise ValueError("the reference is empty")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
         gram_src, moment_src = moments(source)
         gram_ref, moment_ref = moments(reference)

@@ -26,12 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import (
-    MedianOfProbsEnsemble,
-    aggregate_predictors,
-    standardize,
-    train_local_models,
-)
+from .baselines import MedianOfProbsEnsemble, aggregate_predictors, standardize
 from .corruption import CorruptionSpec, corrupt_pool
 from .data import (
     Dataset,
@@ -292,7 +287,7 @@ def _fit_baseline(
         inner = train_erm(merged, "logistic", ridge)
         weights = inner.weights / std
         return LinearPredictor(weights, inner.bias - weights @ mean)
-    locals_ = train_local_models(SourcePool(tuple(sources), reference), ridge)
+    locals_ = [train_erm(s, "logistic", ridge) for s in sources]
     if method == "median_of_probs":
         return MedianOfProbsEnsemble(locals_)
     return aggregate_predictors(locals_, method)

@@ -7,6 +7,11 @@ The trainer minimizes
 by damped Newton (iteratively reweighted least squares) from the zero
 predictor, where the per-sample weights s_j encode the source weighting
 (alpha_i / m_i for every point of source i). The bias is never regularized.
+Only sources with alpha_i > 0 are stacked: a zero-weight source is never
+read, and an all-zero alpha gives the zero predictor. Each fit builds one
+transposed bias-augmented design of shape (d+1, n), so with theta = (w, b)
+the margins, gradient and Hessian each take one product and the bias needs
+no special case.
 Each loss is defined once, in `loss_terms`, which gives its value, slope
 and curvature in the margin together, so every trial point of the trainer
 reads the data once. The sigmoid is defined once, by the softplus
@@ -135,24 +140,28 @@ def loss_terms(margins: np.ndarray, loss: str) -> tuple[np.ndarray, np.ndarray, 
     return values, slopes, curvatures
 
 
+def _design_t(features: np.ndarray) -> np.ndarray:
+    """The bias-augmented design, transposed and contiguous: the feature
+    columns as rows, then a row of ones; shape (d+1, n)."""
+    return np.vstack([features.T, np.ones(features.shape[0])])
+
+
 def _evaluate(
-    w: np.ndarray,
-    b: float,
-    features: np.ndarray,
+    theta: np.ndarray,
+    design_t: np.ndarray,
     labels: np.ndarray,
     sample_weight: np.ndarray,
     loss: str,
     ridge: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """F at (w, b), its gradient in (w, b), and each sample's weight in the
+    """F at theta = (w, b), its gradient, and each sample's weight in the
     Newton Hessian (its weighted loss curvature, clipped at 0), from one
     pass over the data."""
-    margins = labels * (features @ w + b)
+    margins = labels * (theta @ design_t)
     values, slopes, curvatures = loss_terms(margins, loss)
-    coeff = sample_weight * slopes * labels
-    grad = np.empty(w.shape[0] + 1)
-    grad[:-1] = features.T @ coeff + ridge * w
-    grad[-1] = coeff.sum()
+    grad = design_t @ (sample_weight * slopes * labels)
+    w = theta[:-1]
+    grad[:-1] += ridge * w
     np.maximum(curvatures, 0.0, out=curvatures)
     curvatures *= sample_weight
     return float(sample_weight @ values + 0.5 * ridge * (w @ w)), grad, curvatures
@@ -178,18 +187,16 @@ def minimize_weighted_loss(
     floor), or after `MAX_ITERATIONS` steps. No step raises the objective by
     more than its rounding error.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
+    design_t = _design_t(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.float64)
     sample_weight = np.asarray(sample_weight, dtype=np.float64)
     if not (np.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
 
-    d = features.shape[1]
+    d = design_t.shape[0] - 1
     theta = np.zeros(d + 1)  # (w, b)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        value, grad, curvatures = _evaluate(
-            theta[:d], theta[d], features, labels, sample_weight, loss, ridge
-        )
+        value, grad, curvatures = _evaluate(theta, design_t, labels, sample_weight, loss, ridge)
         grad_norm = np.linalg.norm(grad)
     if not (np.isfinite(value) and np.isfinite(grad_norm)):
         raise TrainingDivergedError("objective or its gradient is non-finite at the zero predictor")
@@ -198,11 +205,7 @@ def minimize_weighted_loss(
     for _ in range(MAX_ITERATIONS):
         if np.linalg.norm(grad) <= stop_norm:
             break
-        hess = np.empty((d + 1, d + 1))
-        for j in range(d):  # column by column: no n x d temporary
-            hess[:d, j] = features.T @ (curvatures * features[:, j])
-        hess[:d, d] = hess[d, :d] = features.T @ curvatures
-        hess[d, d] = curvatures.sum()
+        hess = (design_t * curvatures) @ design_t.T
         hess[range(d), range(d)] += ridge
         # damping at machine precision keeps a singular Hessian (ridge 0 and
         # a repeated feature) solvable and moves other steps only by rounding
@@ -213,7 +216,7 @@ def minimize_weighted_loss(
         for _ in range(MAX_HALVINGS):
             trial = theta + step * direction
             new_value, new_grad, new_curvatures = _evaluate(
-                trial[:d], trial[d], features, labels, sample_weight, loss, ridge
+                trial, design_t, labels, sample_weight, loss, ridge
             )
             margin = ARMIJO_C * step * slope
             if new_value < value and new_value <= value + margin:
@@ -234,17 +237,20 @@ def minimize_weighted_loss(
 def stack_weighted_pool(
     pool: SourcePool, alpha: Sequence[float] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack pool sources into (features, labels, per-sample weights alpha_i/m_i)."""
+    """Stack the sources with alpha_i > 0 into (features, labels, per-sample
+    weights alpha_i/m_i); a zero-weight source is never read, and an all-zero
+    alpha stacks no rows."""
     alpha = np.asarray(getattr(alpha, "alpha", alpha), dtype=np.float64)
     if alpha.shape != (pool.n_sources,):
         raise ValueError(f"alpha has length {alpha.shape}, pool has {pool.n_sources} sources")
     if not (np.isfinite(alpha).all() and (alpha >= 0.0).all()):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha.tolist()}")
-    features = np.vstack([s.features for s in pool.sources])
-    labels = np.concatenate([s.labels for s in pool.sources])
-    weights = np.concatenate(
-        [np.full(s.n_samples, a / s.n_samples) for a, s in zip(alpha, pool.sources)]
-    )
+    kept = [(a, s) for a, s in zip(alpha, pool.sources) if a > 0.0]
+    if not kept:
+        return np.empty((0, pool.n_features)), np.empty(0), np.empty(0)
+    features = np.vstack([s.features for _, s in kept])
+    labels = np.concatenate([s.labels for _, s in kept])
+    weights = np.concatenate([np.full(s.n_samples, a / s.n_samples) for a, s in kept])
     return features, labels, weights
 
 

@@ -26,7 +26,7 @@ from multisource.harness import (
     write_results_csv,
     write_summary_csv,
 )
-from multisource.models import HUBER_C, _evaluate, loss_terms, stack_weighted_pool
+from multisource.models import HUBER_C, _design_t, _evaluate, loss_terms, stack_weighted_pool
 from multisource.weights import (
     BoundInputs,
     SimplexWeights,
@@ -124,18 +124,13 @@ def test_c04_gradient_correctness():
         pool = SourcePool(sources, random_dataset(rng, 10, 3))
         alpha = rng.dirichlet(np.ones(n_sources))
         X, y, s = stack_weighted_pool(pool, alpha)
+        D = _design_t(X)
         for _ in range(10):
-            w = rng.standard_normal(3)
-            b = float(rng.standard_normal())
-            analytic = _evaluate(w, b, X, y, s, "logistic", 1e-2)[1]
-            numeric = np.zeros(4)
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = step
-                numeric[k] = (_evaluate(w + e, b, X, y, s, "logistic", 1e-2)[0]
-                              - _evaluate(w - e, b, X, y, s, "logistic", 1e-2)[0]) / (2 * step)
-            numeric[3] = (_evaluate(w, b + step, X, y, s, "logistic", 1e-2)[0]
-                          - _evaluate(w, b - step, X, y, s, "logistic", 1e-2)[0]) / (2 * step)
+            theta = np.append(rng.standard_normal(3), rng.standard_normal())
+            analytic = _evaluate(theta, D, y, s, "logistic", 1e-2)[1]
+            numeric = np.array([(_evaluate(theta + e, D, y, s, "logistic", 1e-2)[0]
+                                 - _evaluate(theta - e, D, y, s, "logistic", 1e-2)[0]) / (2 * step)
+                                for e in step * np.eye(4)])
             rel = np.abs(analytic - numeric) / np.maximum(1e-6, np.abs(numeric))
             worst = max(worst, float(rel.max()))
     _report(4, "analytic gradient matches central differences (rel <= 1e-5)",

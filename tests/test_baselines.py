@@ -10,15 +10,8 @@ from multisource.baselines import (
     componentwise_median,
     geometric_median,
     standardize,
-    train_local_models,
 )
-from multisource.data import Dataset, SourcePool
-from multisource.models import (
-    HUBER_C,
-    LinearPredictor,
-    loss_terms,
-    train_erm,
-)
+from multisource.models import HUBER_C, LinearPredictor, loss_terms
 
 
 def _objective(z, pts):
@@ -208,27 +201,6 @@ def test_standardize_raises_on_overflow_not_on_a_constant_column():
 def test_standardize_rejects_an_empty_matrix():
     with pytest.raises(ValueError):
         standardize(np.empty((0, 2)))
-
-
-def test_train_local_models_identical_sources():
-    rng = np.random.default_rng(7)
-    ds = Dataset(rng.standard_normal((30, 2)), np.where(rng.random(30) < 0.5, 1.0, -1.0))
-    pool = SourcePool((ds, ds, ds), ds)
-    models = train_local_models(pool, 1e-2)
-    for m in models[1:]:
-        assert np.max(np.abs(m.weights - models[0].weights)) <= 1e-8
-    single = train_erm(ds, "logistic", 1e-2)
-    assert np.max(np.abs(models[0].weights - single.weights)) <= 1e-12
-
-
-def test_train_local_models_permutation_equivariant():
-    rng = np.random.default_rng(8)
-    sets = [Dataset(rng.standard_normal((20, 2)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
-            for _ in range(3)]
-    forward = train_local_models(SourcePool(tuple(sets), sets[0]), 1e-2)
-    backward = train_local_models(SourcePool(tuple(sets[::-1]), sets[0]), 1e-2)
-    for a, b in zip(forward, backward[::-1]):
-        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
 def test_aggregate_predictors():

@@ -182,7 +182,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
             "source_paths": [str(tmp_path / "huge_source.csv")],
             "reference_path": str(tmp_path / f"{reference}.csv"),
             "test_path": str(tmp_path / "huge_test.csv")}})))
-    # a header-only reference is named where the pool is built
+    # a header-only reference is named where the pool is built, and a
+    # header-only file by its path where the discrepancy command reads it
     save_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
     empty_reference_config = tmp_path / "empty_reference.json"
     empty_reference_config.write_text(json.dumps(dict(config, corruption=None, data={
@@ -228,6 +229,12 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource experiment: error: the reference is empty"),
         (["simulate-federated", "--case", "2", "--config", str(empty_reference_config)],
          "multisource simulate-federated: error: the reference is empty"),
+        (["discrepancy", str(tmp_path / "plain_reference.csv"),
+          "--reference", str(tmp_path / "reference.csv")],
+         f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the reference is empty"),
+        (["discrepancy", str(tmp_path / "reference.csv"),
+          "--reference", str(tmp_path / "plain_reference.csv")],
+         f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the source is empty"),
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
           f"multisource train: error: {field}") for field in wrong_types]
     for argv, message in cases:

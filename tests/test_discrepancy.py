@@ -134,8 +134,10 @@ def test_discrepancy_errors():
     with pytest.raises(ValueError, match="feature"):
         empirical_discrepancy(a, b)
     empty = Dataset(np.empty((0, 1)), np.empty(0))
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match="the reference is empty"):
         empirical_discrepancy(a, empty)
+    with pytest.raises(ValueError, match="the source is empty"):
+        empirical_discrepancy(empty, a)
     with pytest.raises(ValueError, match="thresholds_1d"):
         exact_discrepancy_oracle(b, b, "thresholds_1d")
     with pytest.raises(ValueError, match="lines_2d"):

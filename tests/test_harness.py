@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from multisource import harness
-from multisource.baselines import standardize, train_local_models
+from multisource.baselines import standardize
 from multisource.data import Dataset, SourcePool, merge
 from multisource.harness import (
     CorruptionSetting,
@@ -247,15 +247,15 @@ def test_reference_free_baseline_trains_once_per_ridge(monkeypatch):
     # share one set per ridge
     calls = []
 
-    def counting(pool, ridge):
+    def counting(data, loss, ridge):
         calls.append(ridge)
-        return train_local_models(pool, ridge)
+        return train_erm(data, loss, ridge)
 
-    monkeypatch.setattr(harness, "train_local_models", counting)
+    monkeypatch.setattr(harness, "train_erm", counting)
     pool, test = generate_synthetic_pool(_spec(), seed=7)
     cfg = _config(ridge_grid=(1e-2, 1e-1, 1.0), cv_folds=3)
     result = run_method(pool, test, cfg, "geometric_median")
-    assert sorted(calls) == [1e-2, 1e-1, 1.0]
+    assert sorted(calls) == [r for r in (1e-2, 1e-1, 1.0) for _ in range(pool.n_sources)]
     assert result.selected_ridge in cfg.ridge_grid
 
 

@@ -10,6 +10,7 @@ from multisource.models import (
     HUBER_C,
     LOSSES,
     LinearPredictor,
+    _design_t,
     _evaluate,
     loss_terms,
     minimize_weighted_loss,
@@ -145,23 +146,16 @@ def test_gradient_matches_central_differences(loss):
     pool = _random_pool(rng)
     alpha = rng.dirichlet(np.ones(pool.n_sources))
     X, y, s = stack_weighted_pool(pool, alpha)
+    D = _design_t(X)
     h = 1e-6
     for _ in range(10):
-        w = rng.standard_normal(pool.n_features)
-        b = float(rng.standard_normal())
-        analytic = _evaluate(w, b, X, y, s, loss, 0.01)[1]
-        numeric = np.zeros(pool.n_features + 1)
-        for k in range(pool.n_features):
-            e = np.zeros(pool.n_features)
-            e[k] = h
-            numeric[k] = (
-                _evaluate(w + e, b, X, y, s, loss, 0.01)[0]
-                - _evaluate(w - e, b, X, y, s, loss, 0.01)[0]
-            ) / (2 * h)
-        numeric[-1] = (
-            _evaluate(w, b + h, X, y, s, loss, 0.01)[0]
-            - _evaluate(w, b - h, X, y, s, loss, 0.01)[0]
-        ) / (2 * h)
+        theta = np.append(rng.standard_normal(pool.n_features), rng.standard_normal())
+        analytic = _evaluate(theta, D, y, s, loss, 0.01)[1]
+        numeric = np.array([
+            (_evaluate(theta + e, D, y, s, loss, 0.01)[0]
+             - _evaluate(theta - e, D, y, s, loss, 0.01)[0]) / (2 * h)
+            for e in h * np.eye(pool.n_features + 1)
+        ])
         rel = np.abs(analytic - numeric) / np.maximum(1e-6, np.abs(numeric))
         assert rel.max() <= 1e-5
 
@@ -176,17 +170,23 @@ def test_identical_copies_match_single_source():
     assert abs(single.bias - tripled.bias) <= 1e-8
 
 
-def test_zero_alpha_source_is_bitwise_irrelevant():
-    rng = np.random.default_rng(6)
-    fixed = Dataset(rng.standard_normal((20, 3)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
-    junk_a = Dataset(rng.standard_normal((15, 3)), np.ones(15))
-    junk_b = Dataset(rng.standard_normal((15, 3)) * 100, -np.ones(15))
-    alpha = np.array([1.0, 0.0])
-    ref = fixed
-    pa = train_weighted_erm(SourcePool((fixed, junk_a), ref), alpha, "logistic", 1e-3)
-    pb = train_weighted_erm(SourcePool((fixed, junk_b), ref), alpha, "logistic", 1e-3)
-    assert np.array_equal(pa.weights, pb.weights)
-    assert pa.bias == pb.bias
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(1, 4), d=st.integers(1, 6),
+       loss=st.sampled_from(LOSSES), data=st.data())
+def test_zero_alpha_source_is_bitwise_irrelevant(seed, n_sources, d, loss, data):
+    # a zero-weight source of any size, scale and labels, at any position
+    rng = np.random.default_rng(seed)
+    pool = _random_pool(rng, n_sources=n_sources, n=int(rng.integers(2, 30)), d=d)
+    alpha = rng.dirichlet(np.ones(n_sources))
+    m = int(rng.integers(1, 40))
+    junk = Dataset(rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3),
+                   np.where(rng.random(m) < 0.5, 1.0, -1.0))
+    at = data.draw(st.integers(0, n_sources), label="position")
+    padded = SourcePool(pool.sources[:at] + (junk,) + pool.sources[at:], pool.reference)
+    base = train_weighted_erm(pool, alpha, loss, 1e-3)
+    fit = train_weighted_erm(padded, np.insert(alpha, at, 0.0), loss, 1e-3)
+    assert np.array_equal(fit.weights, base.weights)
+    assert fit.bias == base.bias
 
 
 @pytest.mark.parametrize("loss", ["logistic"])
@@ -195,15 +195,16 @@ def test_optimizer_beats_random_predictors(loss):
     pool = _random_pool(rng, n_sources=2, n=30, d=3)
     alpha = np.array([0.4, 0.6])
     X, y, s = stack_weighted_pool(pool, alpha)
+    D = _design_t(X)
     trained = minimize_weighted_loss(X, y, s, loss, 1e-3)
-    best = _evaluate(trained.weights, trained.bias, X, y, s, loss, 1e-3)[0]
-    zero = _evaluate(np.zeros(3), 0.0, X, y, s, loss, 1e-3)[0]
+    best = _evaluate(np.append(trained.weights, trained.bias), D, y, s, loss, 1e-3)[0]
+    zero = _evaluate(np.zeros(4), D, y, s, loss, 1e-3)[0]
     assert best <= zero
     for _ in range(100):
         w = rng.standard_normal(3)
         w /= max(1.0, np.linalg.norm(w))
         b = float(rng.uniform(-1, 1))
-        assert best <= _evaluate(w, b, X, y, s, loss, 1e-3)[0] + 1e-12
+        assert best <= _evaluate(np.append(w, b), D, y, s, loss, 1e-3)[0] + 1e-12
 
 
 def test_alpha_and_ridge_scaling():
@@ -216,10 +217,9 @@ def test_alpha_and_ridge_scaling():
     Xa, ya, sa = stack_weighted_pool(pool, alpha)
     Xb, yb, sb = stack_weighted_pool(pool, c * alpha)
     for _ in range(10):
-        w = rng.standard_normal(3)
-        b = float(rng.standard_normal())
-        va = _evaluate(w, b, Xa, ya, sa, "logistic", 1e-2)[0]
-        vb = _evaluate(w, b, Xb, yb, sb, "logistic", c * 1e-2)[0]
+        theta = np.append(rng.standard_normal(3), rng.standard_normal())
+        va = _evaluate(theta, _design_t(Xa), ya, sa, "logistic", 1e-2)[0]
+        vb = _evaluate(theta, _design_t(Xb), yb, sb, "logistic", c * 1e-2)[0]
         assert vb == pytest.approx(c * va, rel=1e-12)
     base = train_weighted_erm(pool, alpha, "logistic", 1e-2)
     scaled = train_weighted_erm(pool, c * alpha, "logistic", c * 1e-2)
@@ -234,12 +234,11 @@ def test_objective_invariant_under_source_permutation():
     shuffled = ds.take(perm)
     ref = ds
     alpha = np.array([1.0])
-    w = rng.standard_normal(3)
-    b = 0.3
+    theta = np.append(rng.standard_normal(3), 0.3)
     Xa, ya, sa = stack_weighted_pool(SourcePool((ds,), ref), alpha)
     Xb, yb, sb = stack_weighted_pool(SourcePool((shuffled,), ref), alpha)
-    va = _evaluate(w, b, Xa, ya, sa, "logistic", 1e-2)[0]
-    vb = _evaluate(w, b, Xb, yb, sb, "logistic", 1e-2)[0]
+    va = _evaluate(theta, _design_t(Xa), ya, sa, "logistic", 1e-2)[0]
+    vb = _evaluate(theta, _design_t(Xb), yb, sb, "logistic", 1e-2)[0]
     assert va == pytest.approx(vb, rel=1e-12)
 
 
@@ -275,7 +274,7 @@ def test_alpha_must_be_finite_and_nonnegative():
        ridge=st.sampled_from([1e-4, 1e-2]))
 def test_fit_at_a_simplex_vertex_equals_the_single_source_fit(seed, n_sources, d, ridge):
     # alpha = e_last puts weight 1/m_ref on the reference rows and 0 on every
-    # source row; the zero-weight rows change only the summation order
+    # source row, so the fit solves exactly the reference-only problem
     rng = np.random.default_rng(seed)
     pool = _random_pool(rng, n_sources=n_sources, n=int(rng.integers(2, 40)), d=d)
     vertex = np.zeros(n_sources + 1)
@@ -284,9 +283,8 @@ def test_fit_at_a_simplex_vertex_equals_the_single_source_fit(seed, n_sources, d
     for loss in LOSSES:
         weighted = train_weighted_erm(extended, vertex, loss, ridge)
         single = train_erm(pool.reference, loss, ridge)
-        expected = np.append(single.weights, single.bias)
-        gap = np.append(weighted.weights, weighted.bias) - expected
-        assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(weighted.weights, single.weights)
+        assert weighted.bias == single.bias
 
 
 def test_trainers_reject_a_bad_ridge():
@@ -311,7 +309,8 @@ def test_curvatures_match_central_differences(loss):
 
 
 def _gradient_norm(predictor, X, y, s, loss, ridge):
-    grad = _evaluate(predictor.weights, predictor.bias, X, y, s, loss, ridge)[1]
+    theta = np.append(predictor.weights, predictor.bias)
+    grad = _evaluate(theta, _design_t(X), y, s, loss, ridge)[1]
     return float(np.linalg.norm(grad))
 
 
