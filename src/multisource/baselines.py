@@ -1,7 +1,8 @@
-"""Comparison methods: robust aggregation of per-source models and the
-per-source standardization of the batch-normalization baseline. The
-Huber-tempered logistic loss of the robust-loss baseline lives with the
-other losses in `models`."""
+"""Comparison methods: the geometric and componentwise medians, which the
+harness takes of the per-source models' stacked (w, b) vectors, the
+median-of-probabilities ensemble, and the per-source standardization of the
+batch-normalization baseline. The Huber-tempered logistic loss of the
+robust-loss baseline lives with the other losses in `models`."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ __all__ = [
     "componentwise_median",
     "MedianOfProbsEnsemble",
     "standardize",
-    "aggregate_predictors",
 ]
 
 WEISZFELD_EPS = 1e-10
@@ -103,14 +103,3 @@ def standardize(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     std[constant | (std < DEGENERATE_STD)] = np.inf
     return (features - mean) / std, mean, std
 
-
-def aggregate_predictors(models: Sequence[LinearPredictor], how: str) -> LinearPredictor:
-    """Combine local models by aggregating their stacked (weights, bias) vectors."""
-    stacked = np.array([np.append(m.weights, m.bias) for m in models])
-    if how == "geometric_median":
-        agg = geometric_median(stacked)
-    elif how == "componentwise_median":
-        agg = componentwise_median(stacked)
-    else:
-        raise ValueError(f"unknown aggregation {how!r}")
-    return LinearPredictor(agg[:-1], float(agg[-1]))

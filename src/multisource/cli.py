@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
@@ -30,7 +31,6 @@ from .harness import (
     write_sidecar_json,
     write_summary_csv,
 )
-from .models import TrainingDivergedError
 from .weights import WeightProblem, solve_weights
 
 
@@ -40,6 +40,29 @@ def _emit(obj, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     print(text)
+
+
+def _read_json(path: str, parse):
+    """`parse` of the text of the JSON file at `path`, with the path in front
+    of any ValueError (a syntax error too); an OSError names it already."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _weights_input(text: str) -> WeightProblem:
+    """The weighting problem of a JSON input, checked with lam = 0."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    missing = [key for key in ("discrepancies", "sample_counts") if key not in obj]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    for key in ("discrepancies", "sample_counts"):
+        if not (isinstance(obj[key], list) and all(type(v) in (int, float) for v in obj[key])):
+            raise ValueError(f"{key} must be a list of numbers")
+    return WeightProblem(obj["discrepancies"], obj["sample_counts"], 0.0)
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
@@ -53,7 +76,10 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     report = []
     for path in args.sources:
         source = load(path, "source")
-        estimate = empirical_discrepancy(source, reference)
+        try:
+            estimate = empirical_discrepancy(source, reference)
+        except ValueError as exc:  # a feature mismatch: name the source
+            raise ValueError(f"{path}: {exc}") from None
         report.append({
             "source": path,
             "discrepancy": estimate.value,
@@ -65,27 +91,14 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    obj = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError(f"{args.input}: expected a JSON object")
-    missing = [key for key in ("discrepancies", "sample_counts") if key not in obj]
-    if missing:
-        raise ValueError(f"{args.input}: missing key(s) {', '.join(missing)}")
-    for key in ("discrepancies", "sample_counts"):
-        if not (isinstance(obj[key], list) and all(type(v) in (int, float) for v in obj[key])):
-            raise ValueError(f"{args.input}: {key} must be a list of numbers")
-    problem = WeightProblem(
-        discrepancies=obj["discrepancies"],
-        sample_counts=obj["sample_counts"],
-        lam=args.lam,
-    )
-    alpha = solve_weights(problem)
+    # lam comes from the command line, so its error does not name the file
+    alpha = solve_weights(replace(_read_json(args.input, _weights_input), lam=args.lam))
     _emit({"lambda": args.lam, "alpha": [float(v) for v in alpha.alpha]}, args.out)
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = config_from_json(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_json(args.config, config_from_json)
     pool, test = build_pool(config, config.seed)
     result = run_method(pool, test, config, args.method)
     summary = {
@@ -110,7 +123,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = config_from_json(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_json(args.config, config_from_json)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     cells = run_sweep(config)
@@ -122,7 +135,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = config_from_json(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_json(args.config, config_from_json)
     pool, _ = build_pool(config, config.seed)
     if args.case == 1:
         trace = run_case1(pool)
@@ -199,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError, TrainingDivergedError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"multisource {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

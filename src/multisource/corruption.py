@@ -54,18 +54,18 @@ def corrupt(data: Dataset, spec: CorruptionSpec) -> Dataset:
     if spec.kind == "label_bias":
         labels = data.labels.copy()
         labels[rows] = 1.0
-        return data.with_arrays(labels=labels)
+        return Dataset(data.features, labels)
 
     if spec.kind == "shuffled_labels":
         labels = data.labels.copy()
         labels[rows] = labels[rows][rng.permutation(rows.size)]
-        return data.with_arrays(labels=labels)
+        return Dataset(data.features, labels)
 
     # shuffled_features: one permutation shared by every chosen row
     perm = rng.permutation(data.n_features)
     features = data.features.copy()
     features[rows] = features[np.ix_(rows, perm)]
-    return data.with_arrays(features=features)
+    return Dataset(features, data.labels)
 
 
 def corrupt_pool(

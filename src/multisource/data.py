@@ -6,7 +6,8 @@ of their inputs and an explicit 64-bit seed (see `_derive_seed`).
 
 A CSV file is parsed with one numpy call and written in one formatting
 pass; the per-cell loop `_load_csv_per_cell` runs only to locate a fault
-or to read input that the numpy parse does not model.
+(a `CsvFormatError` naming the file, row and column) or to read input that
+the numpy parse does not model.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ __all__ = [
     "Dataset",
     "SourcePool",
     "CsvFormatError",
-    "RaggedRowError",
-    "BadNumericCellError",
-    "BadLabelError",
     "load_csv",
     "save_csv",
     "merge",
@@ -46,19 +44,7 @@ def _derive_seed(*parts: int) -> int:
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV input; the message names the offending row or column."""
-
-
-class RaggedRowError(CsvFormatError):
-    pass
-
-
-class BadNumericCellError(CsvFormatError):
-    pass
-
-
-class BadLabelError(CsvFormatError):
-    pass
+    """Malformed CSV input; the message names the file and the row or column."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +93,6 @@ class Dataset:
         """Row subset in the given index order."""
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.features[idx], self.labels[idx])
-
-    def with_arrays(
-        self, features: np.ndarray | None = None, labels: np.ndarray | None = None
-    ) -> "Dataset":
-        return Dataset(
-            self.features if features is None else features,
-            self.labels if labels is None else labels,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +250,7 @@ def _load_csv_per_cell(
     labels = np.empty(len(rows) - 1, dtype=np.float64)
     for r, row in enumerate(rows[1:], start=1):
         if len(row) != n_cols:
-            raise RaggedRowError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
+            raise CsvFormatError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
         k = 0
         for c, cell in enumerate(row):
             if c == label_idx:
@@ -280,24 +258,24 @@ def _load_csv_per_cell(
             try:
                 features[r - 1, k] = float(cell)
             except ValueError:
-                raise BadNumericCellError(
+                raise CsvFormatError(
                     f"{path}: row {r}, column {header[c]!r}: cannot parse {cell!r}"
                 ) from None
             k += 1
         try:
             raw = float(row[label_idx])
         except ValueError:
-            raise BadLabelError(
+            raise CsvFormatError(
                 f"{path}: row {r}: label {row[label_idx]!r} is not numeric"
             ) from None
         if raw not in encoding:
-            raise BadLabelError(
+            raise CsvFormatError(
                 f"{path}: row {r}: label {raw!r} not covered by the declared encoding"
             )
         labels[r - 1] = encoding[raw]
     if not np.isfinite(features).all():
         r, k = np.argwhere(~np.isfinite(features))[0]
-        raise BadNumericCellError(
+        raise CsvFormatError(
             f"{path}: row {r + 1}, column {feature_names[k]!r}: "
             f"non-finite value {features[r, k]}"
         )

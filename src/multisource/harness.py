@@ -20,13 +20,13 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import MedianOfProbsEnsemble, aggregate_predictors, standardize
+from .baselines import MedianOfProbsEnsemble, componentwise_median, geometric_median, standardize
 from .corruption import CorruptionSpec, corrupt_pool
 from .data import (
     Dataset,
@@ -59,7 +59,6 @@ __all__ = [
     "write_sidecar_json",
     "write_summary_csv",
     "config_from_json",
-    "config_to_json",
 ]
 
 METHODS = (
@@ -282,15 +281,17 @@ def _fit_baseline(
         # standardize each sample by its own statistics, then fold the
         # reference's into the model: w.(x - mean)/std + b = (w/std).x + b - (w/std).mean
         z_ref, mean, std = standardize(reference.features)
-        merged = merge([s.with_arrays(features=standardize(s.features)[0]) for s in sources]
-                       + [reference.with_arrays(features=z_ref)])
+        merged = merge([Dataset(standardize(s.features)[0], s.labels) for s in sources]
+                       + [Dataset(z_ref, reference.labels)])
         inner = train_erm(merged, "logistic", ridge)
         weights = inner.weights / std
         return LinearPredictor(weights, inner.bias - weights @ mean)
     locals_ = [train_erm(s, "logistic", ridge) for s in sources]
     if method == "median_of_probs":
         return MedianOfProbsEnsemble(locals_)
-    return aggregate_predictors(locals_, method)
+    median = geometric_median if method == "geometric_median" else componentwise_median
+    agg = median(np.array([np.append(m.weights, m.bias) for m in locals_]))
+    return LinearPredictor(agg[:-1], float(agg[-1]))
 
 
 def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset) -> Callable:
@@ -428,13 +429,6 @@ def write_summary_csv(cells: Sequence[SweepCell], path: str | Path) -> None:
 
 
 _DATA_KINDS = {"synthetic": SyntheticSpec, "csv_paths": CsvDataSpec}
-
-
-def config_to_json(config: ExperimentConfig) -> str:
-    obj = asdict(config)
-    kind = next(k for k, cls in _DATA_KINDS.items() if isinstance(config.data, cls))
-    obj["data"] = {kind: obj["data"]}
-    return json.dumps(obj, indent=2)
 
 
 def _from_dict(cls, obj, key: str):

@@ -38,7 +38,6 @@ __all__ = [
     "LOSSES",
     "HUBER_C",
     "LinearPredictor",
-    "TrainingDivergedError",
     "zero_one_error",
     "loss_terms",
     "minimize_weighted_loss",
@@ -65,11 +64,6 @@ MAX_ITERATIONS = 100
 # relative change of the objective below which its rounding error can hide
 # a decrease; the gradients then decide instead (see minimize_weighted_loss)
 FLOAT_SLACK = 1e-12
-
-
-class TrainingDivergedError(RuntimeError):
-    """Non-finite objective or gradient at the zero predictor; the data are
-    pathological (for example, features so large that they overflow)."""
 
 
 @dataclass(eq=False)
@@ -199,7 +193,7 @@ def minimize_weighted_loss(
         value, grad, curvatures = _evaluate(theta, design_t, labels, sample_weight, loss, ridge)
         grad_norm = np.linalg.norm(grad)
     if not (np.isfinite(value) and np.isfinite(grad_norm)):
-        raise TrainingDivergedError("objective or its gradient is non-finite at the zero predictor")
+        raise FloatingPointError("objective or its gradient is non-finite at the zero predictor")
     stop_norm = GRAD_RTOL * grad_norm
 
     for _ in range(MAX_ITERATIONS):

@@ -92,12 +92,6 @@ class WeightProblem:
         object.__setattr__(self, "sample_counts", m)
         object.__setattr__(self, "lam", float(self.lam))
 
-    def objective(self, alpha: np.ndarray | SimplexWeights) -> float:
-        a = np.asarray(getattr(alpha, "alpha", alpha), dtype=np.float64)
-        return float(
-            self.discrepancies @ a + self.lam * math.sqrt(float(a**2 @ (1.0 / self.sample_counts)))
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class BoundInputs:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
+from dataclasses import asdict
+
 import numpy as np
 
 from multisource.data import Dataset
 from multisource.discrepancy import moments, ridged_system
 from multisource.federated import MAX_STEP, STEP_GROWTH
+from multisource.harness import ExperimentConfig, SyntheticSpec
 from multisource.models import ARMIJO_C, STEP_SHRINK
 from multisource.weights import WeightProblem
 
@@ -28,6 +33,23 @@ def simplex_grid(n: int, resolution: float) -> np.ndarray:
         b = j[keep] / steps
         return np.column_stack([a, b, 1.0 - a - b])
     raise ValueError("grid oracle only implemented for n <= 3")
+
+
+def config_to_json(config: ExperimentConfig) -> str:
+    """The JSON text that `harness.config_from_json` reads back as `config`."""
+    obj = asdict(config)
+    kind = "synthetic" if isinstance(config.data, SyntheticSpec) else "csv_paths"
+    obj["data"] = {kind: obj["data"]}
+    return json.dumps(obj, indent=2)
+
+
+def weight_objective(problem: WeightProblem, alpha: np.ndarray) -> float:
+    """The weighting objective sum_i alpha_i d_i + lam sqrt(sum_i alpha_i^2 / m_i)."""
+    a = np.asarray(alpha, dtype=np.float64)
+    return float(
+        problem.discrepancies @ a
+        + problem.lam * math.sqrt(float(a**2 @ (1.0 / problem.sample_counts)))
+    )
 
 
 def grid_search_objective(problem: WeightProblem, resolution: float = 1e-3) -> float:

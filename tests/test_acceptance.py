@@ -11,7 +11,12 @@ import time
 
 import numpy as np
 
-from helpers import exact_discrepancy_oracle, grid_search_objective, random_dataset
+from helpers import (
+    exact_discrepancy_oracle,
+    grid_search_objective,
+    random_dataset,
+    weight_objective,
+)
 from multisource.baselines import geometric_median
 from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import empirical_discrepancy
@@ -57,7 +62,7 @@ def test_c01_solver_matches_grid_oracle():
             sample_counts=rng.integers(10, 501, n),
             lam=float(rng.random() * 10),
         )
-        ours = problem.objective(solve_weights(problem))
+        ours = weight_objective(problem, solve_weights(problem).alpha)
         oracle = grid_search_objective(problem, resolution=1e-3)
         worst = max(worst, ours - oracle)
     elapsed = time.perf_counter() - started

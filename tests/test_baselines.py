@@ -6,7 +6,6 @@ import pytest
 
 from multisource.baselines import (
     MedianOfProbsEnsemble,
-    aggregate_predictors,
     componentwise_median,
     geometric_median,
     standardize,
@@ -202,13 +201,3 @@ def test_standardize_rejects_an_empty_matrix():
     with pytest.raises(ValueError):
         standardize(np.empty((0, 2)))
 
-
-def test_aggregate_predictors():
-    models = [LinearPredictor(np.array([0.0, 1.0]), 5.0),
-              LinearPredictor(np.array([1.0, 0.0]), 1.0),
-              LinearPredictor(np.array([5.0, 5.0]), 0.0)]
-    agg = aggregate_predictors(models, "componentwise_median")
-    assert np.array_equal(agg.weights, [1.0, 1.0])
-    assert agg.bias == 1.0
-    same = aggregate_predictors([models[0]] * 3, "geometric_median")
-    assert np.allclose(same.weights, models[0].weights, atol=1e-12)

@@ -8,15 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import config_to_json
 import multisource
 from multisource.cli import main
 from multisource.data import Dataset, load_csv, save_csv
-from multisource.harness import (
-    CorruptionSetting,
-    ExperimentConfig,
-    SyntheticSpec,
-    config_to_json,
-)
+from multisource.harness import CorruptionSetting, ExperimentConfig, SyntheticSpec
 
 
 @pytest.fixture()
@@ -71,7 +67,7 @@ def test_weights_command_rejects_infinite_lambda(tmp_path):
     done = subprocess.run([sys.executable, "-m", "multisource", "weights", str(inp),
                            "--lambda", "inf"], capture_output=True, text=True, env=env)
     assert done.returncode != 0
-    assert "lam must be finite" in done.stderr
+    assert "lam must be finite" in done.stderr and str(inp) not in done.stderr
     assert "alpha" not in done.stdout
 
 
@@ -144,7 +140,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     nested_config = tmp_path / "nested_grid.json"
     nested_config.write_text(json.dumps(nested_grid))
     weights_inputs = {"empty": {}, "list": [1, 2], "no_counts": {"discrepancies": [0.1]},
-                      "mapping": {"discrepancies": {"a": 0.1}, "sample_counts": [3]}}
+                      "mapping": {"discrepancies": {"a": 0.1}, "sample_counts": [3]},
+                      "out_of_range": {"discrepancies": [2.0], "sample_counts": [3]}}
     for name, obj in weights_inputs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     weights_error = f"multisource weights: error: {tmp_path}{os.sep}"
@@ -190,7 +187,27 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         "csv_paths": {"source_paths": [str(tmp_path / "plain_reference.csv")],
                       "reference_path": str(tmp_path / "reference.csv"),
                       "test_path": str(tmp_path / "plain_reference.csv")}})))
+    # a source whose feature count differs from the reference's is named
+    for name, d in (("two_features", 2), ("three_features", 3), ("three_reference", 3)):
+        rng = np.random.default_rng(d)
+        save_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
+                 tmp_path / f"{name}.csv")
+    # a JSON syntax error and an unknown config key are named by the file
+    syntax_error = tmp_path / "syntax_error.json"
+    syntax_error.write_text('{"lam": }')
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text(json.dumps(dict(config, lamda_grid=[1.0])))
     cases = [
+        (["weights", str(syntax_error), "--lambda", "1"],
+         f"multisource weights: error: {syntax_error}: Expecting value: line 1 column 9"),
+        (["train", "--method", "ours", "--config", str(syntax_error)],
+         f"multisource train: error: {syntax_error}: Expecting value: line 1 column 9"),
+        (["experiment", "--config", str(misspelt), "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {misspelt}: unknown ExperimentConfig key(s) in config: "
+         "lamda_grid"),
+        (["discrepancy", str(tmp_path / "three_features.csv"), str(tmp_path / "two_features.csv"),
+          "--reference", str(tmp_path / "three_reference.csv")],
+         f"multisource discrepancy: error: {tmp_path / 'two_features.csv'}: feature mismatch"),
         (["weights", str(tmp_path / "empty.json"), "--lambda", "1"],
          weights_error + "empty.json: missing key(s) discrepancies, sample_counts"),
         (["weights", str(tmp_path / "list.json"), "--lambda", "1"],
@@ -199,10 +216,13 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          weights_error + "no_counts.json: missing key(s) sample_counts"),
         (["weights", str(tmp_path / "mapping.json"), "--lambda", "1"],
          weights_error + "mapping.json: discrepancies must be a list of numbers"),
+        (["weights", str(tmp_path / "out_of_range.json"), "--lambda", "1"],
+         weights_error + "out_of_range.json: discrepancies must lie in [0, 1]"),
         (["train", "--method", "ours", "--config", str(nested_config)],
-         "multisource train: error: lambda_grid must be a nonempty grid"),
+         f"multisource train: error: {nested_config}: lambda_grid must be a nonempty grid"),
         (["train", "--method", "ours", "--config", str(bad_config)],
-         "multisource train: error: missing ExperimentConfig key(s) in config: method"),
+         f"multisource train: error: {bad_config}: missing ExperimentConfig key(s) in config: "
+         "method"),
         (["simulate-federated", "--case", "2", "--config", str(small_config), "--rounds", "0"],
          "multisource simulate-federated: error: "),
         (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
@@ -236,7 +256,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
           "--reference", str(tmp_path / "plain_reference.csv")],
          f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the source is empty"),
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
-          f"multisource train: error: {field}") for field in wrong_types]
+          f"multisource train: error: {tmp_path / f'{field}.json'}: {field}")
+         for field in wrong_types]
     for argv, message in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning on the way fails the case

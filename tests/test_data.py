@@ -8,11 +8,8 @@ import hypothesis.strategies as st
 
 from multisource import data
 from multisource.data import (
-    BadLabelError,
-    BadNumericCellError,
     CsvFormatError,
     Dataset,
-    RaggedRowError,
     SourcePool,
     kfold_indices,
     load_csv,
@@ -79,7 +76,7 @@ def test_load_csv_accepts_only_the_named_encodings(tmp_path, encoding):
 def test_load_csv_bad_cell_names_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,label\n1.0,1\noops,-1\n")
-    with pytest.raises(BadNumericCellError, match="row 2"):
+    with pytest.raises(CsvFormatError, match="row 2"):
         load_csv(path, "label")
 
 
@@ -87,7 +84,7 @@ def test_load_csv_bad_cell_names_row(tmp_path):
 def test_load_csv_non_finite_cell_names_path_row_and_column(tmp_path, cell):
     path = tmp_path / "d.csv"
     path.write_text(f"f0,f1,label\n1.0,2.0,1\n3.0,{cell},-1\n")
-    with pytest.raises(BadNumericCellError, match=r"d\.csv: row 2, column 'f1'"):
+    with pytest.raises(CsvFormatError, match=r"d\.csv: row 2, column 'f1'"):
         load_csv(path, "label")
 
 
@@ -96,11 +93,11 @@ def test_load_csv_errors(tmp_path):
         load_csv(tmp_path / "missing.csv", "label")
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("f0,f1,label\n1.0,2.0,1\n1.0,-1\n")
-    with pytest.raises(RaggedRowError, match="row 2"):
+    with pytest.raises(CsvFormatError, match="row 2"):
         load_csv(ragged, "label")
     badlab = tmp_path / "badlab.csv"
     badlab.write_text("f0,label\n1.0,3\n")
-    with pytest.raises(BadLabelError, match="row 1"):
+    with pytest.raises(CsvFormatError, match="row 1"):
         load_csv(badlab, "label")
     nolab = tmp_path / "nolab.csv"
     nolab.write_text("f0,f1\n1.0,2.0\n")

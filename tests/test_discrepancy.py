@@ -46,7 +46,7 @@ def test_self_discrepancy_is_exactly_zero():
 def test_flipped_separable_reaches_one():
     # symmetric instance: the least-squares fit separates it exactly
     reference = Dataset([[-1.0], [-0.9], [0.9], [1.0]], [-1.0, -1.0, 1.0, 1.0])
-    source = reference.with_arrays(labels=-reference.labels)
+    source = Dataset(reference.features, -reference.labels)
     estimate = empirical_discrepancy(source, reference)
     assert estimate.value == 1.0
     assert estimate.solver_risk == 0.0
@@ -182,8 +182,8 @@ def _instance(seed, m_src, m_ref, d, flip):
 def test_discrepancy_invariant_to_feature_scaling(instance, c):
     # c < 1 is left out: there the fixed relaxation ridge stops being negligible
     _, src, ref = _instance(*instance)
-    scaled = empirical_discrepancy(src.with_arrays(features=c * src.features),
-                                   ref.with_arrays(features=c * ref.features))
+    scaled = empirical_discrepancy(Dataset(c * src.features, src.labels),
+                                   Dataset(c * ref.features, ref.labels))
     assert scaled.value == empirical_discrepancy(src, ref).value
 
 
@@ -192,8 +192,8 @@ def test_discrepancy_invariant_to_feature_scaling(instance, c):
 def test_discrepancy_invariant_to_shared_translation(instance, magnitude):
     rng, src, ref = _instance(*instance)
     shift = magnitude * rng.standard_normal(src.n_features)
-    moved = empirical_discrepancy(src.with_arrays(features=src.features + shift),
-                                  ref.with_arrays(features=ref.features + shift))
+    moved = empirical_discrepancy(Dataset(src.features + shift, src.labels),
+                                  Dataset(ref.features + shift, ref.labels))
     assert moved.value == empirical_discrepancy(src, ref).value
 
 

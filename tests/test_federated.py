@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import case2_oracle, lstsq_relaxation, random_dataset
+from helpers import case2_oracle, config_to_json, lstsq_relaxation, random_dataset
 from multisource import federated
 from multisource.cli import main
 from multisource.data import Dataset, SourcePool
@@ -21,7 +21,7 @@ from multisource.federated import (
     run_case1,
     run_case2,
 )
-from multisource.harness import ExperimentConfig, SyntheticSpec, build_pool, config_to_json
+from multisource.harness import ExperimentConfig, SyntheticSpec, build_pool
 
 
 def _pool(seed=0, n_sources=3, n=30, m_ref=20, d=2):

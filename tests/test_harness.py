@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from helpers import config_to_json
 from multisource import harness
 from multisource.baselines import standardize
 from multisource.data import Dataset, SourcePool, merge
@@ -18,7 +19,6 @@ from multisource.harness import (
     _fitter,
     build_pool,
     config_from_json,
-    config_to_json,
     generate_synthetic_pool,
     run_method,
     run_sweep,
@@ -120,15 +120,35 @@ def test_geometric_median_of_identical_sources_is_local_model():
     assert np.max(np.abs(agg.weights - local.weights)) <= 1e-8
 
 
+def test_median_baselines_aggregate_the_stacked_local_models(monkeypatch):
+    models = [LinearPredictor(np.array([0.0, 1.0]), 5.0),
+              LinearPredictor(np.array([1.0, 0.0]), 1.0),
+              LinearPredictor(np.array([5.0, 5.0]), 0.0)]
+    ds = Dataset(np.zeros((2, 2)), [1.0, -1.0])
+
+    def fit_as(local_models):
+        fits = iter(local_models)
+        monkeypatch.setattr(harness, "train_erm", lambda data, loss, ridge: next(fits))
+
+    fit_as(models)
+    agg = _fit_baseline("componentwise_median", (ds, ds, ds), ds, 1e-2)
+    assert np.array_equal(agg.weights, [1.0, 1.0])
+    assert agg.bias == 1.0
+    fit_as([models[0]] * 3)
+    same = _fit_baseline("geometric_median", (ds, ds, ds), ds, 1e-2)
+    assert np.allclose(same.weights, models[0].weights, atol=1e-12)
+    assert abs(same.bias - models[0].bias) <= 1e-12
+
+
 def _standardized(data: Dataset) -> Dataset:
-    return data.with_arrays(features=standardize(data.features)[0])
+    return Dataset(standardize(data.features)[0], data.labels)
 
 
 def test_batch_norm_matches_all_data_on_standardized_pool():
     pool, test = generate_synthetic_pool(_spec(), seed=9)
     std_pool = SourcePool(tuple(map(_standardized, pool.sources)), _standardized(pool.reference))
     _, mean, std = standardize(std_pool.reference.features)
-    std_test = test.with_arrays(features=(test.features - mean) / std)
+    std_test = Dataset((test.features - mean) / std, test.labels)
     cfg = _config()
     a = run_method(std_pool, std_test, cfg, "all_data")
     b = run_method(std_pool, std_test, cfg, "batch_norm")
@@ -151,8 +171,8 @@ def test_batch_norm_folds_the_reference_statistics_into_a_linear_predictor(
 
     sources, test = (draw(30), draw(25)), draw(200)
     reference = draw(20)
-    reference = reference.with_arrays(features=np.column_stack(
-        [reference.features[:, :2], np.full(20, shift + 0.1)]))  # a constant column
+    reference = Dataset(np.column_stack(  # a constant column
+        [reference.features[:, :2], np.full(20, shift + 0.1)]), reference.labels)
     predictor = _fit_baseline("batch_norm", sources, reference, 1e-2)
     assert isinstance(predictor, LinearPredictor)
     assert predictor.weights[2] == 0.0

@@ -297,6 +297,15 @@ def test_trainers_reject_a_bad_ridge():
 
 
 @pytest.mark.parametrize("loss", LOSSES)
+def test_overflowing_features_raise_a_floating_point_error(loss):
+    # the same exception that the discrepancy and standardization raise
+    rng = np.random.default_rng(3)
+    ds = Dataset(1e200 * rng.standard_normal((20, 2)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
+    with pytest.raises(FloatingPointError, match="non-finite at the zero predictor"):
+        train_erm(ds, loss, 1e-2)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
 def test_curvatures_match_central_differences(loss):
     margins = np.linspace(-30.0, 30.0, 601)
     h = 1e-5

@@ -7,8 +7,18 @@ import pytest
 
 import multisource
 
+PACKAGE = Path(multisource.__file__).parent
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(multisource.__path__)
                  if m.name != "__main__")
+
+
+def _reads(trees) -> set[str]:
+    """Every name read in `trees`, as a name or as an attribute; neither a
+    definition nor an import counts."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,14 +44,25 @@ def _private_definitions(tree: ast.Module):
 
 def test_every_private_top_level_name_is_used():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(Path(multisource.__file__).parent.glob("*.py"))}
-    # a reference is a read of the name or of an attribute by that name;
-    # neither a definition nor an import counts
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+             for p in sorted(PACKAGE.glob("*.py"))}
+    used = _reads(trees.values())
     unused = [f"{module}.{name}" for module, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
+    assert unused == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name in a module's __all__ is read by the package or its scripts, or
+    # is exported by the package itself; a name only the tests read belongs
+    # in the tests
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    used = _reads(ast.parse(p.read_text(encoding="utf-8")) for p in paths)
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = [f"{name}.{public}" for name in MODULES
+              for public in getattr(importlib.import_module(f"multisource.{name}"), "__all__", ())
+              if public not in used | exported]
     assert unused == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import grid_search_objective
+from helpers import grid_search_objective, weight_objective
 from multisource.weights import (
     BoundInputs,
     SimplexWeights,
@@ -55,7 +55,7 @@ def test_solve_weights_lambda_zero_tie_proportional():
 
 def test_solve_weights_matches_grid_oracle_worked_example():
     problem = WeightProblem(np.array([0.1, 0.2, 0.3]), np.array([50, 100, 200]), 0.5)
-    ours = problem.objective(solve_weights(problem))
+    ours = weight_objective(problem, solve_weights(problem).alpha)
     oracle = grid_search_objective(problem, resolution=1e-3)
     assert ours <= oracle + 1e-4
 
@@ -65,7 +65,7 @@ def test_solve_weights_matches_grid_oracle_random(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     problem = WeightProblem(rng.random(n), rng.integers(10, 501, n), float(rng.random() * 10))
-    ours = problem.objective(solve_weights(problem))
+    ours = weight_objective(problem, solve_weights(problem).alpha)
     oracle = grid_search_objective(problem, resolution=1e-3)
     assert ours <= oracle + 1e-4
 
@@ -109,12 +109,12 @@ def test_solver_beats_vertices_and_uniform():
         n = int(rng.integers(2, 4))
         problem = WeightProblem(rng.random(n), rng.integers(10, 501, n),
                                 float(rng.random() * 10))
-        best = problem.objective(solve_weights(problem))
+        best = weight_objective(problem, solve_weights(problem).alpha)
         for k in range(n):
             vertex = np.zeros(n)
             vertex[k] = 1.0
-            assert best <= problem.objective(vertex) + 1e-12
-        assert best <= problem.objective(np.full(n, 1 / n)) + 1e-12
+            assert best <= weight_objective(problem, vertex) + 1e-12
+        assert best <= weight_objective(problem, np.full(n, 1 / n)) + 1e-12
 
 
 def test_weight_problem_validation():
