@@ -25,12 +25,6 @@ from .models import (
     train_weighted_erm,
     zero_one_error,
 )
-from .weights import (
-    BoundInputs,
-    SimplexWeights,
-    WeightProblem,
-    excess_risk_bound,
-    solve_weights,
-)
+from .weights import WeightProblem, excess_risk_bound, solve_weights
 
 __version__ = "0.1.0"

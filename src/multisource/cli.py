@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
@@ -25,6 +24,7 @@ from .harness import (
     METHODS,
     build_pool,
     config_from_json,
+    load_sample,
     run_method,
     run_sweep,
     write_results_csv,
@@ -52,7 +52,7 @@ def _read_json(path: str, parse):
 
 
 def _weights_input(text: str) -> WeightProblem:
-    """The weighting problem of a JSON input, checked with lam = 0."""
+    """The weighting problem of a JSON input."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
@@ -62,24 +62,18 @@ def _weights_input(text: str) -> WeightProblem:
     for key in ("discrepancies", "sample_counts"):
         if not (isinstance(obj[key], list) and all(type(v) in (int, float) for v in obj[key])):
             raise ValueError(f"{key} must be a list of numbers")
-    return WeightProblem(obj["discrepancies"], obj["sample_counts"], 0.0)
+    return WeightProblem(obj["discrepancies"], obj["sample_counts"])
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
-    def load(path: str, role: str):
-        data = load_csv(path, args.label_column, args.encoding)
-        if data.n_samples == 0:  # name the file, which the scorer cannot
-            raise ValueError(f"{path}: the {role} is empty")
-        return data
-
-    reference = load(args.reference, "reference")
+    reference = load_sample(args.reference, "reference", args.label_column, args.encoding)
     report = []
-    for path in args.sources:
-        source = load(path, "source")
+    for path in args.sources:  # one at a time, so that only one source is held
+        source = load_sample(path, "source", args.label_column, args.encoding)
         try:
             estimate = empirical_discrepancy(source, reference)
-        except ValueError as exc:  # a feature mismatch: name the source
-            raise ValueError(f"{path}: {exc}") from None
+        except (ValueError, FloatingPointError) as exc:  # a mismatch or overflow: name the source
+            raise type(exc)(f"{path}: {exc}") from None
         report.append({
             "source": path,
             "discrepancy": estimate.value,
@@ -92,8 +86,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
 
 def _cmd_weights(args: argparse.Namespace) -> int:
     # lam comes from the command line, so its error does not name the file
-    alpha = solve_weights(replace(_read_json(args.input, _weights_input), lam=args.lam))
-    _emit({"lambda": args.lam, "alpha": [float(v) for v in alpha.alpha]}, args.out)
+    alpha = solve_weights(_read_json(args.input, _weights_input), args.lam)
+    _emit({"lambda": args.lam, "alpha": [float(v) for v in alpha]}, args.out)
     return 0
 
 

@@ -75,7 +75,7 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
     The relaxation minimizes mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2
     + (RELAX_RIDGE/2) ||w||^2. Its normal-equation matrix is positive definite
     for any positive ridge, so the minimizer is a single linear solve.
-    Features so large that their moments overflow raise `FloatingPointError`.
+    Features whose moments overflow raise a `FloatingPointError` naming the sample.
     """
     if source.n_features != reference.n_features:
         raise ValueError(
@@ -90,8 +90,11 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
         gram_ref, moment_ref = moments(reference)
         system = ridged_system(gram_src + gram_ref)
         target = moment_ref - moment_src  # source labels are flipped
-    if not (np.isfinite(system).all() and np.isfinite(target).all()):
-        raise FloatingPointError("feature moments overflowed; rescale the features")
+    for whose, gram, moment in (("the source's", gram_src, moment_src),
+                                ("the reference's", gram_ref, moment_ref),
+                                ("the summed", system, target)):
+        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+            raise FloatingPointError(f"{whose} feature moments overflowed; rescale the features")
     theta = np.linalg.solve(system, target)
     predictor = LinearPredictor(theta[:-1], theta[-1])
     miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))

@@ -52,6 +52,7 @@ __all__ = [
     "RunResult",
     "SweepCell",
     "generate_synthetic_pool",
+    "load_sample",
     "build_pool",
     "run_method",
     "run_sweep",
@@ -231,14 +232,31 @@ def generate_synthetic_pool(
     return SourcePool(sources, reference), test
 
 
+def load_sample(path: str, role: str, label_column: str = "label",
+                label_encoding: str = "signed") -> Dataset:
+    """`load_csv` of a source or reference file; one with no rows raises a
+    ValueError that names it."""
+    data = load_csv(path, label_column, label_encoding)
+    if data.n_samples == 0:
+        raise ValueError(f"{path}: the {role} is empty")
+    return data
+
+
 def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset]:
+    """The config's pool and test set; an empty or mismatched CSV input is named."""
     spec = config.data
     if isinstance(spec, SyntheticSpec):
         return generate_synthetic_pool(spec, seed)
-    load = functools.partial(load_csv, label_column=spec.label_column,
+    load = functools.partial(load_sample, label_column=spec.label_column,
                              label_encoding=spec.label_encoding)
-    sources = tuple(load(p) for p in spec.source_paths)
-    return SourcePool(sources, load(spec.reference_path)), load(spec.test_path)
+    sources = tuple(load(p, "source") for p in spec.source_paths)
+    reference = load(spec.reference_path, "reference")
+    for path, source in zip(spec.source_paths, sources):
+        if source.n_features != reference.n_features:
+            raise ValueError(f"{path}: feature mismatch: source has {source.n_features}, "
+                             f"reference {reference.n_features}")
+    test = load_csv(spec.test_path, spec.label_column, spec.label_encoding)
+    return SourcePool(sources, reference), test
 
 
 def _cross_validate(
@@ -306,11 +324,12 @@ def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset) -> Call
         return lambda point: (_fit_baseline(method, sources, reference, point[1]), None, None)
     pool = SourcePool(tuple(sources) + (reference,), reference)
     d_full = np.array([empirical_discrepancy(s, reference).value for s in sources] + [0.0])
+    problem = WeightProblem(d_full, pool.sample_counts)
 
     def fit(point):
         lam, ridge = point
-        alpha = solve_weights(WeightProblem(d_full, pool.sample_counts, lam))
-        return train_weighted_erm(pool, alpha, "logistic", ridge), alpha.alpha, d_full
+        alpha = solve_weights(problem, lam)
+        return train_weighted_erm(pool, alpha, "logistic", ridge), alpha, d_full
 
     return fit
 

@@ -234,7 +234,7 @@ def stack_weighted_pool(
     """Stack the sources with alpha_i > 0 into (features, labels, per-sample
     weights alpha_i/m_i); a zero-weight source is never read, and an all-zero
     alpha stacks no rows."""
-    alpha = np.asarray(getattr(alpha, "alpha", alpha), dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (pool.n_sources,):
         raise ValueError(f"alpha has length {alpha.shape}, pool has {pool.n_sources} sources")
     if not (np.isfinite(alpha).all() and (alpha >= 0.0).all()):

@@ -15,6 +15,10 @@ so nu is found exactly by scanning the sorted breakpoints and solving one
 quadratic, in a form that never squares lam and so cannot overflow. This
 reproduces both limits: lam -> 0 concentrates mass on the argmin-d set
 (proportional to m_i within it), lam -> inf tends to alpha_i = m_i / sum(m).
+
+`WeightProblem` checks d and m; `solve_weights(problem, lam)` returns alpha
+as a read-only array, and `excess_risk_bound` evaluates the paper's bound
+from alpha and the same problem.
 """
 
 from __future__ import annotations
@@ -24,50 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SimplexWeights",
-    "WeightProblem",
-    "BoundInputs",
-    "solve_weights",
-    "excess_risk_bound",
-]
-
-NEGATIVITY_SLACK = 1e-12
-SUM_SLACK = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexWeights:
-    """A point on the probability simplex; tiny negative noise is clamped."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        alpha = np.array(self.alpha, dtype=np.float64, copy=True)
-        if alpha.ndim != 1 or alpha.size < 1:
-            raise ValueError("alpha must be a nonempty vector")
-        if not np.isfinite(alpha).all():
-            raise ValueError("alpha must be finite")
-        if np.any(alpha < -NEGATIVITY_SLACK):
-            raise ValueError(f"alpha has a negative entry: {alpha.min()}")
-        np.clip(alpha, 0.0, None, out=alpha)
-        total = float(alpha.sum())
-        if abs(total - 1.0) > SUM_SLACK:
-            raise ValueError(f"alpha sums to {total}, not 1")
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-
-    def __len__(self) -> int:
-        return self.alpha.size
+__all__ = ["WeightProblem", "solve_weights", "excess_risk_bound"]
 
 
 @dataclass(frozen=True, eq=False)
 class WeightProblem:
-    """Inputs to the weighting program: discrepancies, sample counts, lam."""
+    """The per-source data of the weighting program and of the bound:
+    discrepancies in [0, 1] and whole, positive sample counts."""
 
     discrepancies: np.ndarray
     sample_counts: np.ndarray
-    lam: float
 
     def __post_init__(self) -> None:
         d = np.array(self.discrepancies, dtype=np.float64, copy=True)
@@ -84,48 +54,20 @@ class WeightProblem:
             raise ValueError("sample_counts length must match discrepancies")
         if np.any(m < 1):
             raise ValueError("sample counts must be positive")
-        if not (0.0 <= self.lam < math.inf):
-            raise ValueError("lam must be finite and nonnegative")
         d.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "discrepancies", d)
         object.__setattr__(self, "sample_counts", m)
-        object.__setattr__(self, "lam", float(self.lam))
 
 
-@dataclass(frozen=True, eq=False)
-class BoundInputs:
-    """Everything the excess-risk bound needs, with R_i passed in explicitly."""
-
-    alpha: SimplexWeights
-    discrepancies: np.ndarray
-    sample_counts: np.ndarray
-    rademacher_bounds: np.ndarray
-    loss_bound: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        n = len(self.alpha)
-        d = np.asarray(self.discrepancies, dtype=np.float64)
-        m = np.asarray(self.sample_counts, dtype=np.float64)
-        r = np.asarray(self.rademacher_bounds, dtype=np.float64)
-        if not (d.shape == m.shape == r.shape == (n,)):
-            raise ValueError("alpha, discrepancies, sample_counts, rademacher_bounds "
-                             "must all have the same length")
-        if self.loss_bound <= 0:
-            raise ValueError("loss_bound must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        object.__setattr__(self, "discrepancies", d)
-        object.__setattr__(self, "sample_counts", m)
-        object.__setattr__(self, "rademacher_bounds", r)
-
-
-def solve_weights(problem: WeightProblem) -> SimplexWeights:
-    """Exact minimizer of the weighting objective on the simplex."""
+def solve_weights(problem: WeightProblem, lam: float) -> np.ndarray:
+    """Exact minimizer of the weighting objective on the simplex, as a
+    read-only vector: nonnegative, summing to 1 by construction."""
+    if not (0.0 <= lam < math.inf):
+        raise ValueError("lam must be finite and nonnegative")
+    lam = float(lam)
     d = problem.discrepancies
     m = problem.sample_counts.astype(np.float64)
-    lam = problem.lam
 
     order = np.argsort(d, kind="stable")
     ds = d[order]
@@ -156,18 +98,40 @@ def solve_weights(problem: WeightProblem) -> SimplexWeights:
     if total <= 0.0:  # lam so small the support collapses numerically:
         raw = np.where(d == d.min(), m, 0.0)  # the argmin-d set, in proportion to m
         total = raw.sum()
-    return SimplexWeights(raw / total)
+    alpha = raw / total
+    alpha.flags.writeable = False
+    return alpha
 
 
-def excess_risk_bound(inputs: BoundInputs) -> float:
+def excess_risk_bound(alpha: np.ndarray, problem: WeightProblem, rademacher_bounds: np.ndarray,
+                      loss_bound: float, delta: float) -> float:
     """High-probability excess of the weighted ERM over the best-in-class risk:
-    4 sum(a R) + 2 sum(a d) + 6 sqrt(ln(4/delta) M^2 / 2) sqrt(sum(a^2/m))."""
-    a = inputs.alpha.alpha
-    complexity = 4.0 * float(a @ inputs.rademacher_bounds)
-    disagreement = 2.0 * float(a @ inputs.discrepancies)
-    effective = math.sqrt(float(a**2 @ (1.0 / inputs.sample_counts)))
-    confidence = 6.0 * math.sqrt(
-        math.log(4.0 / inputs.delta) * inputs.loss_bound**2 / 2.0
-    )
+    4 sum(a R) + 2 sum(a d) + 6 sqrt(ln(4/delta) M^2 / 2) sqrt(sum(a^2/m)).
+
+    `alpha` must lie on the simplex; entries down to -1e-12 count as 0.
+    """
+    a = np.array(alpha, dtype=np.float64, copy=True)
+    r = np.asarray(rademacher_bounds, dtype=np.float64)
+    if not (a.shape == r.shape == problem.discrepancies.shape):
+        raise ValueError("alpha, rademacher_bounds and the discrepancies "
+                         "must all have the same length")
+    if not np.isfinite(a).all():
+        raise ValueError("alpha must be finite")
+    if np.any(a < -1e-12):
+        raise ValueError(f"alpha has a negative entry: {a.min()}")
+    np.clip(a, 0.0, None, out=a)
+    total = float(a.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"alpha sums to {total}, not 1")
+    if not np.all((r >= 0.0) & (r < math.inf)):
+        raise ValueError("rademacher_bounds must be finite and nonnegative")
+    if not (0.0 < loss_bound < math.inf):
+        raise ValueError("loss_bound must be positive and finite")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    complexity = 4.0 * float(a @ r)
+    disagreement = 2.0 * float(a @ problem.discrepancies)
+    effective = math.sqrt(float(a**2 @ (1.0 / problem.sample_counts)))
+    confidence = 6.0 * math.sqrt(math.log(4.0 / delta) * loss_bound**2 / 2.0)
     return complexity + disagreement + confidence * effective
 

@@ -43,21 +43,21 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(obj, indent=2)
 
 
-def weight_objective(problem: WeightProblem, alpha: np.ndarray) -> float:
+def weight_objective(problem: WeightProblem, lam: float, alpha: np.ndarray) -> float:
     """The weighting objective sum_i alpha_i d_i + lam sqrt(sum_i alpha_i^2 / m_i)."""
     a = np.asarray(alpha, dtype=np.float64)
     return float(
         problem.discrepancies @ a
-        + problem.lam * math.sqrt(float(a**2 @ (1.0 / problem.sample_counts)))
+        + lam * math.sqrt(float(a**2 @ (1.0 / problem.sample_counts)))
     )
 
 
-def grid_search_objective(problem: WeightProblem, resolution: float = 1e-3) -> float:
+def grid_search_objective(problem: WeightProblem, lam: float, resolution: float = 1e-3) -> float:
     """Brute-force minimum of the weighting objective over a simplex grid."""
     grid = simplex_grid(problem.discrepancies.size, resolution)
     linear = grid @ problem.discrepancies
     quad = np.sqrt(grid**2 @ (1.0 / problem.sample_counts))
-    return float(np.min(linear + problem.lam * quad))
+    return float(np.min(linear + lam * quad))
 
 
 def _halfplane_directions(points: np.ndarray) -> np.ndarray:

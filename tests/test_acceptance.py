@@ -32,13 +32,7 @@ from multisource.harness import (
     write_summary_csv,
 )
 from multisource.models import HUBER_C, _design_t, _evaluate, loss_terms, stack_weighted_pool
-from multisource.weights import (
-    BoundInputs,
-    SimplexWeights,
-    WeightProblem,
-    excess_risk_bound,
-    solve_weights,
-)
+from multisource.weights import WeightProblem, excess_risk_bound, solve_weights
 
 # independently recomputed at 50-digit precision before the implementation
 WORKED_BOUND_VALUE = 1.0279987238208763
@@ -57,13 +51,10 @@ def test_c01_solver_matches_grid_oracle():
     worst = -math.inf
     for _ in range(100):
         n = int(rng.integers(1, 4))
-        problem = WeightProblem(
-            discrepancies=rng.random(n),
-            sample_counts=rng.integers(10, 501, n),
-            lam=float(rng.random() * 10),
-        )
-        ours = weight_objective(problem, solve_weights(problem).alpha)
-        oracle = grid_search_objective(problem, resolution=1e-3)
+        problem = WeightProblem(discrepancies=rng.random(n), sample_counts=rng.integers(10, 501, n))
+        lam = float(rng.random() * 10)
+        ours = weight_objective(problem, lam, solve_weights(problem, lam))
+        oracle = grid_search_objective(problem, lam, resolution=1e-3)
         worst = max(worst, ours - oracle)
     elapsed = time.perf_counter() - started
     _report(1, "solver objective <= grid oracle + 1e-4 on 100 problems",
@@ -78,16 +69,16 @@ def test_c02_limiting_behavior():
         n = int(rng.integers(2, 6))
         d = rng.random(n)
         m = rng.integers(10, 501, n)
-        big = solve_weights(WeightProblem(d, m, 1e9)).alpha
+        big = solve_weights(WeightProblem(d, m), 1e9)
         ok &= bool(np.max(np.abs(big - m / m.sum())) <= 1e-3)
-        small = solve_weights(WeightProblem(d, m, 0.0)).alpha
+        small = solve_weights(WeightProblem(d, m), 0.0)
         ok &= bool(small[d == d.min()].sum() >= 1.0 - 1e-9)
     # the exact closed-form cases
     ok &= np.allclose(
-        solve_weights(WeightProblem(np.array([0.2, 0.2]), np.array([100, 300]), 5.0)).alpha,
+        solve_weights(WeightProblem(np.array([0.2, 0.2]), np.array([100, 300])), 5.0),
         [0.25, 0.75], atol=1e-12)
     ok &= bool(np.array_equal(
-        solve_weights(WeightProblem(np.array([0.1, 0.4]), np.array([100, 100]), 0.0)).alpha,
+        solve_weights(WeightProblem(np.array([0.1, 0.4]), np.array([100, 100])), 0.0),
         [1.0, 0.0]))
     _report(2, "lam extremes: proportional-to-m and argmin concentration", ok)
 
@@ -300,31 +291,28 @@ def test_c10_experiment_determinism(tmp_path):
 
 
 def test_c11_bound_evaluator():
-    inputs = BoundInputs(
-        alpha=SimplexWeights(np.array([0.5, 0.5])),
-        discrepancies=np.zeros(2),
-        sample_counts=np.array([100.0, 100.0]),
+    value = excess_risk_bound(
+        alpha=np.array([0.5, 0.5]),
+        problem=WeightProblem(discrepancies=np.zeros(2), sample_counts=np.array([100.0, 100.0])),
         rademacher_bounds=np.array([0.1, 0.1]),
         loss_bound=1.0,
         delta=0.05,
     )
-    value = excess_risk_bound(inputs)
     close = abs(value - 1.0280) <= 1e-3 and abs(value - WORKED_BOUND_VALUE) <= 1e-12
 
     rng = np.random.default_rng(111)
     monotone = True
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        alpha = SimplexWeights(rng.dirichlet(np.ones(n)))
+        alpha = rng.dirichlet(np.ones(n))
         d = rng.random(n) * 0.5
-        base = BoundInputs(alpha, d, rng.integers(10, 1000, n).astype(float),
-                           rng.random(n), 1.0, 0.05)
+        m = rng.integers(10, 1000, n).astype(float)
+        r = rng.random(n)
         k = int(rng.integers(0, n))
         bumped = d.copy()
         bumped[k] += 0.2
-        higher = BoundInputs(alpha, bumped, base.sample_counts,
-                             base.rademacher_bounds, 1.0, 0.05)
-        if alpha.alpha[k] > 0:
-            monotone &= excess_risk_bound(higher) > excess_risk_bound(base)
+        if alpha[k] > 0:
+            monotone &= (excess_risk_bound(alpha, WeightProblem(bumped, m), r, 1.0, 0.05)
+                         > excess_risk_bound(alpha, WeightProblem(d, m), r, 1.0, 0.05))
     _report(11, "bound evaluates to 1.0280 (+-1e-3) and is monotone in each d_i",
             close and monotone, f"value {value:.10f}")

@@ -179,19 +179,27 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
             "source_paths": [str(tmp_path / "huge_source.csv")],
             "reference_path": str(tmp_path / f"{reference}.csv"),
             "test_path": str(tmp_path / "huge_test.csv")}})))
-    # a header-only reference is named where the pool is built, and a
-    # header-only file by its path where the discrepancy command reads it
+    # a header-only file is named by its path, where the pool is built and
+    # where the discrepancy command reads it
     save_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
-    empty_reference_config = tmp_path / "empty_reference.json"
-    empty_reference_config.write_text(json.dumps(dict(config, corruption=None, data={
-        "csv_paths": {"source_paths": [str(tmp_path / "plain_reference.csv")],
-                      "reference_path": str(tmp_path / "reference.csv"),
-                      "test_path": str(tmp_path / "plain_reference.csv")}})))
     # a source whose feature count differs from the reference's is named
     for name, d in (("two_features", 2), ("three_features", 3), ("three_reference", 3)):
         rng = np.random.default_rng(d)
         save_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
                  tmp_path / f"{name}.csv")
+    csv_configs = {  # name: (sources, reference, test)
+        "empty_reference": (["plain_reference"], "reference", "plain_reference"),
+        "empty_source": (["plain_reference", "reference"], "plain_reference", "plain_reference"),
+        "mismatch": (["three_features", "two_features"], "three_reference", "three_reference"),
+    }
+    for name, (sources, reference, test) in csv_configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(config, corruption=None, data={
+            "csv_paths": {"source_paths": [str(tmp_path / f"{s}.csv") for s in sources],
+                          "reference_path": str(tmp_path / f"{reference}.csv"),
+                          "test_path": str(tmp_path / f"{test}.csv")}})))
+    empty_reference_config = tmp_path / "empty_reference.json"
+    empty_reference = f"{tmp_path / 'reference.csv'}: the reference is empty"
+    mismatch = f"{tmp_path / 'two_features.csv'}: feature mismatch: source has 2, reference 3"
     # a JSON syntax error and an unknown config key are named by the file
     syntax_error = tmp_path / "syntax_error.json"
     syntax_error.write_text('{"lam": }')
@@ -235,20 +243,31 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource simulate-federated: error: non-finite gradient from source_0"),
         (["discrepancy", str(tmp_path / "huge_source.csv"),
           "--reference", str(tmp_path / "huge_reference.csv")],
-         "multisource discrepancy: error: feature moments overflowed"),
+         f"multisource discrepancy: error: {tmp_path / 'huge_source.csv'}: the source's feature "
+         "moments overflowed; rescale the features"),
+        (["discrepancy", str(tmp_path / "plain_reference.csv"),
+          "--reference", str(tmp_path / "huge_reference.csv")],
+         f"multisource discrepancy: error: {tmp_path / 'plain_reference.csv'}: the reference's "
+         "feature moments overflowed; rescale the features"),
         (["train", "--method", "ours", "--config", str(huge_config)],
-         "multisource train: error: feature moments overflowed"),
+         "multisource train: error: the source's feature moments overflowed"),
         (["simulate-federated", "--case", "1", "--config", str(huge_config)],
-         "multisource simulate-federated: error: feature moments overflowed"),
+         "multisource simulate-federated: error: the source's feature moments overflowed"),
         (["train", "--method", "batch_norm", "--config", str(huge_config)],
          "multisource train: error: feature standard deviations overflowed"),
         (["train", "--method", "reference_only", "--config", str(empty_reference_config)],
-         "multisource train: error: the reference is empty"),
+         f"multisource train: error: {empty_reference}\n"),
         (["experiment", "--config", str(empty_reference_config),
           "--out", str(tmp_path / "results.csv")],
-         "multisource experiment: error: the reference is empty"),
+         f"multisource experiment: error: {empty_reference}\n"),
         (["simulate-federated", "--case", "2", "--config", str(empty_reference_config)],
-         "multisource simulate-federated: error: the reference is empty"),
+         f"multisource simulate-federated: error: {empty_reference}\n"),
+        (["train", "--method", "ours", "--config", str(tmp_path / "empty_source.json")],
+         f"multisource train: error: {tmp_path / 'reference.csv'}: the source is empty\n"),
+        (["train", "--method", "all_data", "--config", str(tmp_path / "mismatch.json")],
+         f"multisource train: error: {mismatch}\n"),
+        (["simulate-federated", "--case", "1", "--config", str(tmp_path / "mismatch.json")],
+         f"multisource simulate-federated: error: {mismatch}\n"),
         (["discrepancy", str(tmp_path / "plain_reference.csv"),
           "--reference", str(tmp_path / "reference.csv")],
          f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the reference is empty"),

@@ -150,6 +150,18 @@ def test_discrepancy_errors():
         exact_discrepancy_oracle(big, big, "thresholds_1d")
 
 
+def test_an_overflow_names_the_sample():
+    plain = Dataset([[1.0], [-1.0]], [1.0, -1.0])
+    huge = Dataset([[1e200], [-1e200]], [1.0, -1.0])
+    near = Dataset([[1.2e154]], [1.0])  # its moments are finite, twice them are not
+    cases = ((huge, plain, "the source's"), (plain, huge, "the reference's"),
+             (huge, huge, "the source's"), (near, near, "the summed"))
+    for source, reference, whose in cases:
+        with pytest.raises(FloatingPointError,
+                           match=rf"^{whose} feature moments overflowed; rescale the features$"):
+            empirical_discrepancy(source, reference)
+
+
 def test_unequal_sizes_are_weighted_not_resampled():
     # hand-checkable instance: source 1 point, reference 4 points
     src = Dataset([[2.0]], [-1.0])

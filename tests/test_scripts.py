@@ -48,3 +48,21 @@ def test_compare_protocol_costs():
     assert lines[0].startswith("centralized d:")
     assert lines[1].startswith("case 1:") and lines[2].startswith("case 2:")
     assert "max |d - centralized| = 0.00e+00" in lines[1]  # case 1 is exact
+
+
+def test_sweep_digests_repeat(tmp_path):
+    config = json.loads((SCRIPTS / "corruption_sweep.json").read_text(encoding="utf-8"))
+    config["data"]["synthetic"].update(n_sources=3, samples_per_source=20, reference_size=20,
+                                       test_size=50)
+    config.update(method=["ours", "all_data"], lambda_grid=[1.0], repeats=1)
+    config["corruption"]["n_corrupted"] = [0, 1]
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(config), encoding="utf-8")
+    runs = [_run("sweep_digests.py", str(tiny)) for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split("  ")[1] for line in lines] == [
+        "tiny.csv", "tiny.sidecar.json", "tiny.summary.csv"]
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert runs[1].stdout == runs[0].stdout
