@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""sha256 digests of `multisource experiment` artifacts, for checking that a
-change keeps sweep outputs byte for byte.
+"""sha256 digests of `multisource experiment` artifacts and of case-2 traces,
+for checking that a change keeps sweep outputs and federated traces byte for byte.
 
 With no arguments, runs the benchmark's c07_sweep and full_grid configs
 (`bench/workloads.py`, read only) at seeds derive_seed(s, j) for s in
-(1, 9001) and j = 0..3: 16 sweeps, 48 artifacts. Given config paths, runs
-only those. Prints one `sha256  name` line per artifact (results CSV,
-sidecar JSON, summary CSV). Run it in two trees with the same BLAS thread
-count and diff the outputs:
+(1, 9001) and j = 0..3: 16 sweeps, 48 artifacts; then runs
+`simulate-federated --case 2 --rounds 1000 --trace` on the benchmark's
+federated configs at the same 8 seeds: 16 more digests, of stdout and of the
+JSONL trace. Given experiment config paths, or federated config paths after
+`--federated`, runs only those. Prints one `sha256  name` line per artifact.
+Run it in two trees with the same BLAS thread count and diff the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/sweep_digests.py > digests.txt
 """
@@ -24,12 +26,13 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from workloads import C07, FULL_GRID, derive_seed  # noqa: E402
+from workloads import C07, FULL_GRID, Federated, derive_seed  # noqa: E402
 
 from multisource.cli import main as cli_main  # noqa: E402
 
 BASE_SEEDS = (1, 9001)
 VARIANTS = 4
+CASE2_ROUNDS = 1000
 
 
 def bench_configs(work: Path) -> list[Path]:
@@ -45,23 +48,55 @@ def bench_configs(work: Path) -> list[Path]:
     return paths
 
 
+def bench_federated_configs(work: Path) -> list[Path]:
+    """Write the benchmark's federated configs at every seed into `work`."""
+    paths, workload = [], Federated()
+    for base in BASE_SEEDS:
+        workload.prepare(work, base)  # writes federated-{j}.json, j = 0..3
+        paths += [path.rename(work / f"federated-{base}-{j}.json")
+                  for j, path in enumerate(workload.paths)]
+    return paths
+
+
+def _digest(data: bytes, name: str) -> None:
+    print(f"{hashlib.sha256(data).hexdigest()}  {name}", flush=True)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv)
+    return code, stdout.getvalue()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*",
                         help="experiment config files (default: the benchmark's sweeps)")
+    parser.add_argument("--federated", nargs="+", default=[], metavar="CONFIG",
+                        help="configs to run case 2 on (default: the benchmark's federated ones)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for config in [Path(c) for c in args.configs] or bench_configs(work):
+        default = not (args.configs or args.federated)
+        experiments = bench_configs(work) if default else [Path(c) for c in args.configs]
+        federated = bench_federated_configs(work) if default else map(Path, args.federated)
+        for config in experiments:
             out = work / f"{config.stem}.csv"
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(["experiment", "--config", str(config), "--out", str(out)])
+            code, _ = _run(["experiment", "--config", str(config), "--out", str(out)])
             if code != 0:
                 return code
             for artifact in (out, out.with_suffix(".sidecar.json"),
                              out.with_suffix(".summary.csv")):
-                digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
-                print(f"{digest}  {artifact.name}", flush=True)
+                _digest(artifact.read_bytes(), artifact.name)
+        for config in federated:
+            trace = work / f"{config.stem}.case2.jsonl"
+            code, stdout = _run(["simulate-federated", "--case", "2", "--config", str(config),
+                                 "--rounds", str(CASE2_ROUNDS), "--trace", str(trace)])
+            if code != 0:
+                return code
+            _digest(stdout.encode("utf-8"), f"{config.stem}.case2.stdout")
+            _digest(trace.read_bytes(), trace.name)
     return 0
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "RELAX_RIDGE",
     "DiscrepancyEstimate",
     "empirical_discrepancy",
+    "finite_moments",
     "moments",
     "ridged_system",
 ]
@@ -60,6 +61,16 @@ def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return design.T @ design / data.n_samples, design.T @ data.labels / data.n_samples
 
 
+def finite_moments(data: Dataset, whose: str) -> tuple[np.ndarray, np.ndarray]:
+    """`moments(data)`; if one overflows, a `FloatingPointError` says that
+    `whose` (e.g. "the source's") feature moments overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
+        gram, moment = moments(data)
+    if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+        raise FloatingPointError(f"{whose} feature moments overflowed; rescale the features")
+    return gram, moment
+
+
 def ridged_system(gram: np.ndarray) -> np.ndarray:
     """The relaxation's normal-equation matrix: `gram` plus RELAX_RIDGE/2 on
     the w-diagonal (never the bias), which makes it positive definite."""
@@ -85,16 +96,13 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
         raise ValueError("the source is empty")
     if reference.n_samples == 0:
         raise ValueError("the reference is empty")
+    gram_src, moment_src = finite_moments(source, "the source's")
+    gram_ref, moment_ref = finite_moments(reference, "the reference's")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        gram_src, moment_src = moments(source)
-        gram_ref, moment_ref = moments(reference)
         system = ridged_system(gram_src + gram_ref)
         target = moment_ref - moment_src  # source labels are flipped
-    for whose, gram, moment in (("the source's", gram_src, moment_src),
-                                ("the reference's", gram_ref, moment_ref),
-                                ("the summed", system, target)):
-        if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
-            raise FloatingPointError(f"{whose} feature moments overflowed; rescale the features")
+    if not (np.isfinite(system).all() and np.isfinite(target).all()):
+        raise FloatingPointError("the summed feature moments overflowed; rescale the features")
     theta = np.linalg.solve(system, target)
     predictor = LinearPredictor(theta[:-1], theta[-1])
     miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))

@@ -30,6 +30,16 @@ In case 2 all sources advance in lockstep (two batched products a round,
 replies checked for finite values once, after the last), and the trace
 builds its messages, source-major, only when they are read. No source's
 numbers touch another's: each source's messages equal, bit for bit, a solo run's.
+Every SETTLE_CHECK rounds, case 2 tests whether each source's search has
+settled, and once all have, it stops computing rounds: the later rounds
+repeat earlier ones bit for bit, so the trace copies them. A source is
+frozen when its last query equalled its candidate bit for bit and was
+rejected (with its step still halving exactly until the last round), since
+no smaller step can then move the candidate. A source is cycling when its
+candidate and step equal, bit for bit, those after a round at most
+SETTLE_CHECK rounds back (round 1 or later), since past round 1 the
+gradient is a function of the candidate. Message counts, bytes and the
+trace are the same as when every round is computed.
 """
 
 from __future__ import annotations
@@ -59,6 +69,8 @@ BYTES_PER_REAL = 8
 # the learner's trial step doubles after each accepted query, up to a cap
 STEP_GROWTH = 2.0
 MAX_STEP = 1e12
+# case 2 tests every this many rounds whether each source's search has settled
+SETTLE_CHECK = 32
 
 KIND_REFERENCE_BROADCAST = "reference_broadcast"
 KIND_DISCREPANCY_RESULT = "discrepancy_result"
@@ -131,6 +143,33 @@ def run_case1(pool: SourcePool) -> ProtocolTrace:
                          rounds=2, result=results, build_messages=lambda: messages)
 
 
+def _settle(queries, accepts, steps, theta, done):
+    """(period, final candidates) of a case-2 run whose every source has
+    settled by round `done`, or None; past round `done`, source i repeats
+    its last period[i] rounds (see the module docstring)."""
+    rounds, n = accepts.shape
+    bits = theta.view(np.int64)  # bit for bit: -0.0 is not +0.0
+    frozen = (~accepts[done - 1] & (queries[done - 1].view(np.int64) == bits).all(axis=1)
+              & (steps[done - 1] >= np.ldexp(np.finfo(float).tiny, rounds - done)))
+    # the candidates after rounds first..done - 1: each is the query of the
+    # last accepted round so far. One accepted more than 2 SETTLE_CHECK
+    # rounds back is not looked up (-1, never matched): that can only miss a
+    # cycle, and one that accepts in every period is found by the third check
+    # after it starts
+    first, lo = max(done - SETTLE_CHECK, 1), max(done - 2 * SETTLE_CHECK - 1, 0)
+    rows = np.arange(lo, done - 1)[:, None]
+    last = np.maximum.accumulate(np.where(accepts[lo:done - 1], rows, -1))[first - 1 - lo:]
+    sources = np.arange(n)
+    thetas = queries[last, sources]
+    cycling = ((last >= 0) & (thetas.view(np.int64) == bits).all(axis=2)
+               & (steps[first - 1:done - 1] == steps[done - 1]))
+    if not (frozen | cycling.any(axis=0)).all():
+        return None
+    period = np.where(frozen, 1, cycling[::-1].argmax(axis=0) + 1)  # the shortest cycle
+    final = thetas[done - first - period + (rounds - done) % period, sources]
+    return period, np.where(frozen[:, None], theta, final)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite reply raises instead
 def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     """Gradient-query protocol; the reference dataset never leaves the learner.
@@ -140,8 +179,10 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     exchange that evaluates the last accepted candidate. Message count per
     source is therefore 2 * rounds + 2; they are built when the trace's
     `messages` is first read. Each source is searched by Armijo
-    backtracking whose first trial step is 1.0, as in the trainer. A
-    non-finite reply raises `FloatingPointError` naming the lowest-index
+    backtracking whose first trial step is 1.0, as in the trainer. Once
+    every source's search has settled (see the module docstring), no more
+    rounds are computed, and each source's trace repeats its settled ones.
+    A non-finite reply raises `FloatingPointError` naming the lowest-index
     source of the earliest round that has one, and overflowed reference
     moments raise it before round 1, in both cases with no numpy warning.
     """
@@ -166,11 +207,17 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     n = pool.n_sources
     queries = np.empty((rounds, n, d + 1))  # queries[r, i] is round r + 1's query to source i
     replies = np.empty((rounds, n, d + 1))
+    accepts = np.empty((rounds, n), dtype=bool)
+    steps = np.empty((rounds, n))  # steps[r] is the trial step after round r + 1
     # row i is source i's. With grad = 0 the first query is theta = 0, and its
     # Armijo test, 0 <= -0, accepts it, as every first query is accepted
     theta, grad, query_grad, total, move = np.zeros((5, n, d + 1))
     step = np.ones(n)
-    for query, reply in zip(queries, replies):  # views: each round writes in place
+    # past round `done`, source i's trace repeats its last period[i] rounds
+    period = np.ones(n, dtype=int)
+    # views: each round writes its rows in place
+    for done, (query, reply, accept, next_step) in enumerate(
+            zip(queries, replies, accepts, steps), start=1):
         np.multiply(step[:, None], grad, out=move)
         np.subtract(theta, move, out=query)
         np.matmul(gram_src, query[:, :, None], out=reply[:, :, None])
@@ -182,13 +229,19 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
         # moved to the right; each row's vecdot has the bits of a 1-D dot
         np.add(grad, query_grad, out=total)
         np.subtract(query, theta, out=move)
-        accept = np.vecdot(total, move) <= -2.0 * ARMIJO_C * step * np.vecdot(grad, grad)
+        np.less_equal(np.vecdot(total, move), -2.0 * ARMIJO_C * step * np.vecdot(grad, grad),
+                      out=accept)
         np.copyto(theta, query, where=accept[:, None])
         np.copyto(grad, query_grad, where=accept[:, None])
-        step *= np.where(accept, STEP_GROWTH, STEP_SHRINK)
-        np.minimum(step, MAX_STEP, out=step)
-    # one check for all rounds: rows never mix, and the loop ignores overflow
-    finite = np.isfinite(replies).all(axis=2)
+        np.multiply(step, np.where(accept, STEP_GROWTH, STEP_SHRINK), out=next_step)
+        step = np.minimum(next_step, MAX_STEP, out=next_step)
+        if done % SETTLE_CHECK == 0 and done < rounds:
+            settled = _settle(queries, accepts, steps, theta, done)
+            if settled is not None:
+                period, theta = settled
+                break
+    # one check for all computed rounds: rows never mix, and the loop ignores overflow
+    finite = np.isfinite(replies[:done]).all(axis=2)
     if not finite.all():
         raise FloatingPointError(f"non-finite gradient from {_source_node_id(finite.argmin() % n)}")
 
@@ -207,7 +260,9 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     def build_messages() -> Iterable[Message]:
         for i, (final_query, estimate) in enumerate(zip(final_queries, results)):
             node = _source_node_id(i)
-            pairs = zip(queries[:, i].tolist(), replies[:, i].tolist())
+            pairs = list(zip(queries[:done, i].tolist(), replies[:done, i].tolist()))
+            cycle = pairs[done - period[i]:]  # repeated past round `done`
+            pairs += (cycle * ((rounds - done) // len(cycle) + 1))[:rounds - done]
             for r, (query, reply) in enumerate(pairs, start=1):
                 yield Message("learner", node, KIND_MODEL_QUERY, query_bytes, r, tuple(query))
                 yield Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes, r, tuple(reply))

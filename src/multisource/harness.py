@@ -37,7 +37,7 @@ from .data import (
     load_csv,
     merge,
 )
-from .discrepancy import empirical_discrepancy
+from .discrepancy import empirical_discrepancy, finite_moments
 from .models import LinearPredictor, train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
 
@@ -234,7 +234,7 @@ def generate_synthetic_pool(
 
 def load_sample(path: str, role: str, label_column: str = "label",
                 label_encoding: str = "signed") -> Dataset:
-    """`load_csv` of a source or reference file; one with no rows raises a
+    """`load_csv` of a source, reference or test file; one with no rows raises a
     ValueError that names it."""
     data = load_csv(path, label_column, label_encoding)
     if data.n_samples == 0:
@@ -243,7 +243,9 @@ def load_sample(path: str, role: str, label_column: str = "label",
 
 
 def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset]:
-    """The config's pool and test set; an empty or mismatched CSV input is named."""
+    """The config's pool and test set. A CSV input that is empty, whose
+    feature count differs from the reference's, or (a source or the
+    reference) whose feature moments overflow is named before any fit."""
     spec = config.data
     if isinstance(spec, SyntheticSpec):
         return generate_synthetic_pool(spec, seed)
@@ -255,7 +257,12 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
         if source.n_features != reference.n_features:
             raise ValueError(f"{path}: feature mismatch: source has {source.n_features}, "
                              f"reference {reference.n_features}")
-    test = load_csv(spec.test_path, spec.label_column, spec.label_encoding)
+        finite_moments(source, f"{path}: the source's")  # one source's design at a time
+    finite_moments(reference, f"{spec.reference_path}: the reference's")
+    test = load(spec.test_path, "test set")
+    if test.n_features != reference.n_features:
+        raise ValueError(f"{spec.test_path}: feature mismatch: test set has {test.n_features}, "
+                         f"reference {reference.n_features}")
     return SourcePool(sources, reference), test
 
 

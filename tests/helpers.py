@@ -220,6 +220,12 @@ def lstsq_discrepancy(source: Dataset, reference: Dataset, ridge: float = 1e-6) 
     return min(max(1.0 - risk, 0.0), 1.0)
 
 
+def bench_seed(*parts: int) -> int:
+    """The benchmark's config seed for these parts (`derive_seed` in bench/workloads.py)."""
+    return int(np.random.SeedSequence([int(p) & (2**63 - 1) for p in parts])
+               .generate_state(1)[0])
+
+
 def case2_oracle(source: Dataset, reference: Dataset, rounds: int):
     """One source's case-2 search, written plainly: (queries, replies, final theta).
 

@@ -165,20 +165,26 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     }
     for field, obj in wrong_types.items():
         (tmp_path / f"{field}.json").write_text(json.dumps(obj))
-    # features so large that the trainer's gradient, case 2's replies, the
-    # discrepancy's moments and the batch-norm standard deviations overflow
+    # features so large that their moments overflow
     for name, scale in (("huge_source", 1e200), ("huge_reference", 1e200),
                         ("huge_test", 1e200), ("plain_reference", 1.0)):
         rng = np.random.default_rng(len(name))
         save_csv(Dataset(scale * rng.standard_normal((40, 2)),
                          np.where(rng.random(40) < 0.5, 1.0, -1.0)), tmp_path / f"{name}.csv")
     huge_config, huge_source_config = tmp_path / "huge.json", tmp_path / "huge_source.json"
-    for path, reference in ((huge_config, "huge_reference"),
-                            (huge_source_config, "plain_reference")):
+    huge_reference_config = tmp_path / "huge_reference.json"
+    for path, source, reference in ((huge_config, "huge_source", "huge_reference"),
+                                    (huge_source_config, "huge_source", "plain_reference"),
+                                    (huge_reference_config, "plain_reference", "huge_reference")):
         path.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
-            "source_paths": [str(tmp_path / "huge_source.csv")],
+            "source_paths": [str(tmp_path / f"{source}.csv")],
             "reference_path": str(tmp_path / f"{reference}.csv"),
             "test_path": str(tmp_path / "huge_test.csv")}})))
+    # the pool is built before any fit, and names the source or reference that overflows
+    huge_source = (f"{tmp_path / 'huge_source.csv'}: the source's feature moments overflowed; "
+                   "rescale the features\n")
+    huge_reference = (f"{tmp_path / 'huge_reference.csv'}: the reference's feature moments "
+                      "overflowed; rescale the features\n")
     # a header-only file is named by its path, where the pool is built and
     # where the discrepancy command reads it
     save_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
@@ -191,6 +197,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         "empty_reference": (["plain_reference"], "reference", "plain_reference"),
         "empty_source": (["plain_reference", "reference"], "plain_reference", "plain_reference"),
         "mismatch": (["three_features", "two_features"], "three_reference", "three_reference"),
+        "empty_test": (["plain_reference"], "plain_reference", "reference"),
+        "mismatched_test": (["two_features"], "plain_reference", "three_reference"),
     }
     for name, (sources, reference, test) in csv_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(config, corruption=None, data={
@@ -200,6 +208,9 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     empty_reference_config = tmp_path / "empty_reference.json"
     empty_reference = f"{tmp_path / 'reference.csv'}: the reference is empty"
     mismatch = f"{tmp_path / 'two_features.csv'}: feature mismatch: source has 2, reference 3"
+    empty_test = f"{tmp_path / 'reference.csv'}: the test set is empty\n"
+    mismatched_test = (f"{tmp_path / 'three_reference.csv'}: feature mismatch: test set has 3, "
+                       "reference 2\n")
     # a JSON syntax error and an unknown config key are named by the file
     syntax_error = tmp_path / "syntax_error.json"
     syntax_error.write_text('{"lam": }')
@@ -236,11 +247,15 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
          "multisource discrepancy: error: "),
         (["train", "--method", "all_data", "--config", str(huge_config)],
-         "multisource train: error: objective or its gradient is non-finite"),
+         f"multisource train: error: {huge_source}"),
         (["simulate-federated", "--case", "2", "--config", str(huge_config)],
-         "multisource simulate-federated: error: reference moments overflowed"),
+         f"multisource simulate-federated: error: {huge_source}"),
         (["simulate-federated", "--case", "2", "--config", str(huge_source_config)],
-         "multisource simulate-federated: error: non-finite gradient from source_0"),
+         f"multisource simulate-federated: error: {huge_source}"),
+        (["simulate-federated", "--case", "2", "--config", str(huge_reference_config)],
+         f"multisource simulate-federated: error: {huge_reference}"),
+        (["train", "--method", "all_data", "--config", str(huge_reference_config)],
+         f"multisource train: error: {huge_reference}"),
         (["discrepancy", str(tmp_path / "huge_source.csv"),
           "--reference", str(tmp_path / "huge_reference.csv")],
          f"multisource discrepancy: error: {tmp_path / 'huge_source.csv'}: the source's feature "
@@ -250,11 +265,21 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          f"multisource discrepancy: error: {tmp_path / 'plain_reference.csv'}: the reference's "
          "feature moments overflowed; rescale the features"),
         (["train", "--method", "ours", "--config", str(huge_config)],
-         "multisource train: error: the source's feature moments overflowed"),
+         f"multisource train: error: {huge_source}"),
+        (["experiment", "--config", str(huge_source_config),
+          "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {huge_source}"),
         (["simulate-federated", "--case", "1", "--config", str(huge_config)],
-         "multisource simulate-federated: error: the source's feature moments overflowed"),
+         f"multisource simulate-federated: error: {huge_source}"),
         (["train", "--method", "batch_norm", "--config", str(huge_config)],
-         "multisource train: error: feature standard deviations overflowed"),
+         f"multisource train: error: {huge_source}"),
+        (["train", "--method", "all_data", "--config", str(tmp_path / "empty_test.json")],
+         f"multisource train: error: {empty_test}"),
+        (["experiment", "--config", str(tmp_path / "empty_test.json"),
+          "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {empty_test}"),
+        (["train", "--method", "ours", "--config", str(tmp_path / "mismatched_test.json")],
+         f"multisource train: error: {mismatched_test}"),
         (["train", "--method", "reference_only", "--config", str(empty_reference_config)],
          f"multisource train: error: {empty_reference}\n"),
         (["experiment", "--config", str(empty_reference_config),

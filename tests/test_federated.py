@@ -10,18 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import case2_oracle, config_to_json, lstsq_relaxation, random_dataset
+from helpers import bench_seed, case2_oracle, config_to_json, lstsq_relaxation, random_dataset
 from multisource import federated
 from multisource.cli import main
 from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import empirical_discrepancy
 from multisource.federated import (
     BYTES_PER_REAL,
+    SETTLE_CHECK,
     Message,
     run_case1,
     run_case2,
 )
-from multisource.harness import ExperimentConfig, SyntheticSpec, build_pool
+from multisource.harness import (
+    ExperimentConfig,
+    SyntheticSpec,
+    build_pool,
+    generate_synthetic_pool,
+)
 
 
 def _pool(seed=0, n_sources=3, n=30, m_ref=20, d=2):
@@ -193,27 +199,93 @@ def test_case2_matches_a_plain_per_source_loop_bit_for_bit(n_sources, d, rounds,
     sources = tuple(scaled(int(rng.integers(3, 60)), source_scale, float(rng.random() * 0.5))
                     for _ in range(n_sources))
     reference = scaled(int(rng.integers(3, 40)), reference_scale)
-    messages = run_case2(SourcePool(sources, reference), rounds).messages
+    _assert_matches_the_oracle(SourcePool(sources, reference), rounds)
+
+
+def _assert_matches_the_oracle(pool, rounds):
+    """Every source's queries, replies and final candidate equal, bit for
+    bit, those of `case2_oracle`, which computes every round."""
+    messages = run_case2(pool, rounds).messages
     block = 2 * rounds + 2
-    for i, source in enumerate(sources):
-        queries, replies, theta = case2_oracle(source, reference, rounds)
+    for i, source in enumerate(pool.sources):
+        queries, replies, theta = case2_oracle(source, pool.reference, rounds)
         own = messages[i * block:(i + 1) * block]
         assert np.array([m.payload for m in own[0:-2:2]]).tobytes() == queries.tobytes()
         assert np.array([m.payload for m in own[1:-2:2]]).tobytes() == replies.tobytes()
         assert np.array(own[-2].payload[:-1]).tobytes() == theta.tobytes()
 
 
-def test_case2_non_finite_reply_raises():
-    # source_1's Gram matrix overflows, so its first reply is NaN
+@pytest.fixture
+def settles(monkeypatch):
+    """(round, periods) of every case-2 run that stops computing rounds early."""
+    found, settle = [], federated._settle
+
+    def recording(*args):
+        settled = settle(*args)
+        if settled is not None:
+            found.append((args[-1], settled[0].tolist()))
+        return settled
+
+    monkeypatch.setattr(federated, "_settle", recording)
+    return found
+
+
+def _bench_pool(j):
+    """The benchmark's federated pool, variant j at base seed 1."""
+    spec = SyntheticSpec(n_sources=10, samples_per_source=500, reference_size=200,
+                         test_size=10, n_features=10, class_separation=3.0,
+                         positive_fraction=0.75)
+    return generate_synthetic_pool(spec, bench_seed(1, j))[0]
+
+
+def test_case2_settled_bench_pools_match_the_oracle_bit_for_bit(settles):
+    # every source's search settles well inside the budget, some by cycling
+    # (source 9 of variant 0 repeats a 12-round cycle), and the rounds that
+    # are copied equal the rounds the oracle computes
+    for j in range(2):
+        _assert_matches_the_oracle(_bench_pool(j), 1000)
+    assert len(settles) == 2
+    assert all(done < 1000 for done, _ in settles)
+    assert any(p > 1 for _, periods in settles for p in periods)
+
+
+def test_case2_budgets_around_the_settle_checkpoints(settles, monkeypatch):
+    pool = _bench_pool(0)
+    run_case2(pool, 1000)
+    (settled_at, _), = settles
+    budgets = (SETTLE_CHECK - 1, SETTLE_CHECK, SETTLE_CHECK + 1, settled_at, settled_at + 1,
+               settled_at + SETTLE_CHECK)
+    for rounds in budgets:
+        _assert_matches_the_oracle(pool, rounds)
+    # a budget that ends on the settling checkpoint computes every round
+    assert [done for done, _ in settles] == [settled_at] * 3
+    # a short period between checks puts a settle near every budget edge
+    monkeypatch.setattr(federated, "SETTLE_CHECK", 4)
+    for seed in range(3):
+        pool = _pool(seed=seed, n_sources=3, d=2)
+        settles.clear()
+        run_case2(pool, 1000)
+        (settled_at, _), = settles
+        for rounds in (3, 4, 5, settled_at - 1, settled_at, settled_at + 1, settled_at + 4):
+            _assert_matches_the_oracle(pool, rounds)
+
+
+def test_case2_non_finite_reply_raises(settles):
+    # source_1's Gram matrix overflows, so its first reply is NaN; its search
+    # never moves, so at 1000 rounds every source settles, and the copied
+    # rounds still name source_1 alone
     pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
     huge = Dataset(pool.sources[1].features * 1e200, pool.sources[1].labels)
-    with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
-        run_case2(SourcePool((pool.sources[0], huge, huge), pool.reference), rounds=5)
     # only the last source overflows, from round 2 on (its first reply, at
     # theta = 0, is finite): the name is its index, not a round's
     late = Dataset(pool.sources[1].features * 1e140, pool.sources[1].labels)
-    with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
-        run_case2(SourcePool(pool.sources[:2] + (late,), pool.reference), rounds=5)
+    for rounds in (5, 1000):
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
+            run_case2(SourcePool((pool.sources[0], huge, huge), pool.reference), rounds)
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
+            run_case2(SourcePool(pool.sources[:2] + (late,), pool.reference), rounds)
+    (settled_at, _), = settles  # the huge pool at 1000 rounds
+    assert settled_at < 1000
 
 
 def test_case2_overflowed_reference_is_named_not_a_source():

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts and configs under scripts/ with tiny arguments."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -66,3 +67,20 @@ def test_sweep_digests_repeat(tmp_path):
         "tiny.csv", "tiny.sidecar.json", "tiny.summary.csv"]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_sweep_digests_of_a_case2_trace(tmp_path):
+    config = json.loads((SCRIPTS / "corruption_sweep.json").read_text(encoding="utf-8"))
+    config["data"]["synthetic"].update(n_sources=2, samples_per_source=20, reference_size=15,
+                                       test_size=10, n_features=2)
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(config), encoding="utf-8")
+    done = _run("sweep_digests.py", "--federated", str(tiny))
+    assert done.returncode == 0, done.stderr
+    trace = tmp_path / "trace.jsonl"
+    stdout = subprocess.run([sys.executable, "-m", "multisource", "simulate-federated", "--case",
+                             "2", "--config", str(tiny), "--rounds", "1000", "--trace", str(trace)],
+                            capture_output=True, env=ENV, timeout=60, check=True).stdout
+    assert done.stdout.splitlines() == [
+        f"{hashlib.sha256(stdout).hexdigest()}  tiny.case2.stdout",
+        f"{hashlib.sha256(trace.read_bytes()).hexdigest()}  tiny.case2.jsonl"]
