@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""sha256 digests of `multisource experiment` artifacts and of case-2 traces,
-for checking that a change keeps sweep outputs and federated traces byte for byte.
+"""sha256 digests of `multisource experiment` artifacts, of case-2 traces and
+of the CSV scoring sequence, for checking that a change keeps them byte for byte.
 
 With no arguments, runs the benchmark's c07_sweep and full_grid configs
 (`bench/workloads.py`, read only) at seeds derive_seed(s, j) for s in
@@ -8,8 +8,12 @@ With no arguments, runs the benchmark's c07_sweep and full_grid configs
 `simulate-federated --case 2 --rounds 1000 --trace` on the benchmark's
 federated configs at the same 8 seeds: 16 more digests, of stdout and of the
 JSONL trace. Given experiment config paths, or federated config paths after
-`--federated`, runs only those. Prints one `sha256  name` line per artifact.
-Run it in two trees with the same BLAS thread count and diff the outputs:
+`--federated`, runs only those. With `--csv`, runs only the benchmark's
+csv_score sequence (`corrupt` on half the source CSVs, then `discrepancy`,
+`weights` and `train`) at base seeds 1 and 9001, and digests the corrupted
+files and the stdout of the last three calls: 14 lines. Prints one
+`sha256  name` line per artifact. Run it in two trees with the same BLAS
+thread count and diff the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/sweep_digests.py > digests.txt
 """
@@ -26,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from workloads import C07, FULL_GRID, Federated, derive_seed  # noqa: E402
+from workloads import C07, FULL_GRID, CsvScore, Federated, derive_seed  # noqa: E402
 
 from multisource.cli import main as cli_main  # noqa: E402
 
@@ -69,15 +73,58 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
+def csv_digests(work: Path, base: int) -> int:
+    """Digest the csv_score sequence at `base`, run in a new directory
+    `work` on relative paths so that no stdout names the directory."""
+    work.mkdir()
+    with contextlib.chdir(work):
+        workload = CsvScore()
+        workload.prepare(Path(), base)
+        for src, dst in zip(workload.src_paths, workload.corrupted):
+            code, _ = _run(["corrupt", "--input", str(src), "--output", str(dst), "--kind",
+                            "shuffled_labels", "--proportion", "0.5",
+                            "--seed", str(workload.corrupt_seed)])
+            if code != 0:
+                return code
+        for dst in workload.corrupted:
+            _digest(dst.read_bytes(), f"csv-{base}.{dst.name}")
+        code, scores = _run(["discrepancy", *map(str, workload.scored),
+                             "--reference", str(workload.ref_path)])
+        if code != 0:
+            return code
+        _digest(scores.encode("utf-8"), f"csv-{base}.discrepancy.stdout")
+        report = json.loads(scores)
+        weights_in = Path("scores.json")
+        weights_in.write_text(json.dumps({
+            "discrepancies": [r["discrepancy"] for r in report],
+            "sample_counts": [r["samples"] for r in report]}), encoding="utf-8")
+        for name, argv in (("weights", [str(weights_in), "--lambda", str(workload.lam)]),
+                           ("train", ["--method", workload.method,
+                                      "--config", str(workload.train_config)])):
+            code, stdout = _run([name, *argv])
+            if code != 0:
+                return code
+            _digest(stdout.encode("utf-8"), f"csv-{base}.{name}.stdout")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*",
                         help="experiment config files (default: the benchmark's sweeps)")
     parser.add_argument("--federated", nargs="+", default=[], metavar="CONFIG",
                         help="configs to run case 2 on (default: the benchmark's federated ones)")
+    parser.add_argument("--csv", action="store_true",
+                        help="run only the benchmark's csv_score sequence")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        if args.csv:
+            for base in BASE_SEEDS:
+                code = csv_digests(work / str(base), base)
+                if code != 0:
+                    return code
+            return 0
         default = not (args.configs or args.federated)
         experiments = bench_configs(work) if default else [Path(c) for c in args.configs]
         federated = bench_federated_configs(work) if default else map(Path, args.federated)

@@ -7,7 +7,11 @@ of their inputs and an explicit 64-bit seed (see `_derive_seed`).
 A CSV file is parsed with one numpy call and written in one formatting
 pass; the per-cell loop `_load_csv_per_cell` runs only to locate a fault
 (a `CsvFormatError` naming the file, row and column) or to read input that
-the numpy parse does not model.
+the numpy parse does not model. Before the parse, `_plain_lines` screens
+the file's whole text with string searches for what sends it to the loop
+(a quote, a separator \\x1c-\\x1f, a carriage return outside CRLF, a line
+over csv's field size limit) and tests lines one by one for a comment only
+when the text holds a '#'. Both readers skip a leading UTF-8 BOM.
 """
 
 from __future__ import annotations
@@ -146,10 +150,10 @@ def load_csv(
 ) -> Dataset:
     """Read a header-row CSV into a validated Dataset.
 
-    Blank lines and lines whose first cell starts with '#' are skipped. Every
-    non-label column must parse as a finite float; labels are mapped through
-    `label_encoding`, "signed" ({-1, 1}) or "zero_one" ({0, 1}). A header
-    that repeats a name is rejected.
+    A leading UTF-8 BOM, blank lines and lines whose first cell starts with
+    '#' are skipped. Every non-label column must parse as a finite float;
+    labels are mapped through `label_encoding`, "signed" ({-1, 1}) or
+    "zero_one" ({0, 1}). A header that repeats a name is rejected.
 
     The data rows are parsed with one `np.loadtxt` call. Only when that
     fails, or the file quotes a cell or breaks lines in a way the fast path
@@ -176,24 +180,32 @@ def _plain_lines(path: Path) -> list[str] | None:
     """The header and data lines of the file: the rows csv.reader would give,
     less blank and comment rows, as unsplit lines.
 
-    None when splitting at line ends and commas would not give csv.reader's
-    cells (a quote, a carriage return outside CRLF, or a line longer than
-    csv's field size limit, on which csv.reader raises even in a comment),
-    when the text holds one of the separators \\x1c-\\x1f, which numpy
-    strips from a number as whitespace but `float()` rejects, or when it is
-    not UTF-8 (the loop's error gives the offset within the chunk it read).
+    The file is decoded whole, less a leading UTF-8 BOM, and screened by
+    string searches over the whole text. None when splitting at line ends
+    and commas would not give csv.reader's cells (a quote, a carriage return
+    outside CRLF, or a line longer than csv's field size limit, on which
+    csv.reader raises even in a comment), when the text holds one of the
+    separators \\x1c-\\x1f, which numpy strips from a number as whitespace
+    but `float()` rejects, or when it is not UTF-8 (the loop's error gives
+    the offset within the chunk it read). Lines are tested one by one for a
+    comment only when the text holds a '#'.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError:
             return None
-    if any(c in text for c in '"\x1c\x1d\x1e\x1f') or text.count("\r") != text.count("\r\n"):
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
-    text = text.replace("\r\n", "\n")  # rebound so that the CRLF original is freed
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")  # rebound so that the CRLF original is freed
+        if "\r" in text:
+            return None
     lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None
+    if "#" not in text:
+        return list(filter(None, lines))
     return [line for line in lines if line and not line.lstrip().startswith("#")]
 
 
@@ -238,7 +250,7 @@ def _load_csv_per_cell(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The reference reader: csv.reader rows, one `float()` per cell. Raises
     an error naming the first offending row and column."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise CsvFormatError(f"{path}: no header row found")

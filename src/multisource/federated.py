@@ -27,9 +27,10 @@ Two protocols are simulated with explicit message and byte accounting
           discrepancy estimate.
 
 In case 2 all sources advance in lockstep (two batched products a round,
-replies checked for finite values once, after the last), and the trace
-builds its messages, source-major, only when they are read. No source's
-numbers touch another's: each source's messages equal, bit for bit, a solo run's.
+replies checked for finite values every SETTLE_CHECK rounds and after the
+last), and the trace builds its messages, source-major, only when they are
+read. No source's numbers touch another's: each source's messages equal,
+bit for bit, a solo run's.
 Every SETTLE_CHECK rounds, case 2 tests whether each source's search has
 settled, and once all have, it stops computing rounds: the later rounds
 repeat earlier ones bit for bit, so the trace copies them. A source is
@@ -183,7 +184,8 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     every source's search has settled (see the module docstring), no more
     rounds are computed, and each source's trace repeats its settled ones.
     A non-finite reply raises `FloatingPointError` naming the lowest-index
-    source of the earliest round that has one, and overflowed reference
+    source of the earliest round that has one, at the first checkpoint
+    after that round (or after the last round), and overflowed reference
     moments raise it before round 1, in both cases with no numpy warning.
     """
     if rounds < 1:
@@ -235,15 +237,18 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
         np.copyto(grad, query_grad, where=accept[:, None])
         np.multiply(step, np.where(accept, STEP_GROWTH, STEP_SHRINK), out=next_step)
         step = np.minimum(next_step, MAX_STEP, out=next_step)
-        if done % SETTLE_CHECK == 0 and done < rounds:
-            settled = _settle(queries, accepts, steps, theta, done)
-            if settled is not None:
-                period, theta = settled
-                break
-    # one check for all computed rounds: rows never mix, and the loop ignores overflow
-    finite = np.isfinite(replies[:done]).all(axis=2)
-    if not finite.all():
-        raise FloatingPointError(f"non-finite gradient from {_source_node_id(finite.argmin() % n)}")
+        if done % SETTLE_CHECK == 0 or done == rounds:
+            # the loop ignores overflow: the rounds since the last check are checked
+            # here, and rows never mix, so the earliest bad round's first source is named
+            finite = np.isfinite(replies[(done - 1) // SETTLE_CHECK * SETTLE_CHECK:done]).all(2)
+            if not finite.all():
+                raise FloatingPointError(f"non-finite gradient from "
+                                         f"{_source_node_id(finite.argmin() % n)}")
+            if done < rounds:
+                settled = _settle(queries, accepts, steps, theta, done)
+                if settled is not None:
+                    period, theta = settled
+                    break
 
     # final exchange: the learner sends the candidate plus its reference-risk
     # scalar, and the source answers with its local flipped-label risk added

@@ -185,6 +185,24 @@ def test_plain_files_do_not_fall_back_to_the_per_cell_loop(tmp_path, monkeypatch
     assert list(back.labels) == [1.0, -1.0]
 
 
+def test_both_readers_skip_a_leading_utf8_bom(tmp_path, monkeypatch):
+    # the BOM used to stay in the first header cell, so the label column was
+    # not found: label column 'label' not in header ['\ufefflabel', 'f0']
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,f0\r\n1,0.5\r\n-1,2\r\n")
+    features, labels = data._load_csv_per_cell(path, "label", data.LABEL_ENCODINGS["signed"])
+    assert features.tobytes() == np.array([[0.5], [2.0]]).tobytes()
+    assert list(labels) == [1.0, -1.0]
+
+    def no_fallback(*args):
+        raise AssertionError("the per-cell loop ran on a plain file")
+
+    monkeypatch.setattr(data, "_load_csv_per_cell", no_fallback)
+    fast = load_csv(path)
+    assert fast.features.tobytes() == features.tobytes()
+    assert fast.labels.tobytes() == labels.tobytes()
+
+
 @pytest.mark.parametrize("content", [
     b"#" + b"x" * csv.field_size_limit() + b"\nf0,label\n1.0,1\n",  # csv.Error
     b"f0,label\n" + b"1.5,1\n" * 2000 + b"\xff,1\n",  # past the first decoded chunk
@@ -200,7 +218,8 @@ def test_load_csv_raises_the_loops_error_on_input_the_fast_path_skips(tmp_path, 
 
 
 _NUMBERS = ["0.5", "-3", "1e-320", "-0", "2.5e300", " 4.25 ", "1_0", "１", "nan", "inf",
-            "-inf", "oops", "", "0x1p3", "7.", ".5", "+1", "\xa01", "2\x0c", "3\x1c", "\x1f4"]
+            "-inf", "oops", "", "0x1p3", "7.", ".5", "+1", "\xa01", "2\x0c", "3\x1c", "\x1f4",
+            "1#2"]
 _LABELS = ["1", "-1", "0", "1.0", "-0", " 1", "2", "nan", "1_0", "x", ""]
 
 
@@ -214,7 +233,7 @@ def _csv_texts(draw):
     lines = [",".join(names)]
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank", "space", "quoted",
-                                     "ragged"]))
+                                     "ragged", "stray_cr"]))
         if kind == "comment":
             lines.insert(draw(st.integers(0, len(lines))),
                          draw(st.sampled_from(["# note", "  # indented", "#,1,2", "\t#x"])))
@@ -230,9 +249,20 @@ def _csv_texts(draw):
                 cells[j] = f'"{cells[j]}"'
             elif kind == "ragged":
                 cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+            elif kind == "stray_cr":  # numpy strips it from a cell; csv.reader ends the row
+                j = draw(st.integers(0, d))
+                cells[j] = draw(st.sampled_from(["\r" + cells[j], cells[j] + "\r"]))
             lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    # LF, CRLF, both mixed in one file, or mixed with a bare CR ending a line
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]]))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    tail = draw(st.sampled_from(["cut", "keep", "space"]))
+    if tail == "cut":  # no line end after the last line
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    elif tail == "space":  # a whitespace-only last line with no line end
+        text += draw(st.sampled_from([" ", "\t "]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
     return text, draw(st.sampled_from(["signed", "zero_one"]))
 
 

@@ -270,22 +270,57 @@ def test_case2_budgets_around_the_settle_checkpoints(settles, monkeypatch):
             _assert_matches_the_oracle(pool, rounds)
 
 
+def _late_pool():
+    """Only the last source overflows, from round 2 on (its first reply, at
+    theta = 0, is finite), and its search never settles."""
+    pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
+    late = Dataset(pool.sources[1].features * 1e140, pool.sources[1].labels)
+    return SourcePool(pool.sources[:2] + (late,), pool.reference)
+
+
 def test_case2_non_finite_reply_raises(settles):
     # source_1's Gram matrix overflows, so its first reply is NaN; its search
-    # never moves, so at 1000 rounds every source settles, and the copied
-    # rounds still name source_1 alone
+    # never moves, so it would settle, but the check at the first checkpoint
+    # raises before the settle test; the late pool's name is its source's
+    # index, not a round's
     pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
     huge = Dataset(pool.sources[1].features * 1e200, pool.sources[1].labels)
-    # only the last source overflows, from round 2 on (its first reply, at
-    # theta = 0, is finite): the name is its index, not a round's
-    late = Dataset(pool.sources[1].features * 1e140, pool.sources[1].labels)
-    for rounds in (5, 1000):
+    for rounds in (5, SETTLE_CHECK, SETTLE_CHECK + 1, 1000):
         with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
             run_case2(SourcePool((pool.sources[0], huge, huge), pool.reference), rounds)
         with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
-            run_case2(SourcePool(pool.sources[:2] + (late,), pool.reference), rounds)
-    (settled_at, _), = settles  # the huge pool at 1000 rounds
-    assert settled_at < 1000
+            run_case2(_late_pool(), rounds)
+    assert settles == []
+
+
+class _CountingNumpy:
+    """numpy, counting calls to `less_equal`: case 2's Armijo test, one a round."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def less_equal(self, *args, **kwargs):
+        self.rounds += 1
+        return np.less_equal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("check", [SETTLE_CHECK, 4, 2])
+def test_case2_non_finite_reply_stops_at_the_next_checkpoint(monkeypatch, check):
+    # the late pool's first bad round is round 2, so at 1000 rounds it stops
+    # at the first checkpoint at or after round 2, not after round 1000
+    pool = _late_pool()
+    run_case2(pool, 1)
+    with pytest.raises(FloatingPointError):
+        run_case2(pool, 2)
+    monkeypatch.setattr(federated, "SETTLE_CHECK", check)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(federated, "np", counting)
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
+        run_case2(pool, 1000)
+    assert counting.rounds == check
 
 
 def test_case2_overflowed_reference_is_named_not_a_source():

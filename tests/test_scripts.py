@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import multisource
+from multisource.cli import main
 from multisource.harness import config_from_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -84,3 +85,24 @@ def test_sweep_digests_of_a_case2_trace(tmp_path):
     assert done.stdout.splitlines() == [
         f"{hashlib.sha256(stdout).hexdigest()}  tiny.case2.stdout",
         f"{hashlib.sha256(trace.read_bytes()).hexdigest()}  tiny.case2.jsonl"]
+
+
+def test_sweep_digests_of_the_csv_sequence(tmp_path, monkeypatch):
+    done = _run("sweep_digests.py", "--csv")
+    assert done.returncode == 0, done.stderr
+    digests = dict(line.split("  ")[::-1] for line in done.stdout.splitlines())
+    names = [*(f"corrupted_{i}.csv" for i in range(4)), "discrepancy.stdout", "weights.stdout",
+             "train.stdout"]
+    assert list(digests) == [f"csv-{base}.{name}" for base in (1, 9001) for name in names]
+    assert len(set(digests.values())) == len(digests)
+    # the first corrupted file, made again by the CLI from the benchmark's inputs at seed 1
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    from workloads import CsvScore
+
+    workload = CsvScore()
+    workload.prepare(tmp_path, 1)
+    src, dst = workload.src_paths[0], workload.corrupted[0]
+    assert main(["corrupt", "--input", str(src), "--output", str(dst), "--kind",
+                 "shuffled_labels", "--proportion", "0.5",
+                 "--seed", str(workload.corrupt_seed)]) == 0
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == digests["csv-1.corrupted_0.csv"]
