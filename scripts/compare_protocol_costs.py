@@ -4,8 +4,9 @@
 Runs both simulations on the same synthetic pool and prints message/byte
 totals plus the per-source deviation of each protocol's estimates from the
 centralized computation. Case 1 ships the whole reference dataset to every
-node; case 2 keeps it private at the cost of one gradient exchange per
-optimization round.
+node; case 2 keeps it private: d + 2 gradient queries per source determine
+that source's quadratic term, one solve gives the minimizer, and the rest of
+the `--rounds` budget (at least d + 2) queries it.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ __all__ = [
     "empirical_discrepancy",
     "finite_moments",
     "moments",
-    "ridged_system",
+    "solve_relaxation",
 ]
 
 # small ridge on w (never the bias), purely for conditioning of the
@@ -71,13 +71,21 @@ def finite_moments(data: Dataset, whose: str) -> tuple[np.ndarray, np.ndarray]:
     return gram, moment
 
 
-def ridged_system(gram: np.ndarray) -> np.ndarray:
-    """The relaxation's normal-equation matrix: `gram` plus RELAX_RIDGE/2 on
-    the w-diagonal (never the bias), which makes it positive definite."""
+def solve_relaxation(gram: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The relaxation's minimizer theta = (w, b) from its summed moments: the
+    solution of (`gram` + RELAX_RIDGE/2 on the w-diagonal, never the bias)
+    theta = `target`, for one system or a stack of them. An overflowed input
+    or a system singular to working precision raises a `FloatingPointError`."""
     system = gram.copy()
-    w_diagonal = np.arange(gram.shape[0] - 1)
-    system[w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0
-    return system
+    w_diagonal = np.arange(gram.shape[-1] - 1)
+    system[..., w_diagonal, w_diagonal] += RELAX_RIDGE / 2.0
+    if not (np.isfinite(system).all() and np.isfinite(target).all()):
+        raise FloatingPointError("the summed feature moments overflowed; rescale the features")
+    try:
+        return np.linalg.solve(system, target[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise FloatingPointError("the relaxation's system is singular to working precision; "
+                                 "center or rescale the features") from None
 
 
 def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:
@@ -86,7 +94,8 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
     The relaxation minimizes mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2
     + (RELAX_RIDGE/2) ||w||^2. Its normal-equation matrix is positive definite
     for any positive ridge, so the minimizer is a single linear solve.
-    Features whose moments overflow raise a `FloatingPointError` naming the sample.
+    Overflowed moments raise a `FloatingPointError` naming the sample; so does
+    a system singular to working precision, as with a large constant feature.
     """
     if source.n_features != reference.n_features:
         raise ValueError(
@@ -99,11 +108,9 @@ def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEst
     gram_src, moment_src = finite_moments(source, "the source's")
     gram_ref, moment_ref = finite_moments(reference, "the reference's")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        system = ridged_system(gram_src + gram_ref)
+        gram = gram_src + gram_ref
         target = moment_ref - moment_src  # source labels are flipped
-    if not (np.isfinite(system).all() and np.isfinite(target).all()):
-        raise FloatingPointError("the summed feature moments overflowed; rescale the features")
-    theta = np.linalg.solve(system, target)
+    theta = solve_relaxation(gram, target)
     predictor = LinearPredictor(theta[:-1], theta[-1])
     miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))
     miss_ref = int(np.sum(predictor.predict_labels(reference.features) != reference.labels))

@@ -9,10 +9,8 @@ from dataclasses import asdict
 import numpy as np
 
 from multisource.data import Dataset
-from multisource.discrepancy import moments, ridged_system
-from multisource.federated import MAX_STEP, STEP_GROWTH
+from multisource.discrepancy import RELAX_RIDGE, moments
 from multisource.harness import ExperimentConfig, SyntheticSpec
-from multisource.models import ARMIJO_C, STEP_SHRINK
 from multisource.weights import WeightProblem
 
 ORACLE_MAX_POINTS = 200
@@ -227,28 +225,26 @@ def bench_seed(*parts: int) -> int:
 
 
 def case2_oracle(source: Dataset, reference: Dataset, rounds: int):
-    """One source's case-2 search, written plainly: (queries, replies, final theta).
+    """One source's case-2 exchange, written plainly: (queries, replies, final theta).
 
-    Each round's reply is 2 (G q + h) from the source's moments; the total
-    gradient adds 2 (S q - h_ref) from the reference's ridged system, and
-    Armijo backtracking decides from gradients alone.
+    Each reply is 2 (G q + h) from the source's moments. The learner queries
+    theta = 0, then e_0..e_d; the first reply is 2h, and reply j + 2 minus
+    the first is column j of 2G. It adds the reference's moments, solves the
+    ridged relaxation for theta, and queries theta for the rest of the budget.
     """
     gram_src, moment_src = moments(source)
     gram_ref, moment_ref = moments(reference)
-    system_ref = ridged_system(gram_ref)
-    theta, grad, step = np.zeros(source.n_features + 1), None, 1.0
+    probes = [np.zeros(source.n_features + 1), *np.eye(source.n_features + 1)]
     queries, replies = [], []
-    for _ in range(rounds):
-        query = theta if grad is None else theta - step * grad
-        reply = 2.0 * (gram_src @ query + moment_src)
-        query_grad = reply + 2.0 * (system_ref @ query - moment_ref)
+    for query in probes:
         queries.append(query)
-        replies.append(reply)
-        if grad is None or (0.5 * np.dot(grad + query_grad, query - theta)
-                            <= -ARMIJO_C * step * np.dot(grad, grad)):
-            theta, grad, step = query, query_grad, min(step * STEP_GROWTH, MAX_STEP)
-        else:
-            step *= STEP_SHRINK
+        replies.append(2.0 * (gram_src @ query + moment_src))
+    gram = np.column_stack([reply - replies[0] for reply in replies[1:]]) / 2.0
+    ridge = np.diag([*[RELAX_RIDGE / 2.0] * source.n_features, 0.0])  # on w, not the bias
+    theta = np.linalg.solve(gram + gram_ref + ridge, moment_ref - replies[0] / 2.0)
+    for _ in range(rounds - len(probes)):
+        queries.append(theta)
+        replies.append(2.0 * (gram_src @ theta + moment_src))
     return np.array(queries), np.array(replies), theta
 
 

@@ -128,6 +128,12 @@ def test_simulate_federated_command(tmp_path, small_config, capsys):
                  "--rounds", "50"]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["rounds"] == 51
+    # a budget far past what could be stored per round is only counted
+    assert main(["simulate-federated", "--case", "2", "--config", str(small_config),
+                 "--rounds", str(10**12)]) == 0
+    huge = json.loads(capsys.readouterr().out)
+    assert (huge["rounds"], huge["messages"]) == (10**12 + 1, 3 * (2 * 10**12 + 2))
+    assert huge["discrepancies"] == printed["discrepancies"]
 
 
 
@@ -185,6 +191,19 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
                    "rescale the features\n")
     huge_reference = (f"{tmp_path / 'huge_reference.csv'}: the reference's feature moments "
                       "overflowed; rescale the features\n")
+    # a feature constant at 1e5 swamps the relaxation's ridge: its system is
+    # singular to working precision wherever it is solved
+    rng = np.random.default_rng(0)
+    for name, n in (("constant_a", 16), ("constant_b", 32), ("constant_reference", 16)):
+        save_csv(Dataset(np.full((n, 1), 1e5), np.where(rng.random(n) < 0.5, 1.0, -1.0)),
+                 tmp_path / f"{name}.csv")
+    constant_config = tmp_path / "constant.json"
+    constant_config.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
+        "source_paths": [str(tmp_path / "constant_a.csv"), str(tmp_path / "constant_b.csv")],
+        "reference_path": str(tmp_path / "constant_reference.csv"),
+        "test_path": str(tmp_path / "constant_reference.csv")}})))
+    singular = ("the relaxation's system is singular to working precision; center or rescale "
+                "the features\n")
     # a header-only file is named by its path, where the pool is built and
     # where the discrepancy command reads it
     save_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
@@ -243,7 +262,9 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          f"multisource train: error: {bad_config}: missing ExperimentConfig key(s) in config: "
          "method"),
         (["simulate-federated", "--case", "2", "--config", str(small_config), "--rounds", "0"],
-         "multisource simulate-federated: error: "),
+         "multisource simulate-federated: error: rounds must be >= d + 2 = 4\n"),
+        (["simulate-federated", "--case", "2", "--config", str(small_config), "--rounds", "3"],
+         "multisource simulate-federated: error: rounds must be >= d + 2 = 4\n"),
         (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
          "multisource discrepancy: error: "),
         (["train", "--method", "all_data", "--config", str(huge_config)],
@@ -299,6 +320,15 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         (["discrepancy", str(tmp_path / "reference.csv"),
           "--reference", str(tmp_path / "plain_reference.csv")],
          f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the source is empty"),
+        (["discrepancy", str(tmp_path / "constant_a.csv"),
+          "--reference", str(tmp_path / "constant_reference.csv")],
+         f"multisource discrepancy: error: {tmp_path / 'constant_a.csv'}: {singular}"),
+        (["train", "--method", "ours", "--config", str(constant_config)],
+         f"multisource train: error: {singular}"),
+        (["simulate-federated", "--case", "1", "--config", str(constant_config)],
+         f"multisource simulate-federated: error: {singular}"),
+        (["simulate-federated", "--case", "2", "--config", str(constant_config)],
+         f"multisource simulate-federated: error: {singular}"),
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
           f"multisource train: error: {tmp_path / f'{field}.json'}: {field}")
          for field in wrong_types]

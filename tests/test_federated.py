@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,13 +16,7 @@ from multisource import federated
 from multisource.cli import main
 from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import empirical_discrepancy
-from multisource.federated import (
-    BYTES_PER_REAL,
-    SETTLE_CHECK,
-    Message,
-    run_case1,
-    run_case2,
-)
+from multisource.federated import BYTES_PER_REAL, Message, run_case1, run_case2
 from multisource.harness import (
     ExperimentConfig,
     SyntheticSpec,
@@ -84,7 +79,7 @@ def test_case2_message_counts_and_privacy():
 def test_case2_bytes_monotone_in_rounds():
     pool = _pool(seed=4, n_sources=2, n=15, m_ref=10)
     sizes = [run_case2(pool, rounds=r).total_bytes
-             for r in (1, 5, 20, 50)]
+             for r in (4, 5, 20, 50)]  # from d + 2 = 4 up
     assert sizes == sorted(sizes)
 
 
@@ -115,9 +110,29 @@ def test_case2_reaches_the_relaxation_minimizer():
 
 
 def test_case2_argument_validation():
-    pool = _pool(seed=8, n_sources=1, n=10, m_ref=10)
-    with pytest.raises(ValueError):
-        run_case2(pool, rounds=0)
+    pool = _pool(seed=8, n_sources=1, n=10, m_ref=10)  # d = 2
+    for rounds in (0, 3):
+        with pytest.raises(ValueError, match=r"^rounds must be >= d \+ 2 = 4$"):
+            run_case2(pool, rounds=rounds)
+    assert run_case2(pool, rounds=4).n_messages == 2 * 4 + 2
+
+
+def test_case2_huge_budget_stores_nothing_per_round():
+    # the budget only counts: no array or message grows with it until
+    # `messages` is read, and the estimates are those of the smallest budget
+    pool = _pool(seed=7, n_sources=3)
+    rounds, d = 10**12, pool.n_features
+    tracemalloc.start()
+    try:
+        trace = run_case2(pool, rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert trace.n_messages == 3 * (2 * rounds + 2)
+    assert trace.total_bytes == 3 * BYTES_PER_REAL * (2 * rounds * (d + 1) + (d + 2) + 1)
+    assert trace.rounds == rounds + 1
+    assert trace.result == run_case2(pool, d + 2).result
 
 
 def test_message_validation():
@@ -162,7 +177,7 @@ def test_case2_sources_never_interact():
     rng = np.random.default_rng(1011)
     for _ in range(8):
         n_sources, d = int(rng.integers(2, 8)), int(rng.integers(1, 12))
-        rounds = int(rng.integers(1, 401))
+        rounds = int(rng.integers(d + 2, 401))
         sources = tuple(random_dataset(rng, int(rng.integers(3, 60)), d,
                                        flip=float(rng.random() * 0.5))
                         for _ in range(n_sources))
@@ -184,12 +199,13 @@ def test_case2_sources_never_interact():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_sources=st.integers(1, 6), d=st.integers(1, 11), rounds=st.integers(1, 300),
+@given(n_sources=st.integers(1, 6), d=st.integers(1, 11), extra_rounds=st.integers(0, 300),
        log_scales=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
        seed=st.integers(0, 2**32 - 1))
-def test_case2_matches_a_plain_per_source_loop_bit_for_bit(n_sources, d, rounds, log_scales,
-                                                          seed):
+def test_case2_matches_a_plain_per_source_loop_bit_for_bit(n_sources, d, extra_rounds,
+                                                          log_scales, seed):
     rng = np.random.default_rng(seed)
+    rounds = d + 2 + extra_rounds
     source_scale, reference_scale = 10.0 ** np.array(log_scales)
 
     def scaled(n, scale, flip=0.0):
@@ -204,7 +220,7 @@ def test_case2_matches_a_plain_per_source_loop_bit_for_bit(n_sources, d, rounds,
 
 def _assert_matches_the_oracle(pool, rounds):
     """Every source's queries, replies and final candidate equal, bit for
-    bit, those of `case2_oracle`, which computes every round."""
+    bit, those of `case2_oracle`, a plain loop over one source's rounds."""
     messages = run_case2(pool, rounds).messages
     block = 2 * rounds + 2
     for i, source in enumerate(pool.sources):
@@ -215,21 +231,6 @@ def _assert_matches_the_oracle(pool, rounds):
         assert np.array(own[-2].payload[:-1]).tobytes() == theta.tobytes()
 
 
-@pytest.fixture
-def settles(monkeypatch):
-    """(round, periods) of every case-2 run that stops computing rounds early."""
-    found, settle = [], federated._settle
-
-    def recording(*args):
-        settled = settle(*args)
-        if settled is not None:
-            found.append((args[-1], settled[0].tolist()))
-        return settled
-
-    monkeypatch.setattr(federated, "_settle", recording)
-    return found
-
-
 def _bench_pool(j):
     """The benchmark's federated pool, variant j at base seed 1."""
     spec = SyntheticSpec(n_sources=10, samples_per_source=500, reference_size=200,
@@ -238,89 +239,126 @@ def _bench_pool(j):
     return generate_synthetic_pool(spec, bench_seed(1, j))[0]
 
 
-def test_case2_settled_bench_pools_match_the_oracle_bit_for_bit(settles):
-    # every source's search settles well inside the budget, some by cycling
-    # (source 9 of variant 0 repeats a 12-round cycle), and the rounds that
-    # are copied equal the rounds the oracle computes
-    for j in range(2):
+def test_case2_bench_pools_match_the_oracle_bit_for_bit():
+    for j in range(4):
         _assert_matches_the_oracle(_bench_pool(j), 1000)
-    assert len(settles) == 2
-    assert all(done < 1000 for done, _ in settles)
-    assert any(p > 1 for _, periods in settles for p in periods)
 
 
-def test_case2_budgets_around_the_settle_checkpoints(settles, monkeypatch):
-    pool = _bench_pool(0)
-    run_case2(pool, 1000)
-    (settled_at, _), = settles
-    budgets = (SETTLE_CHECK - 1, SETTLE_CHECK, SETTLE_CHECK + 1, settled_at, settled_at + 1,
-               settled_at + SETTLE_CHECK)
-    for rounds in budgets:
-        _assert_matches_the_oracle(pool, rounds)
-    # a budget that ends on the settling checkpoint computes every round
-    assert [done for done, _ in settles] == [settled_at] * 3
-    # a short period between checks puts a settle near every budget edge
-    monkeypatch.setattr(federated, "SETTLE_CHECK", 4)
-    for seed in range(3):
-        pool = _pool(seed=seed, n_sources=3, d=2)
-        settles.clear()
-        run_case2(pool, 1000)
-        (settled_at, _), = settles
-        for rounds in (3, 4, 5, settled_at - 1, settled_at, settled_at + 1, settled_at + 4):
+def test_case2_budgets_around_the_probes():
+    # the smallest budget sends the probes only; one more round queries the
+    # solution once, and the final candidate is the same at every budget
+    for pool in (_bench_pool(0), *(_pool(seed=seed, n_sources=3) for seed in range(3))):
+        d = pool.n_features
+        for rounds in (d + 2, d + 3, d + 4, 100):
             _assert_matches_the_oracle(pool, rounds)
 
 
-def _late_pool():
-    """Only the last source overflows, from round 2 on (its first reply, at
-    theta = 0, is finite), and its search never settles."""
-    pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
-    late = Dataset(pool.sources[1].features * 1e140, pool.sources[1].labels)
-    return SourcePool(pool.sources[:2] + (late,), pool.reference)
+def _shifted_reproducer():
+    """Two sources of 100 rows and a 60-row reference, d = 2, labels sign(x_0)
+    with 10% and 40% of source labels flipped, every feature shifted by +10."""
+    rng = np.random.default_rng(0)
+    samples = []
+    for n, flip in ((100, 0.1), (100, 0.4), (60, 0.0)):
+        features = rng.standard_normal((n, 2))
+        labels = np.where(features[:, 0] >= 0, 1.0, -1.0)
+        labels = np.where(rng.random(n) < flip, -labels, labels)
+        samples.append(Dataset(features + 10.0, labels))
+    return SourcePool(tuple(samples[:2]), samples[2])
 
 
-def test_case2_non_finite_reply_raises(settles):
-    # source_1's Gram matrix overflows, so its first reply is NaN; its search
-    # never moves, so it would settle, but the check at the first checkpoint
-    # raises before the settle test; the late pool's name is its source's
-    # index, not a round's
+def _affine_pool(rng, d, scale, offset):
+    """A pool of 1-4 sources whose features are `random_dataset`'s times
+    `scale` plus `offset` (scalars or one per column)."""
+
+    def draw(n, flip=0.0):
+        data = random_dataset(rng, n, d, flip)
+        return Dataset(data.features * scale + offset, data.labels)
+
+    sources = tuple(draw(int(rng.integers(3, 80)), float(rng.random() * 0.5))
+                    for _ in range(int(rng.integers(1, 5))))
+    return SourcePool(sources, draw(int(rng.integers(3, 60))))
+
+
+def test_case2_estimates_equal_central():
+    # The learner recovers column j of G_i as reply j + 2 minus the first
+    # reply, a float subtraction, so its system, and theta, can differ from
+    # `empirical_discrepancy`'s in the last bits. The estimate counts the
+    # samples that theta's sign classifier misses, and bits that low move no
+    # sample across the boundary here; the 2^-52 is the final exchange adding
+    # two means where central divides summed counts.
+    pools = [_shifted_reproducer(), *(_bench_pool(j) for j in range(4))]
+    rng = np.random.default_rng(2301)
+    for _ in range(40):  # per-column scales and offsets of 10^U(-2, 2)
+        d = int(rng.integers(1, 9))
+        pools.append(_affine_pool(rng, d, 10.0 ** rng.uniform(-2, 2, d),
+                                  rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-2, 2, d)))
+    for shift in (1e2, 1e3, 1e4, 1e5, 1e6):  # every feature shifted alike
+        pools += [_affine_pool(rng, int(rng.integers(1, 9)), 1.0, shift) for _ in range(8)]
+    for pool in pools:
+        trace = run_case2(pool, pool.n_features + 2)
+        for estimate, source in zip(trace.result, pool.sources):
+            central = empirical_discrepancy(source, pool.reference)
+            assert abs(estimate.value - central.value) <= 2**-52
+    assert [e.value for e in run_case2(pools[0], 1000).result] == pytest.approx(
+        [31 / 300, 0.34], abs=2**-52)
+
+
+def test_case2_non_finite_reply_raises(monkeypatch):
+    # source_1's Gram matrix overflows, so its first reply, at theta = 0, is
+    # NaN; the name is its source's index, not a round's
     pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
     huge = Dataset(pool.sources[1].features * 1e200, pool.sources[1].labels)
-    for rounds in (5, SETTLE_CHECK, SETTLE_CHECK + 1, 1000):
+    with_huge = SourcePool((pool.sources[0], huge, huge), pool.reference)
+    for rounds in (4, 5, 1000):
         with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
-            run_case2(SourcePool((pool.sources[0], huge, huge), pool.reference), rounds)
-        with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
-            run_case2(_late_pool(), rounds)
-    assert settles == []
+            run_case2(with_huge, rounds)
+    # once the probes are finite, no pool found makes the reply at the
+    # solution overflow, so the solution is replaced by one at which sources 2
+    # and 0 overflow: their first bad reply is in round d + 3, which names the
+    # lower index; an earlier round's is named first
+    solve = federated.solve_relaxation
+
+    def overshoot(gram, target):
+        theta = solve(gram, target)
+        theta[[2, 0]] = 1e308
+        return theta
+
+    monkeypatch.setattr(federated, "solve_relaxation", overshoot)
+    run_case2(pool, 4)  # at d + 2 rounds the solution is never queried
+    for rounds in (5, 1000):
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_0$"):
+            run_case2(pool, rounds)
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_1$"):
+            run_case2(with_huge, rounds)
 
 
-class _CountingNumpy:
-    """numpy, counting calls to `less_equal`: case 2's Armijo test, one a round."""
-
-    def __init__(self):
-        self.rounds = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def less_equal(self, *args, **kwargs):
-        self.rounds += 1
-        return np.less_equal(*args, **kwargs)
-
-
-@pytest.mark.parametrize("check", [SETTLE_CHECK, 4, 2])
-def test_case2_non_finite_reply_stops_at_the_next_checkpoint(monkeypatch, check):
-    # the late pool's first bad round is round 2, so at 1000 rounds it stops
-    # at the first checkpoint at or after round 2, not after round 1000
-    pool = _late_pool()
-    run_case2(pool, 1)
-    with pytest.raises(FloatingPointError):
-        run_case2(pool, 2)
-    monkeypatch.setattr(federated, "SETTLE_CHECK", check)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(federated, "np", counting)
+@pytest.mark.parametrize("rounds", [4, 5, 1000])
+def test_case2_non_finite_reply_stops_before_the_solve(monkeypatch, rounds):
+    # a bad probe reply raises before the learner solves anything, at any budget
+    solves = []
+    solve = federated.solve_relaxation
+    monkeypatch.setattr(federated, "solve_relaxation",
+                        lambda *args: solves.append(args) or solve(*args))
+    pool = _pool(seed=10, n_sources=3, n=12, m_ref=10)
+    huge = Dataset(pool.sources[2].features * 1e200, pool.sources[2].labels)
     with pytest.raises(FloatingPointError, match=r"^non-finite gradient from source_2$"):
-        run_case2(pool, 1000)
-    assert counting.rounds == check
+        run_case2(SourcePool(pool.sources[:2] + (huge,), pool.reference), rounds)
+    assert solves == []
+    run_case2(pool, rounds)
+    assert len(solves) == 1  # one batched solve for every source
+
+
+def test_case2_singular_system_raises_as_central_does():
+    # a feature constant at 1e5 swamps the ridge on its weight: the system
+    # is singular to working precision, for the learner as for central
+    rng = np.random.default_rng(0)
+    samples = [Dataset(np.full((n, 1), 1e5), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+               for n in (16, 32, 16)]
+    pool = SourcePool(tuple(samples[:2]), samples[2])
+    singular = r"^the relaxation's system is singular to working precision; center or rescale"
+    for run in (lambda: run_case1(pool), lambda: run_case2(pool, 1000)):
+        with pytest.raises(FloatingPointError, match=singular):
+            run()
 
 
 def test_case2_overflowed_reference_is_named_not_a_source():
@@ -349,11 +387,12 @@ def _cli_stdout(argv):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n_sources=st.integers(1, 7), d=st.integers(1, 11), rounds=st.integers(1, 300),
+@given(n_sources=st.integers(1, 7), d=st.integers(1, 11), extra_rounds=st.integers(0, 300),
        samples=st.integers(2, 60), reference_size=st.integers(2, 40),
        seed=st.integers(0, 2**32 - 1), case=st.sampled_from((1, 2)))
-def test_stored_counts_match_the_built_trace(n_sources, d, rounds, samples, reference_size,
-                                             seed, case):
+def test_stored_counts_match_the_built_trace(n_sources, d, extra_rounds, samples,
+                                             reference_size, seed, case):
+    rounds = d + 2 + extra_rounds
     with tempfile.TemporaryDirectory() as tmp:
         path, trace_path = Path(tmp) / "config.json", Path(tmp) / "trace.jsonl"
         config = _synthetic_config(path, n_sources, samples, reference_size, d, seed)
