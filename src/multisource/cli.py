@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -147,7 +148,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one:
+    parsing leaves it unchanged, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="multisource",
         description="Robust learning from multiple untrusted data sources.",

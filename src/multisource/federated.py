@@ -25,7 +25,8 @@ Two protocols are simulated with explicit message and byte accounting
 
 In case 2 all sources are probed and solved in lockstep, each source's
 messages equal, bit for bit, a solo run's, and the trace builds them,
-source-major, only when they are read, so no storage grows with the budget.
+source-major, only when they are read or exported (the export streams them
+to its file), so no storage grows with the budget.
 """
 
 from __future__ import annotations
@@ -104,11 +105,11 @@ class ProtocolTrace:
     def messages(self) -> tuple[Message, ...]:
         return tuple(self.build_messages())
 
-    def export_jsonl(self, path: str | Path | None = None) -> str:
-        text = "\n".join(json.dumps(m.to_json_dict()) for m in self.messages)
-        if path is not None:
-            Path(path).write_text(text + "\n", encoding="utf-8")
-        return text
+    def export_jsonl(self, path: str | Path) -> None:
+        """Write one JSON line per message to `path`, streamed as built: neither
+        `messages` nor the text is held, so memory does not grow with the trace."""
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(json.dumps(m.to_json_dict()) + "\n" for m in self.build_messages())
 
 
 def _source_node_id(index: int) -> str:
@@ -144,11 +145,12 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
 
     Exactly `rounds` >= d + 2 query/reply pairs are exchanged per source, then
     one final exchange, so 2 * rounds + 2 messages per source; they are built
-    when the trace's `messages` is first read. A non-finite reply raises
-    `FloatingPointError` naming the lowest-index source of the earliest round
-    that has one, and overflowed reference moments raise it before round 1,
-    in both cases with no numpy warning. An overflowed or singular summed
-    system raises it as in `solve_relaxation`.
+    when the trace's `messages` is first read, or one at a time by
+    `export_jsonl`. A non-finite reply raises `FloatingPointError` naming the
+    lowest-index source of the earliest round that has one, and overflowed
+    reference moments raise it before round 1, in both cases with no numpy
+    warning. An overflowed or singular summed system raises it as in
+    `solve_relaxation`.
     """
     d = pool.n_features
     if rounds < d + 2:

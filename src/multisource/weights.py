@@ -31,6 +31,14 @@ import numpy as np
 __all__ = ["WeightProblem", "solve_weights", "excess_risk_bound"]
 
 
+def _floats(values, out_of_range: str) -> np.ndarray:
+    """A float64 copy of `values`; an int too large for a float is `out_of_range`."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(out_of_range) from None
+
+
 @dataclass(frozen=True, eq=False)
 class WeightProblem:
     """The per-source data of the weighting program and of the bound:
@@ -40,8 +48,8 @@ class WeightProblem:
     sample_counts: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.array(self.discrepancies, dtype=np.float64, copy=True)
-        counts = np.array(self.sample_counts, dtype=np.float64)
+        d = _floats(self.discrepancies, "discrepancies must lie in [0, 1]")
+        counts = _floats(self.sample_counts, "sample_counts must be whole numbers below 2**53")
         # below 2**53 every whole float is an exact int64; NaN and inf fail
         if not np.all((np.abs(counts) < 2.0**53) & (counts == np.round(counts))):
             raise ValueError("sample_counts must be whole numbers below 2**53")

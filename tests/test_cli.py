@@ -10,7 +10,7 @@ import pytest
 
 from helpers import config_to_json
 import multisource
-from multisource.cli import main
+from multisource.cli import build_parser, main
 from multisource.data import Dataset, load_csv, save_csv
 from multisource.harness import CorruptionSetting, ExperimentConfig, SyntheticSpec
 
@@ -136,6 +136,49 @@ def test_simulate_federated_command(tmp_path, small_config, capsys):
     assert huge["discrepancies"] == printed["discrepancies"]
 
 
+def _run(argv, capsys):
+    """Exit code and stdout of one in-process CLI call."""
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_value_from_an_earlier_call(tmp_path, capsys):
+    src, ref = tmp_path / "src.csv", tmp_path / "ref.csv"
+    _write_dataset(src, 1)
+    _write_dataset(ref, 2)
+    out = tmp_path / "d.json"
+    argv = ["discrepancy", str(src), "--reference", str(ref)]
+    first = _run(argv + ["--out", str(out)], capsys)
+    out.unlink()
+    assert _run(argv, capsys) == first
+    assert not out.exists()  # --out did not carry over
+
+    # a default after an explicit value is the default a fresh interpreter sees
+    data = tmp_path / "in.csv"
+    _write_dataset(data, 3)
+    seeded, default, fresh = (tmp_path / f"{name}.csv" for name in ("seeded", "default", "fresh"))
+    corrupt = ["corrupt", "--input", str(data), "--kind", "shuffled_labels", "--proportion", "0.5"]
+    assert _run(corrupt + ["--output", str(seeded), "--seed", "7"], capsys)[0] == 0
+    assert _run(corrupt + ["--output", str(default)], capsys)[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(multisource.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "multisource", *corrupt, "--output", str(fresh)],
+                   check=True, capture_output=True, env=env)
+    assert default.read_bytes() == fresh.read_bytes() != seeded.read_bytes()
+
+    # a usage error in between leaves the next call's result unchanged
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"discrepancies": [0.1, 0.4], "sample_counts": [10, 30]}))
+    good = ["weights", str(weights), "--lambda", "0.5"]
+    before = _run(good, capsys)
+    with pytest.raises(SystemExit) as usage:
+        main(["weights", str(weights)])
+    assert usage.value.code == 2 and "--lambda" in capsys.readouterr().err
+    assert _run(good, capsys) == before
+
 
 def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     no_method = json.loads(small_config.read_text())
@@ -147,7 +190,10 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     nested_config.write_text(json.dumps(nested_grid))
     weights_inputs = {"empty": {}, "list": [1, 2], "no_counts": {"discrepancies": [0.1]},
                       "mapping": {"discrepancies": {"a": 0.1}, "sample_counts": [3]},
-                      "out_of_range": {"discrepancies": [2.0], "sample_counts": [3]}}
+                      "out_of_range": {"discrepancies": [2.0], "sample_counts": [3]},
+                      # ints too large for a float, written out in full
+                      "huge_count": {"discrepancies": [0.1, 0.2], "sample_counts": [10**400, 5]},
+                      "huge_discrepancy": {"discrepancies": [10**400], "sample_counts": [5]}}
     for name, obj in weights_inputs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     weights_error = f"multisource weights: error: {tmp_path}{os.sep}"
@@ -256,6 +302,10 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          weights_error + "mapping.json: discrepancies must be a list of numbers"),
         (["weights", str(tmp_path / "out_of_range.json"), "--lambda", "1"],
          weights_error + "out_of_range.json: discrepancies must lie in [0, 1]"),
+        (["weights", str(tmp_path / "huge_count.json"), "--lambda", "1"],
+         weights_error + "huge_count.json: sample_counts must be whole numbers below 2**53"),
+        (["weights", str(tmp_path / "huge_discrepancy.json"), "--lambda", "1"],
+         weights_error + "huge_discrepancy.json: discrepancies must lie in [0, 1]"),
         (["train", "--method", "ours", "--config", str(nested_config)],
          f"multisource train: error: {nested_config}: lambda_grid must be a nonempty grid"),
         (["train", "--method", "ours", "--config", str(bad_config)],

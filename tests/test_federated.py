@@ -155,13 +155,35 @@ def test_jsonl_export_fields(tmp_path):
 
     # every case-2 line parses back to its message, and payloads are plain floats
     trace = run_case2(pool, rounds=30)
-    text = trace.export_jsonl()
-    assert run_case2(pool, rounds=30).export_jsonl() == text
-    lines = text.split("\n")
+    again = tmp_path / "again.jsonl"
+    trace.export_jsonl(out)
+    run_case2(pool, rounds=30).export_jsonl(again)
+    assert out.read_bytes() == again.read_bytes()
+    lines = out.read_text().split("\n")
+    assert lines.pop() == ""  # every line ends in a newline
     assert len(lines) == len(trace.messages)
     for line, message in zip(lines, trace.messages):
         assert json.loads(line)["payload"] == list(message.payload)
         assert all(type(v) is float for v in message.payload)
+
+
+def test_jsonl_export_streams_in_memory_independent_of_rounds(tmp_path):
+    # the export writes each message as it is built: its peak memory at 20,000
+    # rounds is that at 2,000 plus a small constant, and `messages` stays unbuilt
+    pool = _pool(seed=4, n_sources=1)
+    peaks = []
+    for rounds in (2_000, 20_000):
+        trace = run_case2(pool, rounds)
+        path = tmp_path / f"{rounds}.jsonl"
+        tracemalloc.start()
+        try:
+            trace.export_jsonl(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "messages" not in vars(trace)
+        assert path.read_text().count("\n") == trace.n_messages
+    assert peaks[1] <= peaks[0] + 16 * 1024
 
 
 def _jsonl_lines(messages, rename=None):
@@ -404,7 +426,8 @@ def test_stored_counts_match_the_built_trace(n_sources, d, extra_rounds, samples
                 "--rounds", str(rounds)]
         plain = _cli_stdout(argv)
         assert _cli_stdout(argv + ["--trace", str(trace_path)]) == plain
-        assert trace_path.read_text() == trace.export_jsonl() + "\n"
+        assert trace_path.read_text() == "\n".join(
+            json.dumps(m.to_json_dict()) for m in trace.messages) + "\n"
         assert json.loads(plain)["messages"] == trace.n_messages
 
 

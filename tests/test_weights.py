@@ -121,6 +121,15 @@ def test_weight_problem_validation():
             WeightProblem(np.array([0.1, 0.4]), np.array(counts))
 
 
+def test_weight_problem_rejects_ints_too_large_for_a_float():
+    # JSON reads 10**400 as an exact int; it is out of range, not an OverflowError
+    for huge in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match=r"sample_counts must be whole numbers below 2\*\*53"):
+            WeightProblem([0.1, 0.2], [huge, 5])
+        with pytest.raises(ValueError, match=r"discrepancies must lie in \[0, 1\]"):
+            WeightProblem([huge, 0.2], [10, 5])
+
+
 def test_solve_weights_rejects_nonfinite_lambda():
     for lam in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
