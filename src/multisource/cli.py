@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
 from .data import load_csv, save_csv
-from .discrepancy import empirical_discrepancy
+from .discrepancy import empirical_discrepancy, finite_moments
 from .federated import run_case1, run_case2
 from .harness import (
     METHODS,
@@ -67,10 +67,11 @@ def _weights_input(text: str) -> WeightProblem:
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
-    reference = load_sample(args.reference, "reference", args.label_column, args.encoding)
+    reference = load_sample(args.reference, "reference", args.label_column)
+    finite_moments(reference, f"{args.reference}: the reference's")
     report = []
     for path in args.sources:  # one at a time, so that only one source is held
-        source = load_sample(path, "source", args.label_column, args.encoding)
+        source = load_sample(path, "source", args.label_column)
         try:
             estimate = empirical_discrepancy(source, reference)
         except (ValueError, FloatingPointError) as exc:  # a mismatch or overflow: name the source
@@ -110,7 +111,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    data = load_csv(args.input, args.label_column, args.encoding)
+    data = load_csv(args.input, args.label_column)
     spec = CorruptionSpec(kind=args.kind, proportion=args.proportion, seed=args.seed)
     save_csv(corrupt(data, spec), args.output, label_column=args.label_column)
     print(f"wrote corrupted copy to {args.output}")
@@ -162,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sources", nargs="+", help="source CSV files")
     p.add_argument("--reference", required=True, help="reference CSV file")
     p.add_argument("--label-column", default="label")
-    p.add_argument("--encoding", default="signed", help="'signed' or 'zero_one'")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_discrepancy)
 
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proportion", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label-column", default="label")
-    p.add_argument("--encoding", default="signed")
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("experiment", help="run a sweep from a config")

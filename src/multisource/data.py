@@ -1,8 +1,10 @@
 """Dataset containers, validation, deterministic folds, and CSV ingestion.
 
-Labels live in {-1, +1} everywhere inside the library; {0, 1} files are
-converted at the CSV boundary. All randomized operations are pure functions
-of their inputs and an explicit 64-bit seed (see `_derive_seed`).
+Labels live in {-1, +1} everywhere inside the library. A CSV file writes
+its negative class as -1 or as 0, and each file is read by its own labels:
+1 maps to +1, and -1 and 0 both map to -1, but one file may not use both.
+All randomized operations are pure functions of their inputs and an
+explicit 64-bit seed (see `_derive_seed`).
 
 A CSV file is parsed with one numpy call and written in one formatting
 pass; the per-cell loop `_load_csv_per_cell` runs only to locate a fault
@@ -32,12 +34,6 @@ __all__ = [
     "merge",
     "kfold_indices",
 ]
-
-LABEL_ENCODINGS: dict[str, dict[float, float]] = {
-    "signed": {-1.0: -1.0, 1.0: 1.0},
-    "zero_one": {0.0: -1.0, 1.0: 1.0},
-}
-
 
 def _derive_seed(*parts: int) -> int:
     """The explicit 64-bit seed of a randomized operation, derived from integer
@@ -135,25 +131,14 @@ class SourcePool:
         return np.array([s.n_samples for s in self.sources], dtype=np.int64)
 
 
-def _resolve_encoding(label_encoding: str) -> dict[float, float]:
-    if isinstance(label_encoding, str) and label_encoding in LABEL_ENCODINGS:
-        return LABEL_ENCODINGS[label_encoding]
-    raise ValueError(
-        f"unknown label encoding {label_encoding!r}; expected one of {sorted(LABEL_ENCODINGS)}"
-    )
-
-
-def load_csv(
-    path: str | Path,
-    label_column: str = "label",
-    label_encoding: str = "signed",
-) -> Dataset:
+def load_csv(path: str | Path, label_column: str = "label") -> Dataset:
     """Read a header-row CSV into a validated Dataset.
 
     A leading UTF-8 BOM, blank lines and lines whose first cell starts with
-    '#' are skipped. Every non-label column must parse as a finite float;
-    labels are mapped through `label_encoding`, "signed" ({-1, 1}) or
-    "zero_one" ({0, 1}). A header that repeats a name is rejected.
+    '#' are skipped. Every non-label column must parse as a finite float.
+    A label is 1, -1 or 0 (so -0 and 1.0 too): 1 maps to +1, and -1 and 0
+    both map to -1, but a file that writes its negative class both ways is
+    rejected. A header that repeats a name is rejected.
 
     The data rows are parsed with one `np.loadtxt` call. Only when that
     fails, or the file quotes a cell or breaks lines in a way the fast path
@@ -164,16 +149,15 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    encoding = _resolve_encoding(label_encoding)
 
     lines = _plain_lines(path)
     # a header-only file is left to the loop: np.loadtxt warns on no data
     if lines is not None and len(lines) > 1:
         header, label_idx = _parse_header(path, lines[0].split(","), label_column)
-        parsed = _parse_plain_rows(lines[1:], len(header), label_idx, encoding)
+        parsed = _parse_plain_rows(lines[1:], len(header), label_idx)
         if parsed is not None:
             return Dataset(*parsed)
-    return Dataset(*_load_csv_per_cell(path, label_column, encoding))
+    return Dataset(*_load_csv_per_cell(path, label_column))
 
 
 def _plain_lines(path: Path) -> list[str] | None:
@@ -223,10 +207,11 @@ def _parse_header(path: Path, row: list[str], label_column: str) -> tuple[list[s
 
 
 def _parse_plain_rows(
-    rows: list[str], n_cols: int, label_idx: int, encoding: dict[float, float]
+    rows: list[str], n_cols: int, label_idx: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(features, labels) of unquoted data lines in one numpy parse, or None
-    when a line is malformed, a label unmapped or a feature non-finite."""
+    when a line is malformed, a label not 1, -1 or 0, the labels hold both
+    -1 and 0, or a feature is non-finite."""
     try:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
@@ -234,20 +219,18 @@ def _parse_plain_rows(
     if table.shape != (len(rows), n_cols):
         return None
     raw = table[:, label_idx]
-    if not np.isin(raw, list(encoding)).all():
+    mixed = (raw == -1.0).any() and (raw == 0.0).any()
+    if mixed or not np.isin(raw, (1.0, -1.0, 0.0)).all():
         return None
     features = np.delete(table, label_idx, axis=1)
     if not np.isfinite(features).all():
         return None
-    labels = np.empty_like(raw)
-    for value, label in encoding.items():
-        labels[raw == value] = label
+    labels = np.full_like(raw, -1.0)  # np.where here raised the benchmark's peak RSS
+    labels[raw == 1.0] = 1.0
     return features, labels
 
 
-def _load_csv_per_cell(
-    path: Path, label_column: str, encoding: dict[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
+def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
     """The reference reader: csv.reader rows, one `float()` per cell. Raises
     an error naming the first offending row and column."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -260,6 +243,7 @@ def _load_csv_per_cell(
     n_cols = len(header)
     features = np.empty((len(rows) - 1, n_cols - 1), dtype=np.float64)
     labels = np.empty(len(rows) - 1, dtype=np.float64)
+    negative = None  # the first negative label, -1.0 or 0.0
     for r, row in enumerate(rows[1:], start=1):
         if len(row) != n_cols:
             raise CsvFormatError(f"{path}: row {r} has {len(row)} cells, expected {n_cols}")
@@ -275,16 +259,21 @@ def _load_csv_per_cell(
                 ) from None
             k += 1
         try:
-            raw = float(row[label_idx])
+            raw = float(row[label_idx]) + 0.0  # -0 reads as 0
         except ValueError:
             raise CsvFormatError(
                 f"{path}: row {r}: label {row[label_idx]!r} is not numeric"
             ) from None
-        if raw not in encoding:
+        if raw not in (1.0, -1.0, 0.0):
+            raise CsvFormatError(f"{path}: row {r}: label {raw!r} is not 1, -1 or 0")
+        if negative is None and raw != 1.0:
+            negative = raw
+        if raw not in (1.0, negative):
             raise CsvFormatError(
-                f"{path}: row {r}: label {raw!r} not covered by the declared encoding"
+                f"{path}: row {r}: label {raw!r}, but an earlier row has {negative!r}; "
+                "write the negative class as -1 or as 0, not both"
             )
-        labels[r - 1] = encoding[raw]
+        labels[r - 1] = 1.0 if raw == 1.0 else -1.0
     if not np.isfinite(features).all():
         r, k = np.argwhere(~np.isfinite(features))[0]
         raise CsvFormatError(

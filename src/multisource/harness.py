@@ -32,7 +32,6 @@ from .data import (
     Dataset,
     SourcePool,
     _derive_seed,
-    _resolve_encoding,
     kfold_indices,
     load_csv,
     merge,
@@ -127,10 +126,8 @@ class CsvDataSpec:
     reference_path: str
     test_path: str
     label_column: str = "label"
-    label_encoding: str = "signed"
 
     def __post_init__(self) -> None:
-        _resolve_encoding(self.label_encoding)
         paths = self.source_paths
         paths = (paths,) if isinstance(paths, str) else paths
         if not (isinstance(paths, (tuple, list)) and all(isinstance(p, str) for p in paths)):
@@ -151,8 +148,8 @@ class CorruptionSetting:
         n = self.n_corrupted
         n = n if isinstance(n, (tuple, list)) else (n,)
         n = tuple(_number("n_corrupted", v, whole=True) for v in n)
-        if any(v < 0 for v in n):
-            raise ValueError("n_corrupted values must be nonnegative")
+        if not n or any(v < 0 for v in n):
+            raise ValueError("n_corrupted must be a nonempty list of nonnegative values")
         object.__setattr__(self, "n_corrupted", n)
         object.__setattr__(self, "proportion", _number("proportion", self.proportion))
         # kind/proportion are validated again by CorruptionSpec at use time
@@ -191,6 +188,12 @@ class ExperimentConfig:
             raise ValueError("cv_folds must be >= 2")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.corruption is not None:
+            spec = self.data
+            k = spec.n_sources if isinstance(spec, SyntheticSpec) else len(spec.source_paths)
+            top = max(self.corruption.n_corrupted)
+            if top > k:
+                raise ValueError(f"n_corrupted={top} exceeds the pool's {k} sources")
 
 
 @dataclass
@@ -232,11 +235,10 @@ def generate_synthetic_pool(
     return SourcePool(sources, reference), test
 
 
-def load_sample(path: str, role: str, label_column: str = "label",
-                label_encoding: str = "signed") -> Dataset:
+def load_sample(path: str, role: str, label_column: str = "label") -> Dataset:
     """`load_csv` of a source, reference or test file; one with no rows raises a
     ValueError that names it."""
-    data = load_csv(path, label_column, label_encoding)
+    data = load_csv(path, label_column)
     if data.n_samples == 0:
         raise ValueError(f"{path}: the {role} is empty")
     return data
@@ -249,8 +251,7 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
     spec = config.data
     if isinstance(spec, SyntheticSpec):
         return generate_synthetic_pool(spec, seed)
-    load = functools.partial(load_sample, label_column=spec.label_column,
-                             label_encoding=spec.label_encoding)
+    load = functools.partial(load_sample, label_column=spec.label_column)
     sources = tuple(load(p, "source") for p in spec.source_paths)
     reference = load(spec.reference_path, "reference")
     for path, source in zip(spec.source_paths, sources):

@@ -51,8 +51,8 @@ LOSSES = ("logistic", "huber_logistic")
 # robust-loss knot; 1.345 is the classic Huber tuning constant
 HUBER_C = 1.345**2
 
-# Armijo sufficient-decrease constant and backtracking factor, shared with
-# the federated simulator's line search
+# Armijo sufficient-decrease constant and backtracking factor of Newton's
+# line search
 ARMIJO_C = 1e-4
 STEP_SHRINK = 0.5
 MAX_HALVINGS = 200
@@ -216,7 +216,7 @@ def minimize_weighted_loss(
             if new_value < value and new_value <= value + margin:
                 break
             # within rounding of F, judge the step by the trapezoid estimate
-            # of its change from the two gradients, as the federated learner does
+            # of its change from the two gradients, which keep the precision F lost
             if new_value - value <= FLOAT_SLACK * value and (
                 0.5 * step * (slope + float(new_grad @ direction)) <= margin < 0.0
             ):

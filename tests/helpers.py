@@ -41,6 +41,13 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(obj, indent=2)
 
 
+def zero_one_copy(signed, path):
+    """`path`, a copy of the `save_csv` file `signed` with its -1 labels written as 0."""
+    path.write_bytes(signed.read_bytes().replace(b",-1\r\n", b",0\r\n"))
+    assert path.read_bytes() != signed.read_bytes()
+    return path
+
+
 def weight_objective(problem: WeightProblem, lam: float, alpha: np.ndarray) -> float:
     """The weighting objective sum_i alpha_i d_i + lam sqrt(sum_i alpha_i^2 / m_i)."""
     a = np.asarray(alpha, dtype=np.float64)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import config_to_json
+from helpers import config_to_json, zero_one_copy
 import multisource
 from multisource.cli import build_parser, main
 from multisource.data import Dataset, load_csv, save_csv
@@ -180,6 +180,51 @@ def test_shared_parser_keeps_no_value_from_an_earlier_call(tmp_path, capsys):
     assert _run(good, capsys) == before
 
 
+def test_zero_one_files_give_the_results_of_their_signed_twins(tmp_path, capsys):
+    signed = [tmp_path / f"{name}.csv" for name in ("a", "b", "ref", "test")]
+    for seed, path in enumerate(signed):
+        _write_dataset(path, seed + 1, n=30)
+    zero_one = [zero_one_copy(path, tmp_path / f"{path.stem}_01.csv") for path in signed]
+
+    def scores(a, b, ref):
+        code, out = _run(["discrepancy", str(a), str(b), "--reference", str(ref)], capsys)
+        assert code == 0
+        return [(r["discrepancy"], r["solver_risk"], r["samples"]) for r in json.loads(out)]
+
+    assert scores(*zero_one[:3]) == scores(*signed[:3])
+
+    outputs = []
+    for path in (signed[0], zero_one[0]):
+        outputs.append(tmp_path / f"corrupted_{path.name}")
+        assert _run(["corrupt", "--input", str(path), "--output", str(outputs[-1]), "--kind",
+                     "shuffled_labels", "--proportion", "0.5", "--seed", "3"], capsys)[0] == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def train(a, b, ref, test):
+        config = tmp_path / "csv_config.json"
+        config.write_text(json.dumps({
+            "data": {"csv_paths": {"source_paths": [str(a), str(b)], "reference_path": str(ref),
+                                   "test_path": str(test)}},
+            "method": "ours", "lambda_grid": [0.1, 10.0], "ridge_grid": [0.01], "seed": 3}))
+        code, out = _run(["train", "--method", "ours", "--config", str(config)], capsys)
+        assert code == 0
+        return out
+
+    # each file is read on its own: a {0, 1} file may sit beside a {-1, 1} one
+    assert train(signed[0], *zero_one[1:]) == train(*signed)
+
+
+def test_the_encoding_option_is_gone(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    _write_dataset(path, 1)
+    for argv in (["discrepancy", str(path), "--reference", str(path)],
+                 ["corrupt", "--input", str(path), "--output", str(tmp_path / "out.csv"),
+                  "--kind", "label_bias"]):
+        with pytest.raises(SystemExit) as usage:
+            main(argv + ["--encoding", "zero_one"])
+        assert usage.value.code == 2 and "--encoding" in capsys.readouterr().err
+
+
 def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     no_method = json.loads(small_config.read_text())
     del no_method["method"]
@@ -217,6 +262,14 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     }
     for field, obj in wrong_types.items():
         (tmp_path / f"{field}.json").write_text(json.dumps(obj))
+    # corruption levels the 3-source pool cannot run, and a key that is gone
+    no_levels, too_many = tmp_path / "no_levels.json", tmp_path / "too_many.json"
+    for path, levels in ((no_levels, []), (too_many, [0, 1, 5])):
+        path.write_text(json.dumps(dict(config, corruption=dict(config["corruption"],
+                                                                n_corrupted=levels))))
+    encoding_key = tmp_path / "label_encoding.json"
+    encoding_key.write_text(json.dumps(dict(config, data={"csv_paths": dict(
+        csv_data, label_encoding="zero_one")})))
     # features so large that their moments overflow
     for name, scale in (("huge_source", 1e200), ("huge_reference", 1e200),
                         ("huge_test", 1e200), ("plain_reference", 1.0)):
@@ -328,13 +381,23 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         (["train", "--method", "all_data", "--config", str(huge_reference_config)],
          f"multisource train: error: {huge_reference}"),
         (["discrepancy", str(tmp_path / "huge_source.csv"),
+          "--reference", str(tmp_path / "plain_reference.csv")],
+         f"multisource discrepancy: error: {huge_source}"),
+        # the reference is checked before any source is read
+        (["discrepancy", str(tmp_path / "huge_source.csv"),
           "--reference", str(tmp_path / "huge_reference.csv")],
-         f"multisource discrepancy: error: {tmp_path / 'huge_source.csv'}: the source's feature "
-         "moments overflowed; rescale the features"),
+         f"multisource discrepancy: error: {huge_reference}"),
         (["discrepancy", str(tmp_path / "plain_reference.csv"),
           "--reference", str(tmp_path / "huge_reference.csv")],
-         f"multisource discrepancy: error: {tmp_path / 'plain_reference.csv'}: the reference's "
-         "feature moments overflowed; rescale the features"),
+         f"multisource discrepancy: error: {huge_reference}"),
+        (["experiment", "--config", str(no_levels), "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {no_levels}: n_corrupted must be a nonempty list"),
+        (["experiment", "--config", str(too_many), "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {too_many}: n_corrupted=5 exceeds the pool's 3 "
+         "sources\n"),
+        (["train", "--method", "ours", "--config", str(encoding_key)],
+         f"multisource train: error: {encoding_key}: unknown CsvDataSpec key(s) in config: "
+         "label_encoding\n"),
         (["train", "--method", "ours", "--config", str(huge_config)],
          f"multisource train: error: {huge_source}"),
         (["experiment", "--config", str(huge_source_config),

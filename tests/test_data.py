@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from helpers import zero_one_copy
 from multisource import data
 from multisource.data import (
     CsvFormatError,
@@ -59,18 +60,46 @@ def test_pool_validation():
 def test_load_csv_zero_one_encoding(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("# comment line\nf0,f1,label\n0.5,1.0,1\n0.25,2.0,0\n1.5,3.0,1\n")
-    ds = load_csv(path, "label", "zero_one")
+    ds = load_csv(path, "label")
     assert list(ds.labels) == [1.0, -1.0, 1.0]
     assert ds.features.shape == (3, 2)
 
 
+def test_a_zero_one_copy_loads_to_the_same_bytes_in_both_readers(tmp_path):
+    rng = np.random.default_rng(8)
+    signed, zero_one = tmp_path / "signed.csv", tmp_path / "zero_one.csv"
+    save_csv(Dataset(rng.standard_normal((40, 3)), np.where(rng.random(40) < 0.5, 1.0, -1.0)),
+             signed)
+    zero_one_copy(signed, zero_one)
+    assert b",-1\r\n" not in zero_one.read_bytes()
+    expected = load_csv(signed)
+    for path in (signed, zero_one):
+        quoted = tmp_path / f"quoted_{path.name}"  # a quoted header cell forces the loop
+        quoted.write_bytes(path.read_bytes().replace(b"label", b'"label"', 1))
+        for ds in (load_csv(path), load_csv(quoted)):
+            assert ds.features.tobytes() == expected.features.tobytes()
+            assert ds.labels.tobytes() == expected.labels.tobytes()
 
-@pytest.mark.parametrize("encoding", ["binary", {0: -1, 1: 1}, ["zero_one"], None])
-def test_load_csv_accepts_only_the_named_encodings(tmp_path, encoding):
+
+@pytest.mark.parametrize("rows, message", [
+    ("0.5,1\n1.5,-1\n2.5,0\n", "row 3: label 0.0, but an earlier row has -1.0; write the "
+                                 "negative class as -1 or as 0, not both"),
+    ("0.5,0\n1.5,1\n2.5,-1\n", "row 3: label -1.0, but an earlier row has 0.0"),
+    ("0.5,-0\n1.5,-1\n", "row 2: label -1.0, but an earlier row has 0.0"),
+    ("0.5,1\n1.5,2\n", "row 2: label 2.0 is not 1, -1 or 0"),
+    ("0.5,1\n1.5,0.5\n", "row 2: label 0.5 is not 1, -1 or 0"),
+], ids=["minus_one_then_zero", "zero_then_minus_one", "minus_zero_then_minus_one", "two",
+        "half"])
+def test_load_csv_rejects_labels_outside_one_negative_class(tmp_path, rows, message):
     path = tmp_path / "d.csv"
-    path.write_text("f0,label\n0.5,1\n")
-    with pytest.raises(ValueError, match=r"expected one of \['signed', 'zero_one'\]"):
-        load_csv(path, "label", encoding)
+    path.write_text("f0,label\n" + rows)
+    assert data._parse_plain_rows(rows.splitlines(), 2, 1) is None
+    with pytest.raises(CsvFormatError) as fast:
+        load_csv(path)
+    with pytest.raises(CsvFormatError) as loop:
+        data._load_csv_per_cell(path, "label")
+    assert str(fast.value) == str(loop.value)
+    assert str(fast.value).startswith(f"{path}: {message}")
 
 
 def test_load_csv_bad_cell_names_row(tmp_path):
@@ -180,7 +209,7 @@ def test_plain_files_do_not_fall_back_to_the_per_cell_loop(tmp_path, monkeypatch
     commented = tmp_path / "commented.csv"
     commented.write_bytes(b"# a comment\r\n  # indented\r\nf0,label\r\n\r\n"
                           b"0.5,1\r\n#,x\r\n-0,0\r\n")
-    back = load_csv(commented, label_encoding="zero_one")
+    back = load_csv(commented)
     assert back.features.tobytes() == np.array([[0.5], [-0.0]]).tobytes()
     assert list(back.labels) == [1.0, -1.0]
 
@@ -190,7 +219,7 @@ def test_both_readers_skip_a_leading_utf8_bom(tmp_path, monkeypatch):
     # not found: label column 'label' not in header ['\ufefflabel', 'f0']
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbflabel,f0\r\n1,0.5\r\n-1,2\r\n")
-    features, labels = data._load_csv_per_cell(path, "label", data.LABEL_ENCODINGS["signed"])
+    features, labels = data._load_csv_per_cell(path, "label")
     assert features.tobytes() == np.array([[0.5], [2.0]]).tobytes()
     assert list(labels) == [1.0, -1.0]
 
@@ -213,7 +242,7 @@ def test_load_csv_raises_the_loops_error_on_input_the_fast_path_skips(tmp_path, 
     with pytest.raises(Exception) as fast:
         load_csv(path)
     with pytest.raises(Exception) as loop:
-        data._load_csv_per_cell(path, "label", data.LABEL_ENCODINGS["signed"])
+        data._load_csv_per_cell(path, "label")
     assert (type(fast.value), str(fast.value)) == (type(loop.value), str(loop.value))
 
 
@@ -263,7 +292,7 @@ def _csv_texts(draw):
         text += draw(st.sampled_from([" ", "\t "]))
     if draw(st.booleans()):
         text = "\ufeff" + text
-    return text, draw(st.sampled_from(["signed", "zero_one"]))
+    return text
 
 
 def _outcome(read):
@@ -276,17 +305,16 @@ def _outcome(read):
 
 @given(_csv_texts())
 @settings(max_examples=400, deadline=None)
-def test_load_csv_matches_the_per_cell_loop(tmp_path_factory, case):
-    text, encoding = case
+def test_load_csv_matches_the_per_cell_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_bytes(text.encode("utf-8"))
 
     def fast():
-        ds = load_csv(path, "label", encoding)
+        ds = load_csv(path, "label")
         return ds.features, ds.labels
 
     def loop():
-        return data._load_csv_per_cell(path, "label", data.LABEL_ENCODINGS[encoding])
+        return data._load_csv_per_cell(path, "label")
 
     assert _outcome(fast) == _outcome(loop)
 

@@ -379,7 +379,7 @@ def test_config_json_accepts_scalars():
 
 def test_csv_config_round_trip(tmp_path):
     spec = CsvDataSpec(source_paths=("a.csv", "b.csv"), reference_path="r.csv",
-                       test_path="t.csv", label_column="y", label_encoding="zero_one")
+                       test_path="t.csv", label_column="y")
     cfg = ExperimentConfig(data=spec, method=("reference_only",))
     back = config_from_json(config_to_json(cfg))
     assert back == cfg
@@ -414,16 +414,27 @@ def test_config_validation():
     with pytest.raises(ValueError, match="missing SyntheticSpec key.*: n_sources$"):
         config_from_json(_without(text, "data", "synthetic", "n_sources"))
     csv_text = config_to_json(_config(data=CsvDataSpec(("a.csv",), "r.csv", "t.csv")))
-    # the label encoding is checked when the config is read, before any file is
-    for encoding in ('{"0": -1, "1": 1}', '"binary"'):
-        with pytest.raises(ValueError, match="unknown label encoding"):
-            config_from_json(csv_text.replace('"signed"', encoding))
+    # each file's labels show its encoding, so the config names none
+    with pytest.raises(ValueError, match="unknown CsvDataSpec key.*: label_encoding$"):
+        config_from_json(csv_text.replace('"label_column"', '"label_encoding": "zero_one", '
+                                          '"label_column"'))
     with pytest.raises(ValueError, match="missing CsvDataSpec key.*: reference_path, test_path$"):
         config_from_json(_without(_without(csv_text, "data", "csv_paths", "reference_path"),
                                   "data", "csv_paths", "test_path"))
     corrupted = config_to_json(_config(corruption=CorruptionSetting("label_bias", (1,))))
     with pytest.raises(ValueError, match="missing CorruptionSetting key.*: kind$"):
         config_from_json(_without(corrupted, "corruption", "kind"))
+    # a corruption level the pool cannot run fails when the config is read,
+    # not after the sweep has run every level below it
+    with pytest.raises(ValueError, match="n_corrupted must be a nonempty list"):
+        CorruptionSetting("label_bias", [])
+    _config(corruption=CorruptionSetting("label_bias", (0, 4)))  # all 4 sources
+    with pytest.raises(ValueError, match="n_corrupted=5 exceeds the pool's 4 sources"):
+        _config(corruption=CorruptionSetting("label_bias", (0, 1, 5)))
+    csv_spec = CsvDataSpec(("a.csv", "b.csv"), "r.csv", "t.csv")
+    _config(data=csv_spec, corruption=CorruptionSetting("label_bias", (2,)))
+    with pytest.raises(ValueError, match="n_corrupted=3 exceeds the pool's 2 sources"):
+        _config(data=csv_spec, corruption=CorruptionSetting("label_bias", (3, 0)))
 
 
 @pytest.mark.parametrize("make, field", [

@@ -74,6 +74,7 @@ def test_sweep_digests_of_a_case2_trace(tmp_path):
     config = json.loads((SCRIPTS / "corruption_sweep.json").read_text(encoding="utf-8"))
     config["data"]["synthetic"].update(n_sources=2, samples_per_source=20, reference_size=15,
                                        test_size=10, n_features=2)
+    config["corruption"]["n_corrupted"] = [0, 1, 2]  # a level above 2 sources is an error
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps(config), encoding="utf-8")
     done = _run("sweep_digests.py", "--federated", str(tiny))
