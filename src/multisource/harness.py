@@ -6,6 +6,9 @@ chosen number of sources, and runs either the discrepancy-weighting pipeline
 ridge strength) are selected by k-fold cross-validation on the reference
 data; during CV, discrepancies are recomputed against the reference's
 training folds only, so the held-out fold never leaks into the weighting.
+Each fold, and the final fit, prepares its data once in one fitter, which
+fits each distinct (alpha, ridge) once; the per-source models of the median
+baselines never read the reference and are fit once per ridge for all folds.
 
 The weighting pipeline appends the reference dataset to the pool as an
 extra source whose discrepancy is zero by construction, so lam -> infinity
@@ -70,11 +73,6 @@ METHODS = (
     "median_of_probs",
     "robust_loss",
     "batch_norm",
-)
-
-# methods whose model fit does not look at the reference data
-_REFERENCE_FREE_FITS = frozenset(
-    {"geometric_median", "componentwise_median", "median_of_probs"}
 )
 
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
@@ -173,6 +171,9 @@ class ExperimentConfig:
                 and all(m in METHODS for m in methods)):
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS} "
                              "or a nonempty list of them")
+        repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+        if repeated:  # it would write the same results rows twice
+            raise ValueError(f"method {repeated[0]!r} is listed more than once")
         object.__setattr__(self, "method", tuple(methods))
         for name in ("lambda_grid", "ridge_grid"):
             try:
@@ -283,63 +284,66 @@ def _cross_validate(
     if len(grid) == 1:
         return grid[0]
     n = pool.reference.n_samples
+    if folds > n:
+        raise ValueError(f"cv_folds={folds} exceeds the reference's {n} rows")
     scores = np.zeros(len(grid))
     for heldout in kfold_indices(n, folds, seed):
         fit = fit_fold(pool.reference.take(np.setdiff1d(np.arange(n), heldout)))
         heldout_data = pool.reference.take(heldout)
         scores += [zero_one_error(fit(point), heldout_data) for point in grid]
+        del fit  # frees this fold's prepared data before the next fold's is built
     return grid[int(np.argmin(scores))]
 
 
-def _fit_baseline(
-    method: str,
-    sources: Sequence[Dataset],
-    reference: Dataset,
-    ridge: float,
-):
-    if method == "reference_only":
-        return train_erm(reference, "logistic", ridge)
-    if method == "all_data":
-        return train_erm(merge(tuple(sources) + (reference,)), "logistic", ridge)
-    if method == "robust_loss":
-        return train_erm(merge(tuple(sources) + (reference,)), "huber_logistic", ridge)
-    if method == "batch_norm":
+def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset,
+            local_fit: Callable = train_erm) -> Callable:
+    """A function from a grid point (lam, ridge) to (predictor, alpha,
+    discrepancies) trained against `reference`, on data prepared once here.
+
+    For "ours" the discrepancies are scored once, and the reference joins the
+    pool as an extra source with discrepancy 0 (it matches itself exactly).
+    A baseline ignores lam and has no alpha or discrepancies. The median
+    baselines aggregate the per-source models `local_fit(source, "logistic",
+    ridge)`, which never read the reference, so a caller may share them.
+    """
+    if method == "ours":
+        pool = SourcePool(tuple(sources) + (reference,), reference)
+        d_full = np.array([empirical_discrepancy(s, reference).value for s in sources] + [0.0])
+        problem = WeightProblem(d_full, pool.sample_counts)
+        fits = {}
+
+        def fit(point):
+            alpha = solve_weights(problem, point[0])
+            key = (alpha.tobytes(), point[1])
+            if key not in fits:  # many lam give the same alpha
+                fits[key] = train_weighted_erm(pool, alpha, "logistic", point[1])
+            return fits[key], alpha, d_full
+
+        return fit
+    if method in ("reference_only", "all_data", "robust_loss"):
+        data = reference if method == "reference_only" else merge(tuple(sources) + (reference,))
+        loss = "huber_logistic" if method == "robust_loss" else "logistic"
+        train = functools.partial(train_erm, data, loss)
+    elif method == "batch_norm":
         # standardize each sample by its own statistics, then fold the
         # reference's into the model: w.(x - mean)/std + b = (w/std).x + b - (w/std).mean
         z_ref, mean, std = standardize(reference.features)
         merged = merge([Dataset(standardize(s.features)[0], s.labels) for s in sources]
                        + [Dataset(z_ref, reference.labels)])
-        inner = train_erm(merged, "logistic", ridge)
-        weights = inner.weights / std
-        return LinearPredictor(weights, inner.bias - weights @ mean)
-    locals_ = [train_erm(s, "logistic", ridge) for s in sources]
-    if method == "median_of_probs":
-        return MedianOfProbsEnsemble(locals_)
-    median = geometric_median if method == "geometric_median" else componentwise_median
-    agg = median(np.array([np.append(m.weights, m.bias) for m in locals_]))
-    return LinearPredictor(agg[:-1], float(agg[-1]))
 
-
-def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset) -> Callable:
-    """A function from a grid point (lam, ridge) to (predictor, alpha,
-    discrepancies) trained against `reference`.
-
-    For "ours" the discrepancies are scored once, and the reference joins the
-    pool as an extra source with discrepancy 0 (it matches itself exactly).
-    A baseline ignores lam and has no alpha or discrepancies.
-    """
-    if method != "ours":
-        return lambda point: (_fit_baseline(method, sources, reference, point[1]), None, None)
-    pool = SourcePool(tuple(sources) + (reference,), reference)
-    d_full = np.array([empirical_discrepancy(s, reference).value for s in sources] + [0.0])
-    problem = WeightProblem(d_full, pool.sample_counts)
-
-    def fit(point):
-        lam, ridge = point
-        alpha = solve_weights(problem, lam)
-        return train_weighted_erm(pool, alpha, "logistic", ridge), alpha, d_full
-
-    return fit
+        def train(ridge):
+            inner = train_erm(merged, "logistic", ridge)
+            weights = inner.weights / std
+            return LinearPredictor(weights, inner.bias - weights @ mean)
+    else:
+        def train(ridge):
+            locals_ = [local_fit(s, "logistic", ridge) for s in sources]
+            if method == "median_of_probs":
+                return MedianOfProbsEnsemble(locals_)
+            median = geometric_median if method == "geometric_median" else componentwise_median
+            agg = median(np.array([np.append(m.weights, m.bias) for m in locals_]))
+            return LinearPredictor(agg[:-1], float(agg[-1]))
+    return lambda point: (train(point[1]), None, None)
 
 
 def run_method(
@@ -356,25 +360,18 @@ def run_method(
     seed = config.seed if seed is None else seed
     lams = sorted(config.lambda_grid) if method == "ours" else [None]
     grid = [(lam, ridge) for lam in lams for ridge in sorted(config.ridge_grid)]
-    full_fit = functools.cache(_fitter(method, pool.sources, pool.reference))
+    local_fit = functools.cache(train_erm)  # one per-source model per ridge, for all folds
+    fitter = functools.partial(_fitter, method, pool.sources, local_fit=local_fit)
 
     def fit_fold(ref_train: Dataset):
-        # a reference-free fit is the same in every fold: one per ridge serves all
-        fit = (full_fit if method in _REFERENCE_FREE_FITS
-               else _fitter(method, pool.sources, ref_train))
+        fit = fitter(ref_train)
         return lambda point: fit(point)[0]
 
-    best_lam, best_ridge = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
-    predictor, alpha, discrepancies = full_fit((best_lam, best_ridge))
-    return RunResult(
-        method=method,
-        test_error=zero_one_error(predictor, test_data),
-        selected_lambda=best_lam,
-        selected_ridge=best_ridge,
-        alpha=alpha,
-        discrepancies=discrepancies,
-        seed=seed,
-    )
+    best = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
+    predictor, alpha, discrepancies = fitter(pool.reference)(best)
+    return RunResult(method=method, test_error=zero_one_error(predictor, test_data),
+                     selected_lambda=best[0], selected_ridge=best[1], alpha=alpha,
+                     discrepancies=discrepancies, seed=seed)
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepCell]:

@@ -92,6 +92,16 @@ def test_train_command(tmp_path, small_config):
     assert len(result["alpha"]) == 4  # 3 sources + appended reference
 
 
+def test_train_command_with_a_one_point_grid_needs_no_folds(tmp_path, small_config, capsys):
+    config = json.loads(small_config.read_text())
+    config["data"]["synthetic"]["reference_size"] = 3  # fewer rows than the 5 folds
+    path = tmp_path / "three_rows.json"
+    path.write_text(json.dumps(config))
+    for method in ("ours", "all_data", "geometric_median"):
+        assert main(["train", "--method", method, "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["selected_ridge"] == 1e-2
+
+
 def test_corrupt_command(tmp_path):
     src = tmp_path / "in.csv"
     _write_dataset(src, 3)
@@ -267,6 +277,13 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     for path, levels in ((no_levels, []), (too_many, [0, 1, 5])):
         path.write_text(json.dumps(dict(config, corruption=dict(config["corruption"],
                                                                 n_corrupted=levels))))
+    # a method listed twice would write each of its results rows twice
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(dict(config, method=["all_data", "reference_only", "all_data"])))
+    # a 3-row reference cannot be cut into the default 5 folds
+    three_rows = {"synthetic": dict(synthetic, reference_size=3)}
+    few_rows = tmp_path / "few_rows.json"
+    few_rows.write_text(json.dumps(dict(config, data=three_rows, ridge_grid=[0.01, 0.1])))
     encoding_key = tmp_path / "label_encoding.json"
     encoding_key.write_text(json.dumps(dict(config, data={"csv_paths": dict(
         csv_data, label_encoding="zero_one")})))
@@ -400,6 +417,12 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "label_encoding\n"),
         (["train", "--method", "ours", "--config", str(huge_config)],
          f"multisource train: error: {huge_source}"),
+        (["experiment", "--config", str(twice), "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {twice}: method 'all_data' is listed more than once\n"),
+        (["train", "--method", "ours", "--config", str(few_rows)],
+         "multisource train: error: cv_folds=5 exceeds the reference's 3 rows\n"),
+        (["train", "--method", "geometric_median", "--config", str(few_rows)],
+         "multisource train: error: cv_folds=5 exceeds the reference's 3 rows\n"),
         (["experiment", "--config", str(huge_source_config),
           "--out", str(tmp_path / "results.csv")],
          f"multisource experiment: error: {huge_source}"),

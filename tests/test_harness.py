@@ -15,7 +15,6 @@ from multisource.harness import (
     ExperimentConfig,
     SyntheticSpec,
     _cross_validate,
-    _fit_baseline,
     _fitter,
     build_pool,
     config_from_json,
@@ -25,7 +24,7 @@ from multisource.harness import (
     write_results_csv,
     write_summary_csv,
 )
-from multisource.models import LinearPredictor, train_erm, zero_one_error
+from multisource.models import LinearPredictor, train_erm, train_weighted_erm, zero_one_error
 
 
 def _spec(**overrides):
@@ -99,12 +98,8 @@ def test_all_data_equals_plain_erm_on_concatenation():
     rng = np.random.default_rng(3)
     ref = Dataset(rng.standard_normal((25, 2)), np.where(rng.random(25) < 0.5, 1.0, -1.0))
     pool = SourcePool((ref, ref), ref)
-    cfg = _config(method=("all_data",))
-    result_pred = None
-
     # run the baseline fit directly to compare predictors, not just errors
-    from multisource.harness import _fit_baseline
-    fitted = _fit_baseline("all_data", pool.sources, ref, 1e-2)
+    fitted = _fitter("all_data", pool.sources, ref)((None, 1e-2))[0]
     direct = train_erm(merge((ref, ref, ref)), "logistic", 1e-2)
     assert np.max(np.abs(fitted.weights - direct.weights)) <= 1e-8
     assert abs(fitted.bias - direct.bias) <= 1e-8
@@ -114,28 +109,26 @@ def test_geometric_median_of_identical_sources_is_local_model():
     rng = np.random.default_rng(4)
     ds = Dataset(rng.standard_normal((30, 2)), np.where(rng.random(30) < 0.5, 1.0, -1.0))
     pool = SourcePool((ds, ds, ds), ds)
-    from multisource.harness import _fit_baseline
-    agg = _fit_baseline("geometric_median", pool.sources, ds, 1e-2)
+    agg = _fitter("geometric_median", pool.sources, ds)((None, 1e-2))[0]
     local = train_erm(ds, "logistic", 1e-2)
     assert np.max(np.abs(agg.weights - local.weights)) <= 1e-8
 
 
-def test_median_baselines_aggregate_the_stacked_local_models(monkeypatch):
+def test_median_baselines_aggregate_the_stacked_local_models():
     models = [LinearPredictor(np.array([0.0, 1.0]), 5.0),
               LinearPredictor(np.array([1.0, 0.0]), 1.0),
               LinearPredictor(np.array([5.0, 5.0]), 0.0)]
     ds = Dataset(np.zeros((2, 2)), [1.0, -1.0])
 
-    def fit_as(local_models):
+    def fit_as(method, local_models):
         fits = iter(local_models)
-        monkeypatch.setattr(harness, "train_erm", lambda data, loss, ridge: next(fits))
+        fit = _fitter(method, (ds, ds, ds), ds, lambda data, loss, ridge: next(fits))
+        return fit((None, 1e-2))[0]
 
-    fit_as(models)
-    agg = _fit_baseline("componentwise_median", (ds, ds, ds), ds, 1e-2)
+    agg = fit_as("componentwise_median", models)
     assert np.array_equal(agg.weights, [1.0, 1.0])
     assert agg.bias == 1.0
-    fit_as([models[0]] * 3)
-    same = _fit_baseline("geometric_median", (ds, ds, ds), ds, 1e-2)
+    same = fit_as("geometric_median", [models[0]] * 3)
     assert np.allclose(same.weights, models[0].weights, atol=1e-12)
     assert abs(same.bias - models[0].bias) <= 1e-12
 
@@ -173,7 +166,7 @@ def test_batch_norm_folds_the_reference_statistics_into_a_linear_predictor(
     reference = draw(20)
     reference = Dataset(np.column_stack(  # a constant column
         [reference.features[:, :2], np.full(20, shift + 0.1)]), reference.labels)
-    predictor = _fit_baseline("batch_norm", sources, reference, 1e-2)
+    predictor = _fitter("batch_norm", sources, reference)((None, 1e-2))[0]
     assert isinstance(predictor, LinearPredictor)
     assert predictor.weights[2] == 0.0
     _, mean, std = standardize(reference.features)
@@ -268,15 +261,50 @@ def test_reference_free_baseline_trains_once_per_ridge(monkeypatch):
     calls = []
 
     def counting(data, loss, ridge):
-        calls.append(ridge)
+        calls.append((data, ridge))
         return train_erm(data, loss, ridge)
 
     monkeypatch.setattr(harness, "train_erm", counting)
     pool, test = generate_synthetic_pool(_spec(), seed=7)
     cfg = _config(ridge_grid=(1e-2, 1e-1, 1.0), cv_folds=3)
-    result = run_method(pool, test, cfg, "geometric_median")
-    assert sorted(calls) == [r for r in (1e-2, 1e-1, 1.0) for _ in range(pool.n_sources)]
-    assert result.selected_ridge in cfg.ridge_grid
+    for method in ("geometric_median", "componentwise_median", "median_of_probs"):
+        calls.clear()
+        result = run_method(pool, test, cfg, method)
+        assert sorted(ridge for _, ridge in calls) == [r for r in (1e-2, 1e-1, 1.0)
+                                                       for _ in range(pool.n_sources)]
+        assert all(any(data is s for s in pool.sources) for data, _ in calls)
+        assert result.selected_ridge in cfg.ridge_grid
+
+
+def test_ours_fits_each_distinct_weighted_problem_once_per_fitter(monkeypatch):
+    # lam = 0 and 1e-3 often give the same alpha; a fold's fitter, or the
+    # final one, fits each distinct (alpha, ridge) it is asked for once
+    fitter, asked, fits = harness._fitter, [], []
+
+    def asking(*args, **kwargs):
+        fit = fitter(*args, **kwargs)
+
+        def recorded(point):
+            predictor, alpha, discrepancies = fit(point)
+            asked.append((fit, alpha.tobytes(), point[1]))  # holding fit keeps its id unique
+            return predictor, alpha, discrepancies
+
+        return recorded
+
+    def counting(pool, alpha, loss, ridge):
+        fits.append((pool, alpha.tobytes(), ridge))
+        return train_weighted_erm(pool, alpha, loss, ridge)
+
+    monkeypatch.setattr(harness, "_fitter", asking)
+    monkeypatch.setattr(harness, "train_weighted_erm", counting)
+    pool, test = generate_synthetic_pool(_spec(), seed=2)
+    cfg = _config(lambda_grid=(0.0, 1e-3, 1.0), ridge_grid=(1e-2, 1e-1), cv_folds=3)
+    run_method(pool, test, cfg, "ours")
+    distinct = {(id(fit), alpha, ridge) for fit, alpha, ridge in asked}
+    assert len(asked) == 3 * 3 * 2 + 1  # every fold's grid, then the final fit
+    assert len(distinct) < len(asked)  # some lam in this grid share an alpha
+    assert len(fits) == len(distinct)
+    assert len({(id(p), alpha, ridge) for p, alpha, ridge in fits}) == len(fits)
 
 
 def test_run_method_rejects_unknown_method():
@@ -404,6 +432,9 @@ def test_config_validation():
         config_from_json(text.replace('"lambda_grid"', '"lamda_grid"'))
     with pytest.raises(ValueError, match="n_source"):
         config_from_json(text.replace('"n_sources"', '"n_source"'))
+    # a method listed twice would run twice and count each of its errors twice
+    with pytest.raises(ValueError, match="method 'ours' is listed more than once"):
+        config_from_json(json.dumps(dict(json.loads(text), method=["ours", "all_data", "ours"])))
     with pytest.raises(ValueError, match="seed must be a whole number"):
         config_from_json(text.replace('"seed": 5', '"seed": 5.5'))
     assert config_from_json(text.replace('"seed": 5', '"seed": 5.0')).seed == 5
