@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .models import LinearPredictor
 
 __all__ = [
     "RELAX_RIDGE",
     "DiscrepancyEstimate",
+    "empirical_discrepancies",
     "empirical_discrepancy",
     "finite_moments",
     "moments",
@@ -88,31 +89,44 @@ def solve_relaxation(gram: np.ndarray, target: np.ndarray) -> np.ndarray:
                                  "center or rescale the features") from None
 
 
-def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:
-    """Estimate the source-vs-reference risk gap via the flipped-label relaxation.
+def _misses(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> int:
+    """Rows where sign(w.x + b), theta = (w, b), tie at 0 to +1, differs from `labels`."""
+    if not np.isfinite(theta).all():
+        raise ValueError("predictor parameters must be finite")
+    return int(np.count_nonzero((features @ theta[:-1] + theta[-1] >= 0.0) != (labels > 0.0)))
 
-    The relaxation minimizes mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2
-    + (RELAX_RIDGE/2) ||w||^2. Its normal-equation matrix is positive definite
-    for any positive ridge, so the minimizer is a single linear solve.
-    Overflowed moments raise a `FloatingPointError` naming the sample; so does
-    a system singular to working precision, as with a large constant feature.
-    """
-    if source.n_features != reference.n_features:
-        raise ValueError(
-            f"feature mismatch: source has {source.n_features}, reference {reference.n_features}"
-        )
-    if source.n_samples == 0:
-        raise ValueError("the source is empty")
+
+def empirical_discrepancies(sources: Sequence[Dataset],
+                            reference: Dataset) -> tuple[DiscrepancyEstimate, ...]:
+    """Each source's risk gap to `reference` by the flipped-label relaxation
+    mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2 + (RELAX_RIDGE/2) ||w||^2,
+    solved in one stack with the reference's moments built once. An overflow is
+    named by its sample, every source before the reference, in a `FloatingPointError`."""
+    if not sources:
+        raise ValueError("no sources to score")
+    for source in sources:
+        if source.n_features != reference.n_features:
+            raise ValueError(f"feature mismatch: source has {source.n_features}, "
+                             f"reference {reference.n_features}")
+        if source.n_samples == 0:
+            raise ValueError("the source is empty")
     if reference.n_samples == 0:
         raise ValueError("the reference is empty")
-    gram_src, moment_src = finite_moments(source, "the source's")
+    gram_src, moment_src = map(np.stack, zip(*[finite_moments(s, "the source's")
+                                               for s in sources]))
     gram_ref, moment_ref = finite_moments(reference, "the reference's")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
         gram = gram_src + gram_ref
         target = moment_ref - moment_src  # source labels are flipped
-    theta = solve_relaxation(gram, target)
-    predictor = LinearPredictor(theta[:-1], theta[-1])
-    miss_src = int(np.sum(predictor.predict_labels(source.features) != -source.labels))
-    miss_ref = int(np.sum(predictor.predict_labels(reference.features) != reference.labels))
-    m_src, m_ref = source.n_samples, reference.n_samples
-    return DiscrepancyEstimate((miss_src * m_ref + miss_ref * m_src) / (m_src * m_ref))
+    estimates, m_ref = [], reference.n_samples
+    for source, theta in zip(sources, solve_relaxation(gram, target)):
+        m_src = source.n_samples
+        misses = (_misses(theta, source.features, -source.labels) * m_ref
+                  + _misses(theta, reference.features, reference.labels) * m_src)
+        estimates.append(DiscrepancyEstimate(misses / (m_src * m_ref)))
+    return tuple(estimates)
+
+
+def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:
+    """`empirical_discrepancies` of the one source `source`."""
+    return empirical_discrepancies((source,), reference)[0]

@@ -6,8 +6,8 @@ Two protocols are simulated with explicit message and byte accounting
 
   Case 1  the learner broadcasts the reference dataset to every source
           node; each node estimates its discrepancy locally and returns a
-          single number. The results are produced by the very same code
-          path as the centralized estimator, so they match it exactly.
+          single number. The results come from one `empirical_discrepancies`
+          call, the centralized estimator's own code, so they match it exactly.
 
   Case 2  the reference dataset may not leave the learner. The
           flipped-label least-squares relaxation splits into a
@@ -43,11 +43,11 @@ import numpy as np
 from .data import SourcePool
 from .discrepancy import (
     DiscrepancyEstimate,
-    empirical_discrepancy,
+    _misses,
+    empirical_discrepancies,
     moments,
     solve_relaxation,
 )
-from .models import LinearPredictor
 
 __all__ = [
     "BYTES_PER_REAL",
@@ -119,7 +119,7 @@ def _source_node_id(index: int) -> str:
 def run_case1(pool: SourcePool) -> ProtocolTrace:
     """Reference broadcast, then local estimation at every source node."""
     broadcast_bytes = BYTES_PER_REAL * pool.reference.n_samples * (pool.n_features + 1)
-    results = tuple(empirical_discrepancy(source, pool.reference) for source in pool.sources)
+    results = empirical_discrepancies(pool.sources, pool.reference)
     messages = [Message("learner", _source_node_id(i), KIND_REFERENCE_BROADCAST,
                         broadcast_bytes, round=0) for i in range(pool.n_sources)]
     messages += [Message(_source_node_id(i), "learner", KIND_DISCREPANCY_RESULT,
@@ -185,9 +185,8 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     # scalar, and the source answers with its local flipped-label risk added
     final_queries, results = [], []
     for source, candidate in zip(pool.sources, theta):
-        predictor = LinearPredictor(candidate[:-1], candidate[-1])
-        ref_risk = float(np.mean(predictor.predict_labels(reference.features) != reference.labels))
-        local_risk = float(np.mean(predictor.predict_labels(source.features) != -source.labels))
+        ref_risk = _misses(candidate, reference.features, reference.labels) / reference.n_samples
+        local_risk = _misses(candidate, source.features, -source.labels) / source.n_samples
         final_queries.append((*candidate.tolist(), ref_risk))
         results.append(DiscrepancyEstimate(local_risk + ref_risk))
 

@@ -39,7 +39,7 @@ from .data import (
     load_csv,
     merge,
 )
-from .discrepancy import empirical_discrepancy, finite_moments
+from .discrepancy import empirical_discrepancies, finite_moments
 from .models import LinearPredictor, train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
 
@@ -300,15 +300,15 @@ def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset,
     """A function from a grid point (lam, ridge) to (predictor, alpha,
     discrepancies) trained against `reference`, on data prepared once here.
 
-    For "ours" the discrepancies are scored once, and the reference joins the
-    pool as an extra source with discrepancy 0 (it matches itself exactly).
+    For "ours" one `empirical_discrepancies` call, federated case 1's code,
+    scores every source; the reference joins the pool with discrepancy 0.
     A baseline ignores lam and has no alpha or discrepancies. The median
     baselines aggregate the per-source models `local_fit(source, "logistic",
     ridge)`, which never read the reference, so a caller may share them.
     """
     if method == "ours":
         pool = SourcePool(tuple(sources) + (reference,), reference)
-        d_full = np.array([empirical_discrepancy(s, reference).value for s in sources] + [0.0])
+        d_full = np.array([e.value for e in empirical_discrepancies(sources, reference)] + [0.0])
         problem = WeightProblem(d_full, pool.sample_counts)
         fits = {}
 

@@ -11,7 +11,12 @@ from helpers import (
     spearman,
 )
 from multisource.data import Dataset
-from multisource.discrepancy import DiscrepancyEstimate, empirical_discrepancy
+from multisource.discrepancy import (
+    DiscrepancyEstimate,
+    _misses,
+    empirical_discrepancies,
+    empirical_discrepancy,
+)
 
 ONE_D_REFERENCE = Dataset([[0.0], [1.0]], [-1.0, 1.0])
 ONE_D_SOURCE = Dataset([[0.0], [1.0]], [-1.0, -1.0])
@@ -162,6 +167,27 @@ def test_an_overflow_names_the_sample():
             empirical_discrepancy(source, reference)
 
 
+def test_a_batch_checks_every_source_before_the_reference():
+    plain = Dataset([[1.0], [-1.0]], [1.0, -1.0])
+    huge = Dataset([[1e200], [-1e200]], [1.0, -1.0])
+    empty = Dataset(np.empty((0, 1)), np.empty(0))
+    with pytest.raises(FloatingPointError, match="^the source's feature moments overflowed"):
+        empirical_discrepancies([plain, huge], huge)
+    with pytest.raises(ValueError, match="^the source is empty$"):
+        empirical_discrepancies([plain, empty], empty)
+    with pytest.raises(ValueError, match="^feature mismatch: source has 2, reference 1$"):
+        empirical_discrepancies([plain, Dataset([[1.0, 2.0]], [1.0])], empty)
+    with pytest.raises(ValueError, match="^no sources to score$"):
+        empirical_discrepancies([], plain)
+
+
+def test_a_non_finite_classifier_raises_as_a_predictor_does():
+    plain = Dataset([[1.0], [-1.0]], [1.0, -1.0])
+    for theta in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^predictor parameters must be finite$"):
+            _misses(np.array(theta), plain.features, plain.labels)
+
+
 def test_unequal_sizes_are_weighted_not_resampled():
     # hand-checkable instance: source 1 point, reference 4 points
     src = Dataset([[2.0]], [-1.0])
@@ -214,3 +240,36 @@ def test_discrepancy_invariant_to_shared_translation(instance, magnitude):
 def test_discrepancy_matches_lstsq_reference(instance):
     _, src, ref = _instance(*instance)
     assert empirical_discrepancy(src, ref).value == lstsq_discrepancy(src, ref)
+
+
+def _batch(seed, sizes, m_ref, d):
+    rng = np.random.default_rng(seed)
+    sources = [random_dataset(rng, n, d, flip=float(rng.random()) / 2) for n in sizes]
+    return rng, sources, random_dataset(rng, m_ref, d)
+
+
+batches = st.tuples(
+    st.integers(0, 2**32 - 1),  # seed
+    st.lists(st.integers(2, 60), min_size=1, max_size=6),  # source sizes
+    st.integers(2, 60),  # reference size
+    st.integers(1, 6),  # features
+)
+
+
+@given(batches)
+@settings(max_examples=100, deadline=None)
+def test_a_batch_equals_one_call_per_source_bit_for_bit(batch):
+    _, sources, reference = _batch(*batch)
+    risks = [e.solver_risk.hex() for e in empirical_discrepancies(sources, reference)]
+    assert risks == [empirical_discrepancy(s, reference).solver_risk.hex() for s in sources]
+
+
+@given(batches)
+@settings(max_examples=50, deadline=None)
+def test_reordering_the_sources_permutes_the_estimates(batch):
+    rng, sources, reference = _batch(*batch)
+    order = rng.permutation(len(sources))
+    estimates = empirical_discrepancies(sources, reference)
+    reordered = empirical_discrepancies([sources[i] for i in order], reference)
+    assert [e.solver_risk.hex() for e in reordered] == [estimates[i].solver_risk.hex()
+                                                        for i in order]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import bench_seed, case2_oracle, config_to_json, lstsq_relaxation, random_dataset
-from multisource import federated
+from multisource import discrepancy, federated
 from multisource.cli import main
 from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import empirical_discrepancy
@@ -39,6 +39,15 @@ def test_case1_matches_centralized_exactly():
         central = empirical_discrepancy(src, pool.reference)
         assert est.value == central.value
         assert est.solver_risk == central.solver_risk
+
+
+def test_case1_builds_each_samples_moments_once(monkeypatch):
+    built, moments = [], discrepancy.moments
+    monkeypatch.setattr(discrepancy, "moments", lambda data: built.append(data) or moments(data))
+    pool = _pool(n_sources=5)
+    run_case1(pool)
+    assert len(built) == pool.n_sources + 1
+    assert sum(data is pool.reference for data in built) == 1
 
 
 def test_case1_message_and_byte_accounting():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import config_to_json
-from multisource import harness
+from multisource import discrepancy, harness
 from multisource.baselines import standardize
 from multisource.data import Dataset, SourcePool, merge
 from multisource.harness import (
@@ -274,6 +274,17 @@ def test_reference_free_baseline_trains_once_per_ridge(monkeypatch):
                                                        for _ in range(pool.n_sources)]
         assert all(any(data is s for s in pool.sources) for data, _ in calls)
         assert result.selected_ridge in cfg.ridge_grid
+
+
+def test_ours_builds_each_samples_moments_once_per_fitter(monkeypatch):
+    built, moments = [], discrepancy.moments
+    monkeypatch.setattr(discrepancy, "moments", lambda data: built.append(data) or moments(data))
+    pool, _ = generate_synthetic_pool(_spec(n_sources=5), seed=3)
+    fit = _fitter("ours", pool.sources, pool.reference)
+    for point in ((0.0, 1e-2), (1.0, 1e-2), (1.0, 1e-1)):
+        fit(point)
+    assert len(built) == pool.n_sources + 1
+    assert sum(data is pool.reference for data in built) == 1
 
 
 def test_ours_fits_each_distinct_weighted_problem_once_per_fitter(monkeypatch):
