@@ -12,20 +12,21 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 from pathlib import Path
 
 from .corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
-from .data import load_csv, save_csv
+from .data import load_csv, load_csvs, save_csv
 from .discrepancy import empirical_discrepancy, finite_moments
 from .federated import run_case1, run_case2
 from .harness import (
     METHODS,
+    _nonempty,
     build_pool,
     config_from_json,
-    load_sample,
     run_method,
     run_sweep,
     write_results_csv,
@@ -67,21 +68,23 @@ def _weights_input(text: str) -> WeightProblem:
 
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
-    reference = load_sample(args.reference, "reference", args.label_column)
-    finite_moments(reference, f"{args.reference}: the reference's")
-    report = []
-    for path in args.sources:  # one at a time, so that only one source is held
-        source = load_sample(path, "source", args.label_column)
-        try:
-            estimate = empirical_discrepancy(source, reference)
-        except (ValueError, FloatingPointError) as exc:  # a mismatch or overflow: name the source
-            raise type(exc)(f"{path}: {exc}") from None
-        report.append({
-            "source": path,
-            "discrepancy": estimate.value,
-            "solver_risk": estimate.solver_risk,
-            "samples": source.n_samples,
-        })
+    files = load_csvs([args.reference, *args.sources], args.label_column)
+    with contextlib.closing(files):
+        reference = _nonempty(args.reference, "reference", next(files))
+        finite_moments(reference, f"{args.reference}: the reference's")
+        report = []
+        for path, source in zip(args.sources, files):  # each source is scored as it arrives
+            source = _nonempty(path, "source", source)
+            try:
+                estimate = empirical_discrepancy(source, reference)
+            except (ValueError, FloatingPointError) as exc:  # a mismatch or overflow: name it
+                raise type(exc)(f"{path}: {exc}") from None
+            report.append({
+                "source": path,
+                "discrepancy": estimate.value,
+                "solver_risk": estimate.solver_risk,
+                "samples": source.n_samples,
+            })
     _emit(report, args.out)
     return 0
 

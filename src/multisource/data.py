@@ -14,14 +14,23 @@ the file's whole text with string searches for what sends it to the loop
 (a quote, a separator \\x1c-\\x1f, a carriage return outside CRLF, a line
 over csv's field size limit) and tests lines one by one for a comment only
 when the text holds a '#'. Both readers skip a leading UTF-8 BOM.
+
+`load_csvs` reads a command's files in forked reader processes, one per
+usable CPU, when `os.fork` exists, the process may use at least 2 CPUs and
+at least 2 files are read. Each reader sends its files' arrays as raw
+float64 bytes; a file whose reader failed or died is read in process. Its
+results, and its errors with their order, equal those of `load_csv` called
+on each file in turn.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +39,7 @@ __all__ = [
     "SourcePool",
     "CsvFormatError",
     "load_csv",
+    "load_csvs",
     "save_csv",
     "merge",
     "kfold_indices",
@@ -281,6 +291,100 @@ def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.nd
             f"non-finite value {features[r, k]}"
         )
     return features, labels
+
+
+_HEADER = 16  # bytes of a file's (rows, cols) as two int64
+_SIGKILL = 9  # the same on every POSIX system; importing signal would slow every CLI start
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def load_csvs(paths: Sequence[str | Path], label_column: str = "label") -> Iterator[Dataset]:
+    """`load_csv(path, label_column)` of each path, in order, as a generator.
+
+    When `os.fork` exists, the process may use at least 2 CPUs and at least
+    2 files are read, the first `next` forks k = min(files, usable CPUs)
+    readers, and reader c parses `paths[c::k]`. For each file it sends a
+    (rows, cols) header and the raw float64 bytes of the features and
+    labels, which this process reads into preallocated arrays; on a file
+    that fails it ends. A file whose reader failed or died, and every later
+    file of that reader, is parsed here. So every result, and every error
+    with its order, is the one of `load_csv` called on each path in turn.
+
+    Read the generator to its end or close it (`contextlib.closing`): either
+    closes the pipes, then kills and reaps every reader.
+    """
+    paths = list(paths)
+    k = min(len(paths), _usable_cpus()) if hasattr(os, "fork") else 1
+    if k < 2:
+        for path in paths:
+            yield load_csv(path, label_column)
+        return
+    readers: list[tuple[int | None, BinaryIO]] = []  # pid None: no reader was started
+    try:
+        for c in range(k):
+            try:
+                readers.append(_fork_reader(paths[c::k], label_column))
+            except OSError:  # no pipe or process to spare: its files are read here
+                readers.append((None, io.BytesIO()))
+        for i, path in enumerate(paths):
+            pipe = readers[i % k][1]
+            data = None if pipe.closed else _receive(pipe)
+            if data is None:
+                pipe.close()  # the reader failed or died: read its files here
+                data = load_csv(path, label_column)
+            yield data
+    finally:
+        for _, pipe in readers:
+            pipe.close()
+        for pid, _ in readers:
+            if pid is not None:
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_reader(paths: list, label_column: str) -> tuple[int, BinaryIO]:
+    """(pid, read end of its pipe) of a forked reader that sends the files
+    at `paths`. The reader ends with `os._exit`, never returning."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                for path in paths:
+                    data = load_csv(path, label_column)  # an error ends the reader
+                    out.write(np.array(data.features.shape, dtype=np.int64).tobytes())
+                    out.write(data.features)
+                    out.write(data.labels)
+                    out.flush()  # this process may be waiting for the last bytes
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pipe: BinaryIO) -> Dataset | None:
+    """The Dataset of the next file a reader sent, or None when it ended
+    before the whole file."""
+    header = pipe.read(_HEADER)
+    if len(header) < _HEADER:
+        return None
+    rows, cols = np.frombuffer(header, dtype=np.int64)
+    features, labels = np.empty((rows, cols)), np.empty(rows)
+    if pipe.readinto(features) < features.nbytes or pipe.readinto(labels) < labels.nbytes:
+        return None
+    return Dataset(features, labels)
 
 
 def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:

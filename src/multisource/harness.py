@@ -1,11 +1,13 @@
 """Config-driven experiment harness.
 
-Builds a pool (synthetic Gaussian task or CSV files), optionally corrupts a
-chosen number of sources, and runs either the discrepancy-weighting pipeline
-("ours") or one of the comparison methods. Hyperparameters (lam and the
-ridge strength) are selected by k-fold cross-validation on the reference
-data; during CV, discrepancies are recomputed against the reference's
-training folds only, so the held-out fold never leaks into the weighting.
+Builds a pool (synthetic Gaussian task, or CSV files read through one
+`load_csvs` generator that the pool's checks consume file by file, in the
+order of a one-by-one read), optionally corrupts a chosen number of
+sources, and runs either the discrepancy-weighting pipeline ("ours") or one
+of the comparison methods. Hyperparameters (lam and the ridge strength) are
+selected by k-fold cross-validation on the reference data; during CV,
+discrepancies are recomputed against the reference's training folds only,
+so the held-out fold never leaks into the weighting.
 Each fold, and the final fit, prepares its data once in one fitter, which
 fits each distinct (alpha, ridge) once; the per-source models of the median
 baselines never read the reference and are fit once per ridge for all folds.
@@ -18,6 +20,7 @@ reference alone.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -36,7 +39,7 @@ from .data import (
     SourcePool,
     _derive_seed,
     kfold_indices,
-    load_csv,
+    load_csvs,
     merge,
 )
 from .discrepancy import empirical_discrepancies, finite_moments
@@ -54,7 +57,6 @@ __all__ = [
     "RunResult",
     "SweepCell",
     "generate_synthetic_pool",
-    "load_sample",
     "build_pool",
     "run_method",
     "run_sweep",
@@ -236,10 +238,9 @@ def generate_synthetic_pool(
     return SourcePool(sources, reference), test
 
 
-def load_sample(path: str, role: str, label_column: str = "label") -> Dataset:
-    """`load_csv` of a source, reference or test file; one with no rows raises a
-    ValueError that names it."""
-    data = load_csv(path, label_column)
+def _nonempty(path: str, role: str, data: Dataset) -> Dataset:
+    """`data`, the source, reference or test file read from `path`; one with
+    no rows raises a ValueError that names it."""
     if data.n_samples == 0:
         raise ValueError(f"{path}: the {role} is empty")
     return data
@@ -252,16 +253,18 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
     spec = config.data
     if isinstance(spec, SyntheticSpec):
         return generate_synthetic_pool(spec, seed)
-    load = functools.partial(load_sample, label_column=spec.label_column)
-    sources = tuple(load(p, "source") for p in spec.source_paths)
-    reference = load(spec.reference_path, "reference")
-    for path, source in zip(spec.source_paths, sources):
-        if source.n_features != reference.n_features:
-            raise ValueError(f"{path}: feature mismatch: source has {source.n_features}, "
-                             f"reference {reference.n_features}")
-        finite_moments(source, f"{path}: the source's")  # one source's design at a time
-    finite_moments(reference, f"{spec.reference_path}: the reference's")
-    test = load(spec.test_path, "test set")
+    files = load_csvs([*spec.source_paths, spec.reference_path, spec.test_path],
+                      spec.label_column)
+    with contextlib.closing(files):
+        sources = tuple(_nonempty(p, "source", next(files)) for p in spec.source_paths)
+        reference = _nonempty(spec.reference_path, "reference", next(files))
+        for path, source in zip(spec.source_paths, sources):
+            if source.n_features != reference.n_features:
+                raise ValueError(f"{path}: feature mismatch: source has {source.n_features}, "
+                                 f"reference {reference.n_features}")
+            finite_moments(source, f"{path}: the source's")  # one source's design at a time
+        finite_moments(reference, f"{spec.reference_path}: the reference's")
+        test = _nonempty(spec.test_path, "test set", next(files))
     if test.n_features != reference.n_features:
         raise ValueError(f"{spec.test_path}: feature mismatch: test set has {test.n_features}, "
                          f"reference {reference.n_features}")

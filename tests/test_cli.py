@@ -10,6 +10,7 @@ import pytest
 
 from helpers import config_to_json, zero_one_copy
 import multisource
+from multisource import data
 from multisource.cli import build_parser, main
 from multisource.data import Dataset, load_csv, save_csv
 from multisource.harness import CorruptionSetting, ExperimentConfig, SyntheticSpec
@@ -235,7 +236,22 @@ def test_the_encoding_option_is_gone(tmp_path, capsys):
         assert usage.value.code == 2 and "--encoding" in capsys.readouterr().err
 
 
-def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
+@pytest.mark.parametrize("shift", [0, 1])
+def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, monkeypatch, shift):
+    # `shift` good sources are read first, so each bad CSV file other than the
+    # discrepancy command's reference (always read first) moves to the other
+    # of the two readers
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    reference_features = {"three_reference": 3, "constant_reference": 1}  # the others have 2
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(10 + d)
+        save_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
+                 tmp_path / f"pad_{d}.csv")
+
+    def pad(reference: str) -> list[str]:
+        d = reference_features.get(Path(reference).stem, 2)
+        return [str(tmp_path / f"pad_{d}.csv")] * shift
+
     no_method = json.loads(small_config.read_text())
     del no_method["method"]
     bad_config = tmp_path / "no_method.json"
@@ -299,7 +315,7 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
                                     (huge_source_config, "huge_source", "plain_reference"),
                                     (huge_reference_config, "plain_reference", "huge_reference")):
         path.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
-            "source_paths": [str(tmp_path / f"{source}.csv")],
+            "source_paths": pad(reference) + [str(tmp_path / f"{source}.csv")],
             "reference_path": str(tmp_path / f"{reference}.csv"),
             "test_path": str(tmp_path / "huge_test.csv")}})))
     # the pool is built before any fit, and names the source or reference that overflows
@@ -315,7 +331,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
                  tmp_path / f"{name}.csv")
     constant_config = tmp_path / "constant.json"
     constant_config.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
-        "source_paths": [str(tmp_path / "constant_a.csv"), str(tmp_path / "constant_b.csv")],
+        "source_paths": pad("constant_reference") + [str(tmp_path / "constant_a.csv"),
+                                                     str(tmp_path / "constant_b.csv")],
         "reference_path": str(tmp_path / "constant_reference.csv"),
         "test_path": str(tmp_path / "constant_reference.csv")}})))
     singular = ("the relaxation's system is singular to working precision; center or rescale "
@@ -334,10 +351,13 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
         "mismatch": (["three_features", "two_features"], "three_reference", "three_reference"),
         "empty_test": (["plain_reference"], "plain_reference", "reference"),
         "mismatched_test": (["two_features"], "plain_reference", "three_reference"),
+        "ragged_source": (["plain_reference", "ragged"], "plain_reference", "plain_reference"),
+        "missing_test": (["plain_reference"], "plain_reference", "missing"),
     }
     for name, (sources, reference, test) in csv_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(config, corruption=None, data={
-            "csv_paths": {"source_paths": [str(tmp_path / f"{s}.csv") for s in sources],
+            "csv_paths": {"source_paths": pad(reference) + [str(tmp_path / f"{s}.csv")
+                                                            for s in sources],
                           "reference_path": str(tmp_path / f"{reference}.csv"),
                           "test_path": str(tmp_path / f"{test}.csv")}})))
     empty_reference_config = tmp_path / "empty_reference.json"
@@ -346,6 +366,10 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     empty_test = f"{tmp_path / 'reference.csv'}: the test set is empty\n"
     mismatched_test = (f"{tmp_path / 'three_reference.csv'}: feature mismatch: test set has 3, "
                        "reference 2\n")
+    # a file that cannot be parsed, or is missing, is named by its reader's error
+    (tmp_path / "ragged.csv").write_text("f0,f1,label\n0.5,1.5,1\n2.5,-1\n")
+    ragged = f"{tmp_path / 'ragged.csv'}: row 2 has 2 cells, expected 3\n"
+    missing = f"no such file: {tmp_path / 'missing.csv'}\n"
     # a JSON syntax error and an unknown config key are named by the file
     syntax_error = tmp_path / "syntax_error.json"
     syntax_error.write_text('{"lam": }')
@@ -387,6 +411,17 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
          "multisource simulate-federated: error: rounds must be >= d + 2 = 4\n"),
         (["discrepancy", str(tmp_path / "missing.csv"), "--reference", str(tmp_path / "r.csv")],
          "multisource discrepancy: error: "),
+        (["discrepancy", str(tmp_path / "plain_reference.csv"), str(tmp_path / "missing.csv"),
+          "--reference", str(tmp_path / "plain_reference.csv")],
+         f"multisource discrepancy: error: {missing}"),
+        (["discrepancy", str(tmp_path / "ragged.csv"), str(tmp_path / "missing.csv"),
+          "--reference", str(tmp_path / "plain_reference.csv")],
+         f"multisource discrepancy: error: {ragged}"),
+        (["train", "--method", "all_data", "--config", str(tmp_path / "ragged_source.json")],
+         f"multisource train: error: {ragged}"),
+        (["experiment", "--config", str(tmp_path / "missing_test.json"),
+          "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {missing}"),
         (["train", "--method", "all_data", "--config", str(huge_config)],
          f"multisource train: error: {huge_source}"),
         (["simulate-federated", "--case", "2", "--config", str(huge_config)],
@@ -468,6 +503,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys):
     ] + [(["train", "--method", "ours", "--config", str(tmp_path / f"{field}.json")],
           f"multisource train: error: {tmp_path / f'{field}.json'}: {field}")
          for field in wrong_types]
+    cases = [([argv[0], *pad(argv[argv.index("--reference") + 1]), *argv[1:]]
+              if argv[0] == "discrepancy" else argv, message) for argv, message in cases]
     for argv, message in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning on the way fails the case

@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import io
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -317,6 +320,124 @@ def test_load_csv_matches_the_per_cell_loop(tmp_path_factory, text):
         return data._load_csv_per_cell(path, "label")
 
     assert _outcome(fast) == _outcome(loop)
+
+
+def _mixed_csvs(tmp_path, rows=3000):
+    """Paths of files of every kind `load_csv` reads: CRLF, LF, a BOM,
+    comment lines, 0 labels, a quoted cell (the per-cell loop) and a header
+    only. Each of the first five holds more than a pipe's 64 KiB."""
+    rng = np.random.default_rng(23)
+    crlf = tmp_path / "crlf.csv"
+    save_csv(Dataset(rng.standard_normal((rows, 3)), np.where(rng.random(rows) < 0.5, 1.0, -1.0)),
+             crlf)
+    text = crlf.read_bytes()
+    texts = {
+        "lf": text.replace(b"\r\n", b"\n"),
+        "bom": b"\xef\xbb\xbf" + text,
+        "comments": b"# a comment\r\n" + text.replace(b"\r\n", b"\r\n  # indented\r\n", 3),
+        "zero_one": text.replace(b",-1\r\n", b",0\r\n"),
+        "quoted": b'f0,label\r\n"0.5",1\r\n-2,-1\r\n',
+        "header_only": b"f0,f1,label\r\n",
+    }
+    for name, content in texts.items():
+        (tmp_path / f"{name}.csv").write_bytes(content)
+    return [crlf] + [tmp_path / f"{name}.csv" for name in texts]
+
+
+def _fork_spy(monkeypatch) -> list[int]:
+    """The pids of the readers forked from now on, in order."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _same(a: Dataset, b: Dataset) -> bool:
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               and x.flags.writeable == y.flags.writeable
+               for x, y in ((a.features, b.features), (a.labels, b.labels)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_load_csvs_equals_load_csv_of_each_file(tmp_path, monkeypatch, cpus):
+    paths = _mixed_csvs(tmp_path)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    readers = _fork_spy(monkeypatch)
+    got = list(data.load_csvs(paths))
+    assert len(readers) == (cpus if cpus > 1 else 0)  # 1: read in process
+    expected = [load_csv(p) for p in paths]
+    assert len(got) == len(expected) and all(map(_same, got, expected))
+
+
+def _outcomes(datasets) -> list:
+    """Each dataset's bytes, in order, then the (type, message) of the
+    error that stops the iteration, if any."""
+    out = []
+    try:
+        for ds in datasets:
+            out.append((ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()))
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("bad_at", range(4))
+def test_load_csvs_raises_the_first_error_of_the_one_by_one_reads(tmp_path, monkeypatch,
+                                                                  bad_at):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    good, *_ = _mixed_csvs(tmp_path, rows=50)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_bytes(b"f0,label\n1,1\n2\n")
+    paths = [good] * 4 + [tmp_path / "missing.csv", good]
+    paths[bad_at] = ragged
+    expected = _outcomes(load_csv(p) for p in paths)
+    assert expected[-1][0] is CsvFormatError
+    with contextlib.closing(data.load_csvs(paths)) as files:
+        assert _outcomes(files) == expected
+
+
+def test_a_reader_killed_mid_stream_leaves_the_results_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    paths = _mixed_csvs(tmp_path)[:5]  # each too large for a pipe to hold
+    readers = _fork_spy(monkeypatch)
+    parent, read_here = os.getpid(), []
+    load = data.load_csv
+
+    def spy(path, label_column="label"):
+        if os.getpid() == parent:
+            read_here.append(path)
+        return load(path, label_column)
+
+    monkeypatch.setattr(data, "load_csv", spy)
+    with contextlib.closing(data.load_csvs(paths)) as files:
+        got = [next(files)]
+        os.kill(readers[1], signal.SIGKILL)  # it is parsing or sending paths[1]
+        got += list(files)
+    assert read_here == paths[1::2]
+    assert all(map(_same, got, [load(p) for p in paths]))
+
+
+def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    paths = _mixed_csvs(tmp_path, rows=50)
+    readers, fork, calls = _fork_spy(monkeypatch), os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    got = list(data.load_csvs(paths))
+    assert len(calls) == 3 and len(readers) == 2
+    assert all(map(_same, got, [load_csv(p) for p in paths]))
 
 
 def test_kfold_sizes():
