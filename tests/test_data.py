@@ -180,8 +180,9 @@ def _old_save_csv_bytes(dataset, label_column="label"):
     return out.getvalue().encode("utf-8")
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("label_column", ["label", "y,class"])
-def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, label_column):
+def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, monkeypatch, label_column, cpus):
     rng = np.random.default_rng(17)
     special = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e300,
                1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0]
@@ -190,8 +191,14 @@ def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, label_column):
         rng.standard_normal((40, 2)) * 10.0 ** rng.integers(-300, 301, (40, 2)),
     ])
     ds = Dataset(features, np.where(rng.random(len(features)) < 0.5, 1.0, -1.0))
+    # every CPU formats a share of the 51 rows, each share in several blocks
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+    formatters = _fork_spy(monkeypatch)
     path = tmp_path / "d.csv"
     save_csv(ds, path, label_column)
+    assert len(formatters) == cpus - 1
     assert path.read_bytes() == _old_save_csv_bytes(ds, label_column)
     back = load_csv(path, label_column)
     assert back.features.tobytes() == ds.features.tobytes()
@@ -345,7 +352,7 @@ def _mixed_csvs(tmp_path, rows=3000):
 
 
 def _fork_spy(monkeypatch) -> list[int]:
-    """The pids of the readers forked from now on, in order."""
+    """The pids of the readers or formatters forked from now on, in order."""
     pids, fork = [], os.fork
 
     def spy():
@@ -438,6 +445,69 @@ def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, m
     got = list(data.load_csvs(paths))
     assert len(calls) == 3 and len(readers) == 2
     assert all(map(_same, got, [load_csv(p) for p in paths]))
+
+
+def _large_dataset(rows=20_000) -> Dataset:
+    """A table whose every share of two holds far more text than a pipe."""
+    rng = np.random.default_rng(29)
+    return Dataset(rng.standard_normal((rows, 2)), np.where(rng.random(rows) < 0.5, 1.0, -1.0))
+
+
+def test_a_formatter_killed_mid_share_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
+    ds, path = _large_dataset(), tmp_path / "d.csv"
+    formatters = _fork_spy(monkeypatch)
+    parent, formatted_here, killed = os.getpid(), [], []
+    text, receive = data._text, data._receive_text
+
+    def text_spy(table, row, start, stop):
+        if os.getpid() == parent:
+            formatted_here.append(start)
+        return text(table, row, start, stop)
+
+    def receive_spy(pipe):
+        block = receive(pipe)
+        if block is not None and not killed:  # the formatter's first block
+            os.kill(formatters[0], signal.SIGKILL)
+            killed.append(formatters[0])
+        return block
+
+    monkeypatch.setattr(data, "_text", text_spy)
+    monkeypatch.setattr(data, "_receive_text", receive_spy)
+    save_csv(ds, path)
+    half, step = ds.n_samples // 2, data._BLOCK_ROWS
+    later = [start for start in formatted_here if start >= half]
+    assert later and later[0] > half, "the formatter's rest was not formatted here"
+    assert formatted_here == list(range(0, half, step)) + list(range(later[0], ds.n_samples, step))
+    assert path.read_bytes() == _old_save_csv_bytes(ds)
+
+
+def test_a_formatter_that_cannot_be_forked_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
+    ds, path = _large_dataset(rows=3000), tmp_path / "d.csv"
+    formatters, fork, calls = _fork_spy(monkeypatch), os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    save_csv(ds, path)
+    assert len(calls) == 2 and len(formatters) == 1
+    assert path.read_bytes() == _old_save_csv_bytes(ds)
+
+
+def test_save_csv_to_a_path_it_cannot_open_forks_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
+    formatters = _fork_spy(monkeypatch)
+    with pytest.raises(IsADirectoryError):
+        save_csv(_large_dataset(rows=100), tmp_path)
+    assert formatters == []
 
 
 def test_kfold_sizes():
