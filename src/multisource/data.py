@@ -16,17 +16,13 @@ return outside CRLF, a line over csv's field size limit) and tests lines
 one by one for a comment only when the text holds a '#'. Both readers skip
 a leading UTF-8 BOM.
 
-`load_csvs` reads a command's files in forked reader processes, one per
-usable CPU, when `os.fork` exists, the process may use at least 2 CPUs and
-at least 2 files are read. Each reader sends its files' arrays as raw
-float64 bytes; a file whose reader failed or died is read in process. Its
-results, and its errors with their order, equal those of `load_csv` called
-on each file in turn. `save_csv` formats a table of at least 2 ×
-`_SHARE_CELLS` cells in shares, on up to one process per usable CPU: forked
-formatters send the text of the later shares back in blocks, and the rows
-of a block that never arrives are formatted in process, so the bytes are
-those of the one-process write. Readers and formatters are forked, killed
-and reaped by `_fork` and `_end`; none outlives its call.
+`load_csvs` parses a command's files, and `save_csv` formats a table's
+rows in blocks, through `_forked`: one ordered fork-map that deals item i
+to process i % k, on up to one process per usable CPU, and has each forked
+child send its results back as length-prefixed frames. An item whose frame
+does not arrive, as its child could not be forked, failed or died, is
+computed in process, so results, errors and bytes are those of one
+process doing the items in order, and no child outlives its call.
 """
 
 from __future__ import annotations
@@ -299,7 +295,6 @@ def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.nd
     return features, labels
 
 
-_HEADER = 16  # bytes of a file's (rows, cols) as two int64
 _SIGKILL = 9  # the same on every POSIX system; importing signal would slow every CLI start
 
 
@@ -313,45 +308,83 @@ def _usable_cpus() -> int:
 def load_csvs(paths: Sequence[str | Path], label_column: str = "label") -> Iterator[Dataset]:
     """`load_csv(path, label_column)` of each path, in order, as a generator.
 
-    When `os.fork` exists, the process may use at least 2 CPUs and at least
-    2 files are read, the first `next` forks k = min(files, usable CPUs)
-    readers, and reader c parses `paths[c::k]`. For each file it sends a
-    (rows, cols) header and the raw float64 bytes of the features and
-    labels, which this process reads into preallocated arrays; on a file
-    that fails it ends. A file whose reader failed or died, and every later
-    file of that reader, is parsed here. So every result, and every error
-    with its order, is the one of `load_csv` called on each path in turn.
+    The files are parsed by `_forked` in up to one reader process per usable
+    CPU, none of them this one (a parent that parses files made
+    `discrepancy` slower), and each comes back as its shape and raw float64
+    bytes. So every result, and every error with its order, is the one of
+    `load_csv` called on each path in turn.
 
     Read the generator to its end or close it (`contextlib.closing`): either
     closes the pipes, then kills and reaps every reader.
     """
-    paths = list(paths)
-    k = min(len(paths), _usable_cpus()) if hasattr(os, "fork") else 1
-    if k < 2:
-        for path in paths:
-            yield load_csv(path, label_column)
-        return
-    readers: list[tuple[int | None, BinaryIO]] = []
+    return _forked(lambda path: load_csv(path, label_column), paths, _usable_cpus(), False,
+                   _pack_dataset, _unpack_dataset)
+
+
+def _pack_dataset(data: Dataset) -> bytes:
+    """The (rows, cols) of `data` as two int64, then its features' and labels'
+    float64 bytes."""
+    return b"".join([np.array(data.features.shape, dtype=np.int64).tobytes(),
+                     data.features.tobytes(), data.labels.tobytes()])
+
+
+def _unpack_dataset(frame: bytes) -> Dataset:
+    """The Dataset of `_pack_dataset`'s bytes."""
+    rows, cols = np.frombuffer(frame, dtype=np.int64, count=2)
+    values = np.frombuffer(frame, dtype=np.float64, offset=16)
+    return Dataset(values[:rows * cols].reshape(rows, cols), values[rows * cols:])
+
+
+def _forked(work: Callable, items: Sequence, k: int, here: bool,
+            pack: Callable[[object], bytes], unpack: Callable[[bytes], object]) -> Iterator:
+    """`work(item)` for each item, in order, as a generator, computed on up to
+    k processes: one per item at most, and only this one without `os.fork`.
+
+    Item i goes to process i % k. With `here`, or when k is 1, process 0 is
+    this one; every other process is a child forked on the first `next`. A
+    child sends `pack(work(item))` for each of its items as one frame, the
+    bytes after their length as 8 bytes, and ends at its first error. An
+    item whose frame does not arrive whole, as its child could not be
+    forked, failed or died, is computed here with `work`, and so is every
+    later item of that child. So the results, and the first error with its
+    type and message, are those of `work` called on each item in turn.
+
+    Read the generator to its end or close it: either closes the pipes, then
+    kills and reaps every child.
+    """
+    items = list(items)
+    k = max(1, min(k, len(items))) if hasattr(os, "fork") else 1
+    # (pid, read end of its pipe) of each process; this one, as process 0 or
+    # the only one, reads as a child that sent nothing
+    children: list[tuple[int | None, BinaryIO]] = [(None, io.BytesIO())] if here or k == 1 else []
     try:
-        for c in range(k):
-            readers.append(_fork(_send_files, paths[c::k], label_column))
-        for i, path in enumerate(paths):
-            pipe = readers[i % k][1]
-            data = None if pipe.closed else _receive(pipe)
-            if data is None:
-                pipe.close()  # the reader failed or died: read its files here
-                data = load_csv(path, label_column)
-            yield data
+        while len(children) < k:
+            children.append(_fork(work, items[len(children)::k], pack))
+        for i, item in enumerate(items):
+            pipe = children[i % k][1]
+            frame = None if pipe.closed else _receive(pipe)
+            if frame is None:
+                pipe.close()  # compute this item and the child's later ones here
+                result = work(item)
+            else:
+                result = unpack(frame)
+                del frame  # no frame outlives its unpack
+            yield result
     finally:
-        _end(readers)
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
+            if pid is not None:
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _fork(send: Callable[..., object], *args: object) -> tuple[int | None, BinaryIO]:
-    """(pid, read end of its pipe) of a forked child that calls
-    `send(write end, *args)` and ends with `os._exit`: it never returns, and
-    never flushes what this process had buffered when it forked. When no
-    pipe or process can be spared, (None, an empty stream), which the
-    caller reads as a child that ended before it sent anything."""
+def _fork(work: Callable, items: list, pack: Callable) -> tuple[int | None, BinaryIO]:
+    """(pid, read end of its pipe) of a forked child that sends the frame of
+    each item and ends with `os._exit`: it never returns, and never flushes
+    what this process had buffered when it forked. When no pipe or process
+    can be spared, (None, an empty stream), which the caller reads as a
+    child that ended before it sent anything."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -366,49 +399,30 @@ def _fork(send: Callable[..., object], *args: object) -> tuple[int | None, Binar
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                send(out, *args)
+                for item in items:
+                    frame = pack(work(item))
+                    out.write(len(frame).to_bytes(8, "little"))
+                    out.write(frame)
+                    out.flush()  # the parent may be waiting for the last bytes
         finally:
             os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
 
 
-def _end(children: list[tuple[int | None, BinaryIO]]) -> None:
-    """Close the pipe of each child of `_fork`, then kill and reap it."""
-    for _, pipe in children:
-        pipe.close()
-    for pid, _ in children:
-        if pid is not None:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _send_files(out: BinaryIO, paths: list, label_column: str) -> None:
-    """A reader's work: send each file's shape, features and labels; an
-    error ends it."""
-    for path in paths:
-        data = load_csv(path, label_column)
-        out.write(np.array(data.features.shape, dtype=np.int64).tobytes())
-        out.write(data.features)
-        out.write(data.labels)
-        out.flush()  # the parent may be waiting for the last bytes
-
-
-def _receive(pipe: BinaryIO) -> Dataset | None:
-    """The Dataset of the next file a reader sent, or None when it ended
-    before the whole file."""
-    header = pipe.read(_HEADER)
-    if len(header) < _HEADER:
+def _receive(pipe: BinaryIO) -> bytes | None:
+    """The next frame a child sent, or None when it ended before the whole
+    frame."""
+    header = pipe.read(8)
+    if len(header) < 8:
         return None
-    rows, cols = np.frombuffer(header, dtype=np.int64)
-    features, labels = np.empty((rows, cols)), np.empty(rows)
-    if pipe.readinto(features) < features.nbytes or pipe.readinto(labels) < labels.nbytes:
-        return None
-    return Dataset(features, labels)
+    size = int.from_bytes(header, "little")
+    frame = pipe.read(size)
+    return frame if len(frame) == size else None
 
 
-# The fewest cells a share must hold for its formatter to pay for its fork:
-# on a 2-CPU machine two shares first beat one at 11,000-13,000 cells.
+# The fewest cells each process's blocks must hold for a formatter to pay for
+# its fork: on a 2-CPU machine two processes first beat one at 11,000-13,000 cells.
 _SHARE_CELLS = 6_000
 _BLOCK_ROWS = 256  # rows of text a formatter sends, and this process holds, at a time
 
@@ -418,16 +432,13 @@ def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") ->
     number with 17 significant digits (round-trip safe), CRLF line ends.
 
     The header goes through csv.writer, which quotes an unusual label name.
-    The rows are cut in order into k = min(usable CPUs, cells //
-    `_SHARE_CELLS`) equal shares, k = 1 without `os.fork`. Once the file is
-    open, k - 1 forked formatters each format one later share whole and
-    send its text back in blocks of `_BLOCK_ROWS` rows, while this process
-    formats and writes the first share block by block. It then appends the
-    later shares' blocks in order, holding one at a time. A block that a
-    formatter did not send, as it could not be forked or died, is formatted
-    here, and so is the rest of its share. So the file is written front to
-    back, without a seek, with the bytes of a one-process write, and no
-    formatter outlives the call.
+    Once the file is open, the rows are formatted in blocks of `_BLOCK_ROWS`
+    rows by `_forked`, on k = min(usable CPUs, cells // `_SHARE_CELLS`)
+    processes, this one among them, and written in order as they arrive. A
+    forked formatter runs at most a pipe's 64 KiB ahead of the blocks taken
+    here, so it never waits long on a full pipe. So the file is written
+    front to back, without a seek, with the bytes of a one-process write,
+    and no formatter outlives the call.
     """
     path = Path(path)
     names = [f"f{j}" for j in range(dataset.n_features)]
@@ -440,51 +451,21 @@ def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") ->
     table = np.column_stack([dataset.features, dataset.labels])
     header = io.StringIO()
     csv.writer(header).writerow(names + [label_column])
-    k = max(1, min(_usable_cpus(), table.size // _SHARE_CELLS)) if hasattr(os, "fork") else 1
-    bounds = [len(table) * c // k for c in range(k + 1)]
+    k = min(_usable_cpus(), table.size // _SHARE_CELLS)
     with path.open("wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))  # buffered: a formatter never flushes it
-        # the first share is formatted here, as one whose formatter sent nothing
-        shares: list[tuple[int | None, BinaryIO]] = [(None, io.BytesIO())]
+        texts = _forked(lambda first: _text(table, row, first, first + _BLOCK_ROWS),
+                        range(0, len(table), _BLOCK_ROWS), k, True, bytes, bytes)
         try:
-            for c in range(1, k):
-                shares.append(_fork(_send_text, table, row, bounds[c], bounds[c + 1]))
-            for (_, pipe), start, stop in zip(shares, bounds, bounds[1:]):
-                for first in range(start, stop, _BLOCK_ROWS):
-                    text = None if pipe.closed else _receive_text(pipe)
-                    if text is None:
-                        pipe.close()  # the share's formatter failed or died: format it here
-                        text = _text(table, row, first, min(first + _BLOCK_ROWS, stop))
-                    fh.write(text)
+            for text in texts:
+                fh.write(text)
         finally:
-            _end(shares)
+            texts.close()
 
 
 def _text(table: np.ndarray, row: str, start: int, stop: int) -> bytes:
     """The CSV text of rows `start` to `stop` of `table`."""
     return "".join([row % tuple(values) for values in table[start:stop].tolist()]).encode()
-
-
-def _send_text(out: BinaryIO, table: np.ndarray, row: str, start: int, stop: int) -> None:
-    """A formatter's work: format rows `start` to `stop` of `table` whole, so
-    that it never waits on a full pipe mid-share, then send each block's
-    text after its length as 8 bytes."""
-    blocks = [_text(table, row, first, min(first + _BLOCK_ROWS, stop))
-              for first in range(start, stop, _BLOCK_ROWS)]
-    for text in blocks:
-        out.write(len(text).to_bytes(8, "little"))
-        out.write(text)
-
-
-def _receive_text(pipe: BinaryIO) -> bytes | None:
-    """The next block of text a formatter sent, or None when it ended before
-    the whole block."""
-    header = pipe.read(8)
-    if len(header) < 8:
-        return None
-    size = int.from_bytes(header, "little")
-    text = pipe.read(size)
-    return text if len(text) == size else None
 
 
 def merge(datasets: Sequence[Dataset]) -> Dataset:

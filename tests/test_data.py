@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import os
 import signal
@@ -425,6 +426,8 @@ def test_a_reader_killed_mid_stream_leaves_the_results_unchanged(tmp_path, monke
     with contextlib.closing(data.load_csvs(paths)) as files:
         got = [next(files)]
         os.kill(readers[1], signal.SIGKILL)  # it is parsing or sending paths[1]
+        # wait for its death without reaping it: alive, it could finish the frame
+        os.waitid(os.P_PID, readers[1], os.WEXITED | os.WNOWAIT)
         got += list(files)
     assert read_here == paths[1::2]
     assert all(map(_same, got, [load(p) for p in paths]))
@@ -458,8 +461,8 @@ def test_a_formatter_killed_mid_share_leaves_the_bytes_unchanged(tmp_path, monke
     monkeypatch.setattr(data, "_SHARE_CELLS", 1)
     ds, path = _large_dataset(), tmp_path / "d.csv"
     formatters = _fork_spy(monkeypatch)
-    parent, formatted_here, killed = os.getpid(), [], []
-    text, receive = data._text, data._receive_text
+    parent, formatted_here, delivered = os.getpid(), [], []
+    text, receive = data._text, data._receive
 
     def text_spy(table, row, start, stop):
         if os.getpid() == parent:
@@ -468,18 +471,22 @@ def test_a_formatter_killed_mid_share_leaves_the_bytes_unchanged(tmp_path, monke
 
     def receive_spy(pipe):
         block = receive(pipe)
-        if block is not None and not killed:  # the formatter's first block
-            os.kill(formatters[0], signal.SIGKILL)
-            killed.append(formatters[0])
+        if block is not None:  # a block of the formatter, which has the odd blocks
+            delivered.append(block)
+            if len(delivered) == 1:
+                os.kill(formatters[0], signal.SIGKILL)
+                # wait for its death without reaping it: alive, it could send more
+                os.waitid(os.P_PID, formatters[0], os.WEXITED | os.WNOWAIT)
         return block
 
     monkeypatch.setattr(data, "_text", text_spy)
-    monkeypatch.setattr(data, "_receive_text", receive_spy)
+    monkeypatch.setattr(data, "_receive", receive_spy)
     save_csv(ds, path)
-    half, step = ds.n_samples // 2, data._BLOCK_ROWS
-    later = [start for start in formatted_here if start >= half]
-    assert later and later[0] > half, "the formatter's rest was not formatted here"
-    assert formatted_here == list(range(0, half, step)) + list(range(later[0], ds.n_samples, step))
+    starts = range(0, ds.n_samples, data._BLOCK_ROWS)
+    first_lost = 1 + 2 * len(delivered)  # the formatter's first undelivered block
+    assert first_lost < len(starts), "the formatter's rest was not formatted here"
+    assert formatted_here == [start for b, start in enumerate(starts)
+                              if b % 2 == 0 or b >= first_lost]
     assert path.read_bytes() == _old_save_csv_bytes(ds)
 
 
@@ -508,6 +515,93 @@ def test_save_csv_to_a_path_it_cannot_open_forks_nothing(tmp_path, monkeypatch):
     with pytest.raises(IsADirectoryError):
         save_csv(_large_dataset(rows=100), tmp_path)
     assert formatters == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_save_csv_to_an_output_that_fails_mid_write_raises_and_leaves_no_formatter(monkeypatch,
+                                                                                  cpus):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    formatters = _fork_spy(monkeypatch)
+    with pytest.raises(OSError) as failure:
+        save_csv(_large_dataset(), "/dev/full")
+    assert failure.value.errno == errno.ENOSPC
+    assert len(formatters) == cpus - 1
+    with pytest.raises(ChildProcessError):  # no formatter is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forked_outcomes(results) -> list:
+    """The results, in order, then the (type, message) of the error that
+    stops the iteration, if any."""
+    out = []
+    try:
+        out.extend(results)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _encode(value: int) -> bytes:
+    return str(value).encode()
+
+
+@pytest.mark.parametrize("here", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_forked_equals_work_of_each_item_in_order(monkeypatch, n, cpus, here):
+    children = _fork_spy(monkeypatch)
+    parent, computed_here = os.getpid(), []
+
+    def work(i):
+        if os.getpid() == parent:
+            computed_here.append(i)
+        return i * i
+
+    got = list(data._forked(work, range(n), cpus, here, _encode, int))
+    assert got == [i * i for i in range(n)]
+    k = min(cpus, n)
+    assert len(children) == (0 if k < 2 else k - here)  # no child without an item
+    # item i goes to process i % k, and process 0 is this one with `here`
+    assert computed_here == [i for i in range(n) if k < 2 or (here and i % k == 0)]
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2, 6])
+@pytest.mark.parametrize("here", [False, True])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_raises_the_first_error_of_the_one_by_one_calls(cpus, here, bad):
+    def work(i):
+        if i >= bad and i % 2 == bad % 2:  # fails from item `bad` on, in every process
+            raise ValueError(f"item {i} is bad")
+        return i * i
+
+    got = _forked_outcomes(data._forked(work, range(7), cpus, here, _encode, int))
+    assert got == [i * i for i in range(bad)] + [(ValueError, f"item {bad} is bad")]
+
+
+@pytest.mark.parametrize("here", [False, True])
+def test_forked_computes_the_items_of_a_child_that_cannot_be_forked_here(monkeypatch, here):
+    children, fork, calls = _fork_spy(monkeypatch), os.fork, []
+    parent, computed_here = os.getpid(), []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    def work(i):
+        if os.getpid() == parent:
+            computed_here.append(i)
+        return -i
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    got = list(data._forked(work, range(10), 3, here, _encode, int))
+    assert got == [-i for i in range(10)]
+    assert len(calls) == 3 - here and len(children) == 2 - here
+    unforked = 2 if here else 1  # the process of the second fork
+    assert computed_here == [i for i in range(10) if i % 3 == unforked or (here and i % 3 == 0)]
 
 
 def test_kfold_sizes():

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,15 @@ def test_every_benchmark_fit_span_names_a_live_function():
     for span in spans:
         layer, name = span.split(".")
         assert callable(getattr(importlib.import_module(f"multisource.{layer}"), name, None)), span
+
+
+def test_the_cli_loads_no_process_or_signal_module():
+    # each would slow every CLI start; the forked readers and formatters of
+    # `multisource.data` use `os` alone
+    heavy = ["signal", "multiprocessing", "concurrent.futures", "subprocess"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, multisource.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
