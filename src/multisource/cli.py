@@ -114,8 +114,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    data = load_csv(args.input, args.label_column)
     spec = CorruptionSpec(kind=args.kind, proportion=args.proportion, seed=args.seed)
+    data = load_csv(args.input, args.label_column)
     save_csv(corrupt(data, spec), args.output, label_column=args.label_column)
     print(f"wrote corrupted copy to {args.output}")
     return 0

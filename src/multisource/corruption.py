@@ -35,6 +35,8 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if not (0.0 < self.proportion <= 1.0):
             raise ValueError("proportion must lie in (0, 1]")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def _chosen_rows(rng: np.random.Generator, n: int, proportion: float) -> np.ndarray:

@@ -45,6 +45,7 @@ from .discrepancy import (
     DiscrepancyEstimate,
     _misses,
     empirical_discrepancies,
+    finite_moments,
     moments,
     solve_relaxation,
 )
@@ -160,9 +161,7 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     query_bytes = BYTES_PER_REAL * (d + 1)
     final_query_bytes = BYTES_PER_REAL * (d + 2)
     # learner-side term mean_ref (w.x + b - y)^2, from the reference's moments
-    gram_ref, moment_ref = moments(reference)
-    if not (np.isfinite(gram_ref).all() and np.isfinite(moment_ref).all()):
-        raise FloatingPointError("reference moments overflowed; rescale the features")
+    gram_ref, moment_ref = finite_moments(reference, "the reference's")
     # source-side terms mean_src (w.x + b + y)^2, labels flipped: source i's reply
     # is 2 (G_i q + h_i) from its whole sample's moments, computed as (2G_i) q + 2h_i
     gram_src, moment_src = (2.0 * np.stack(a) for a in zip(*map(moments, pool.sources)))

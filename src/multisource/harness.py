@@ -130,8 +130,10 @@ class CsvDataSpec:
     def __post_init__(self) -> None:
         paths = self.source_paths
         paths = (paths,) if isinstance(paths, str) else paths
-        if not (isinstance(paths, (tuple, list)) and all(isinstance(p, str) for p in paths)):
-            raise ValueError(f"source_paths must be a path or a list of paths, got {paths!r}")
+        if not (isinstance(paths, (tuple, list)) and paths
+                and all(isinstance(p, str) for p in paths)):
+            raise ValueError("source_paths must be a path or a nonempty list of paths, "
+                             f"got {paths!r}")
         object.__setattr__(self, "source_paths", tuple(paths))
         for name in ("reference_path", "test_path", "label_column"):
             if not isinstance(getattr(self, name), str):
@@ -191,6 +193,8 @@ class ExperimentConfig:
             raise ValueError("cv_folds must be >= 2")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.corruption is not None:
             spec = self.data
             k = spec.n_sources if isinstance(spec, SyntheticSpec) else len(spec.source_paths)
@@ -381,12 +385,14 @@ def run_sweep(config: ExperimentConfig) -> list[SweepCell]:
     """methods x corruption grid x repeats, with per-cell derived seeds.
 
     The base pool for a repeat is shared across corruption levels, and all
-    seeds are independent of the method list and its order.
+    seeds are independent of the method list and its order. CSV files, whose
+    data ignore the seed, are read once for every repeat.
     """
     n_grid = config.corruption.n_corrupted if config.corruption is not None else (0,)
+    files = build_pool(config, 0) if isinstance(config.data, CsvDataSpec) else None
     cells: list[SweepCell] = []
     for repeat in range(config.repeats):
-        base_pool, test = build_pool(config, _derive_seed(config.seed, 0, repeat))
+        base_pool, test = files or build_pool(config, _derive_seed(config.seed, 0, repeat))
         for n in n_grid:
             pool = base_pool
             if config.corruption is not None and n > 0:

@@ -261,6 +261,8 @@ def train_weighted_erm(
 
 def train_erm(dataset: Dataset, loss: str = "logistic", ridge: float = 1e-4) -> LinearPredictor:
     """Plain regularized ERM on a single dataset."""
+    if dataset.n_samples == 0:
+        raise ValueError("cannot train on an empty dataset")
     weights = np.full(dataset.n_samples, 1.0 / dataset.n_samples)
     return minimize_weighted_loss(dataset.features, dataset.labels, weights, loss, ridge)
 

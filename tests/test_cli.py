@@ -300,6 +300,13 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
     three_rows = {"synthetic": dict(synthetic, reference_size=3)}
     few_rows = tmp_path / "few_rows.json"
     few_rows.write_text(json.dumps(dict(config, data=three_rows, ridge_grid=[0.01, 0.1])))
+    # a seed outside [0, 2**64) and an empty source list are named where the config is read
+    negative_seed, huge_seed = tmp_path / "negative_seed.json", tmp_path / "huge_seed.json"
+    for path, seed in ((negative_seed, -5), (huge_seed, 2**64)):
+        path.write_text(json.dumps(dict(config, seed=seed)))
+    no_sources = tmp_path / "no_sources.json"
+    no_sources.write_text(json.dumps(dict(config, corruption=None, data={
+        "csv_paths": dict(csv_data, source_paths=[])})))
     encoding_key = tmp_path / "label_encoding.json"
     encoding_key.write_text(json.dumps(dict(config, data={"csv_paths": dict(
         csv_data, label_encoding="zero_one")})))
@@ -447,6 +454,23 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
         (["experiment", "--config", str(too_many), "--out", str(tmp_path / "results.csv")],
          f"multisource experiment: error: {too_many}: n_corrupted=5 exceeds the pool's 3 "
          "sources\n"),
+        (["experiment", "--config", str(negative_seed), "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {negative_seed}: seed must lie in [0, 2**64), "
+         "got -5\n"),
+        (["train", "--method", "ours", "--config", str(negative_seed)],
+         f"multisource train: error: {negative_seed}: seed must lie in [0, 2**64), got -5\n"),
+        (["simulate-federated", "--case", "2", "--config", str(negative_seed)],
+         f"multisource simulate-federated: error: {negative_seed}: seed must lie in "
+         "[0, 2**64), got -5\n"),
+        (["train", "--method", "ours", "--config", str(huge_seed)],
+         f"multisource train: error: {huge_seed}: seed must lie in [0, 2**64), "
+         f"got {2**64}\n"),
+        (["corrupt", "--input", str(tmp_path / "plain_reference.csv"), "--output",
+          str(tmp_path / "noisy.csv"), "--kind", "label_bias", "--seed", "-1"],
+         "multisource corrupt: error: seed must lie in [0, 2**64), got -1\n"),
+        (["simulate-federated", "--case", "1", "--config", str(no_sources)],
+         f"multisource simulate-federated: error: {no_sources}: source_paths must be a path or "
+         "a nonempty list of paths, got []\n"),
         (["train", "--method", "ours", "--config", str(encoding_key)],
          f"multisource train: error: {encoding_key}: unknown CsvDataSpec key(s) in config: "
          "label_encoding\n"),

@@ -21,6 +21,10 @@ def test_spec_validation():
         CorruptionSpec("label_bias", 0.0, 0)
     with pytest.raises(ValueError):
         CorruptionSpec("label_bias", 1.5, 0)
+    CorruptionSpec("label_bias", 0.5, 2**64 - 1)  # the largest 64-bit seed
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            CorruptionSpec("label_bias", 0.5, seed)
 
 
 def test_label_bias_full_proportion_sets_every_label_positive():

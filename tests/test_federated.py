@@ -395,8 +395,10 @@ def test_case2_singular_system_raises_as_central_does():
 def test_case2_overflowed_reference_is_named_not_a_source():
     pool = _pool(seed=10, n_sources=2, n=20, m_ref=20)
     huge = Dataset(pool.reference.features * 1e200, pool.reference.labels)
+    # the centralized estimator's message, from the same `finite_moments` check
     with pytest.raises(FloatingPointError,
-                       match=r"^reference moments overflowed; rescale the features$"):
+                       match=r"^the reference's feature moments overflowed; "
+                             r"rescale the features$"):
         run_case2(SourcePool(pool.sources, huge), rounds=5)
 
 

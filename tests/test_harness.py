@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import config_to_json
+from helpers import config_to_json, random_dataset
 from multisource import discrepancy, harness
 from multisource.baselines import standardize
-from multisource.data import Dataset, SourcePool, merge
+from multisource.data import Dataset, SourcePool, load_csvs, merge, save_csv
 from multisource.harness import (
     CorruptionSetting,
     CsvDataSpec,
@@ -360,6 +360,28 @@ def test_sweep_builds_the_base_pool_once_per_repeat(monkeypatch):
     assert len(calls) == 3 and len(set(calls)) == 3
 
 
+def test_a_csv_sweep_reads_its_files_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    paths = [str(tmp_path / f"{name}.csv") for name in ("a", "b", "reference", "test")]
+    for path in paths:
+        save_csv(random_dataset(rng, 30, 2), path)
+    reads = []
+
+    def counting(paths, label_column):
+        reads.append(paths)
+        return load_csvs(paths, label_column)
+
+    monkeypatch.setattr(harness, "load_csvs", counting)
+    spec = CsvDataSpec(source_paths=tuple(paths[:2]), reference_path=paths[2],
+                       test_path=paths[3])
+    cfg = _config(data=spec, method=("all_data",), repeats=3,
+                  corruption=CorruptionSetting("shuffled_labels", (0, 1), 1.0))
+    cells = run_sweep(cfg)
+    assert [(c.repeat, c.n_corrupted) for c in cells] == [(r, n) for r in range(3)
+                                                          for n in (0, 1)]
+    assert reads == [paths]
+
+
 def test_sweep_single_cell_matches_direct_call():
     cfg = _config(method=("all_data",))
     cells = run_sweep(cfg)
@@ -451,6 +473,11 @@ def test_config_validation():
     assert config_from_json(text.replace('"seed": 5', '"seed": 5.0')).seed == 5
     with pytest.raises(ValueError, match="seed must be a whole number"):
         config_from_json(text.replace('"seed": 5', '"seed": Infinity'))
+    # a seed is a 64-bit seed: both ends of the range are read, a value outside is named
+    assert [_config(seed=s).seed for s in (0, 2**64 - 1)] == [0, 2**64 - 1]
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            _config(seed=seed)
     with pytest.raises(ValueError, match="missing ExperimentConfig key.*: method$"):
         config_from_json(_without(text, "method"))
     with pytest.raises(ValueError, match="missing SyntheticSpec key.*: n_sources$"):

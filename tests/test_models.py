@@ -135,6 +135,12 @@ def test_zero_one_error_empty():
         zero_one_error(LinearPredictor(np.ones(2), 0.0), ds)
 
 
+def test_train_erm_rejects_an_empty_dataset():
+    ds = Dataset(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+        train_erm(ds)
+
+
 def test_predict_tie_goes_positive():
     pred = LinearPredictor(np.array([1.0]), 0.0)
     assert pred.predict_labels(np.array([[0.0]]))[0] == 1.0

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import multisource
 from multisource.cli import main
-from multisource.harness import config_from_json
+from multisource.discrepancy import empirical_discrepancy
+from multisource.harness import build_pool, config_from_json
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 ENV = dict(os.environ, PYTHONPATH=str(Path(multisource.__file__).parents[1]))
@@ -42,14 +43,24 @@ def test_corruption_sweep_config(tmp_path):
     assert out.with_suffix(".sidecar.json").exists()
 
 
-def test_compare_protocol_costs():
-    done = _run("compare_protocol_costs.py", "--n-sources", "2", "--samples-per-source", "20",
-                "--reference-size", "15", "--n-features", "2", "--rounds", "20")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.strip().splitlines()
-    assert lines[0].startswith("centralized d:")
-    assert lines[1].startswith("case 1:") and lines[2].startswith("case 2:")
-    assert "max |d - centralized| = 0.00e+00" in lines[1]  # case 1 is exact
+def test_protocol_costs_config(capsys):
+    path = SCRIPTS / "protocol_costs.json"
+    config = config_from_json(path.read_text(encoding="utf-8"))
+    pool, _ = build_pool(config, config.seed)
+    central = [empirical_discrepancy(source, pool.reference).value for source in pool.sources]
+    d = pool.n_features
+    printed = []
+    for case in ("1", "2"):  # case 2 at its smallest budget, d + 2 rounds
+        assert main(["simulate-federated", "--case", case, "--config", str(path),
+                     "--rounds", str(d + 2)]) == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    case1, case2 = printed
+    # 5 sources; case 1 broadcasts the 60-row reference, 8 bytes per real
+    assert (case1["messages"], case1["total_bytes"], case1["rounds"]) == (10, 12040, 2)
+    assert case1["discrepancies"] == central
+    assert (case2["messages"], case2["total_bytes"], case2["rounds"]) == (
+        5 * (2 * (d + 2) + 2), 5 * (2 * (d + 2) * 8 * (d + 1) + 8 * (d + 2) + 8), d + 3)
+    assert max(abs(a - b) for a, b in zip(case2["discrepancies"], central)) <= 1e-12
 
 
 def test_sweep_digests_repeat(tmp_path):
