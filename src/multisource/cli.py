@@ -36,14 +36,6 @@ from .harness import (
 from .weights import WeightProblem, solve_weights
 
 
-def _emit(obj, out: str | None) -> None:
-    """Print `obj` as indented JSON, and write it to `out` when given."""
-    text = json.dumps(obj, indent=2)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-
-
 def _read_json(path: str, parse):
     """`parse` of the text of the JSON file at `path`, with the path in front
     of any ValueError (a syntax error too); an OSError names it already."""
@@ -85,14 +77,14 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
                 "solver_risk": estimate.solver_risk,
                 "samples": source.n_samples,
             })
-    _emit(report, args.out)
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
     # lam comes from the command line, so its error does not name the file
     alpha = solve_weights(_read_json(args.input, _weights_input), args.lam)
-    _emit({"lambda": args.lam, "alpha": [float(v) for v in alpha]}, args.out)
+    print(json.dumps({"lambda": args.lam, "alpha": [float(v) for v in alpha]}, indent=2))
     return 0
 
 
@@ -109,7 +101,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if result.alpha is not None:
         summary["alpha"] = [float(v) for v in result.alpha]
         summary["discrepancies"] = [float(v) for v in result.discrepancies]
-    _emit(summary, args.out)
+    print(json.dumps(summary, indent=2))
     return 0
 
 
@@ -166,19 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sources", nargs="+", help="source CSV files")
     p.add_argument("--reference", required=True, help="reference CSV file")
     p.add_argument("--label-column", default="label")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_discrepancy)
 
     p = sub.add_parser("weights", help="solve the weighting program")
     p.add_argument("input", help="JSON with 'discrepancies' and 'sample_counts'")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("train", help="train one method from a config")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("corrupt", help="corrupt a CSV file")

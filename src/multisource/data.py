@@ -12,7 +12,7 @@ only to locate a fault (a `CsvFormatError` naming the file, row and
 column) or to read input that the numpy parse does not model. Before the
 parse, `_plain_lines` screens the file's whole text with string searches
 for what sends it to the loop (a quote, a separator \\x1c-\\x1f, a carriage
-return outside CRLF, a line over csv's field size limit) and tests lines
+return outside CRLF, a field over csv's field size limit) and tests lines
 one by one for a comment only when the text holds a '#'. Both readers skip
 a leading UTF-8 BOM.
 
@@ -179,12 +179,13 @@ def _plain_lines(path: Path) -> list[str] | None:
     The file is decoded whole, less a leading UTF-8 BOM, and screened by
     string searches over the whole text. None when splitting at line ends
     and commas would not give csv.reader's cells (a quote, a carriage return
-    outside CRLF, or a line longer than csv's field size limit, on which
-    csv.reader raises even in a comment), when the text holds one of the
-    separators \\x1c-\\x1f, which numpy strips from a number as whitespace
-    but `float()` rejects, or when it is not UTF-8 (the loop's error gives
-    the offset within the chunk it read). Lines are tested one by one for a
-    comment only when the text holds a '#'.
+    outside CRLF, or a field longer than csv's field size limit, on which
+    csv.reader raises even in a comment; only a line over the limit is split
+    to look for one), when the text holds one of the separators \\x1c-\\x1f,
+    which numpy strips from a number as whitespace but `float()` rejects, or
+    when it is not UTF-8 (the loop's error gives the offset within the chunk
+    it read). Lines are tested one by one for a comment only when the text
+    holds a '#'.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
@@ -198,7 +199,9 @@ def _plain_lines(path: Path) -> list[str] | None:
         if "\r" in text:
             return None
     lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if max(map(len, lines)) > limit and any(
+            max(map(len, line.split(","))) > limit for line in lines if len(line) > limit):
         return None
     if "#" not in text:
         return list(filter(None, lines))

@@ -45,19 +45,17 @@ def test_discrepancy_command(tmp_path, capsys):
     src, ref = tmp_path / "src.csv", tmp_path / "ref.csv"
     _write_dataset(src, 1)
     _write_dataset(ref, 2)
-    out = tmp_path / "d.json"
-    assert main(["discrepancy", str(src), "--reference", str(ref), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    assert main(["discrepancy", str(src), "--reference", str(ref)]) == 0
+    report = json.loads(capsys.readouterr().out)
     assert len(report) == 1
     assert 0.0 <= report[0]["discrepancy"] <= 1.0
 
 
-def test_weights_command(tmp_path):
+def test_weights_command(tmp_path, capsys):
     inp = tmp_path / "d.json"
     inp.write_text(json.dumps({"discrepancies": [0.1, 0.4], "sample_counts": [100, 100]}))
-    out = tmp_path / "alpha.json"
-    assert main(["weights", str(inp), "--lambda", "0.0", "--out", str(out)]) == 0
-    alpha = json.loads(out.read_text())["alpha"]
+    assert main(["weights", str(inp), "--lambda", "0.0"]) == 0
+    alpha = json.loads(capsys.readouterr().out)["alpha"]
     assert alpha == [1.0, 0.0]
 
 
@@ -83,11 +81,9 @@ def test_weights_command_rejects_fractional_counts(tmp_path):
     assert "alpha" not in done.stdout
 
 
-def test_train_command(tmp_path, small_config):
-    out = tmp_path / "run.json"
-    assert main(["train", "--method", "ours", "--config", str(small_config),
-                 "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
+def test_train_command(small_config, capsys):
+    assert main(["train", "--method", "ours", "--config", str(small_config)]) == 0
+    result = json.loads(capsys.readouterr().out)
     assert result["method"] == "ours"
     assert 0.0 <= result["test_error"] <= 1.0
     assert len(result["alpha"]) == 4  # 3 sources + appended reference
@@ -161,12 +157,17 @@ def test_shared_parser_keeps_no_value_from_an_earlier_call(tmp_path, capsys):
     src, ref = tmp_path / "src.csv", tmp_path / "ref.csv"
     _write_dataset(src, 1)
     _write_dataset(ref, 2)
-    out = tmp_path / "d.json"
+    # files whose label column is "y" read only with --label-column y, and
+    # the call after that one reads "label" again
+    src_y, ref_y = tmp_path / "src_y.csv", tmp_path / "ref_y.csv"
+    for path, renamed in ((src, src_y), (ref, ref_y)):
+        renamed.write_bytes(path.read_bytes().replace(b"label", b"y", 1))
     argv = ["discrepancy", str(src), "--reference", str(ref)]
-    first = _run(argv + ["--out", str(out)], capsys)
-    out.unlink()
+    first = _run(argv, capsys)
+    renamed = _run(["discrepancy", str(src_y), "--reference", str(ref_y), "--label-column", "y"],
+                   capsys)
+    assert renamed == (0, first[1].replace(str(src), str(src_y)))
     assert _run(argv, capsys) == first
-    assert not out.exists()  # --out did not carry over
 
     # a default after an explicit value is the default a fresh interpreter sees
     data = tmp_path / "in.csv"
@@ -234,6 +235,23 @@ def test_the_encoding_option_is_gone(tmp_path, capsys):
         with pytest.raises(SystemExit) as usage:
             main(argv + ["--encoding", "zero_one"])
         assert usage.value.code == 2 and "--encoding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["discrepancy", "weights", "train"])
+def test_the_json_commands_have_no_out_option(tmp_path, small_config, capsys, command):
+    # each prints its JSON result to stdout once; a redirect writes it to a file
+    path = tmp_path / "d.csv"
+    _write_dataset(path, 1)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"discrepancies": [0.1], "sample_counts": [10]}))
+    argv = {"discrepancy": ["discrepancy", str(path), "--reference", str(path)],
+            "weights": ["weights", str(weights), "--lambda", "1"],
+            "train": ["train", "--method", "ours", "--config", str(small_config)]}[command]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as usage:
+        main(argv + ["--out", str(out)])
+    assert usage.value.code == 2 and "--out" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("shift", [0, 1])

@@ -243,10 +243,31 @@ def test_both_readers_skip_a_leading_utf8_bom(tmp_path, monkeypatch):
     assert fast.labels.tobytes() == labels.tobytes()
 
 
+def test_lines_wider_than_the_field_size_limit_read_on_the_fast_path(tmp_path, monkeypatch):
+    # csv's limit holds for each field, not for a line: a file of many short
+    # cells, as bag-of-words features are, has longer lines and reads fine
+    rng = np.random.default_rng(7)
+    ds = Dataset(rng.standard_normal((20, 7000)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
+    path = tmp_path / "wide.csv"
+    save_csv(ds, path)
+    rows = path.read_text().splitlines()[1:]
+    assert min(map(len, rows)) > csv.field_size_limit()
+    features, labels = data._load_csv_per_cell(path, "label")
+
+    def no_fallback(*args):
+        raise AssertionError("the per-cell loop ran on a plain file")
+
+    monkeypatch.setattr(data, "_load_csv_per_cell", no_fallback)
+    fast = load_csv(path)
+    assert fast.features.tobytes() == features.tobytes() == ds.features.tobytes()
+    assert fast.labels.tobytes() == labels.tobytes() == ds.labels.tobytes()
+
+
 @pytest.mark.parametrize("content", [
     b"#" + b"x" * csv.field_size_limit() + b"\nf0,label\n1.0,1\n",  # csv.Error
+    b"#,x," + b"x" * (csv.field_size_limit() + 1) + b"\nf0,label\n1.0,1\n",  # csv.Error
     b"f0,label\n" + b"1.5,1\n" * 2000 + b"\xff,1\n",  # past the first decoded chunk
-], ids=["long_comment_field", "invalid_utf8"])
+], ids=["long_comment_field", "long_field_of_a_wide_comment", "invalid_utf8"])
 def test_load_csv_raises_the_loops_error_on_input_the_fast_path_skips(tmp_path, content):
     path = tmp_path / "d.csv"
     path.write_bytes(content)
