@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
-from .data import load_csv, load_csvs, save_csv
+from .data import load_csvs, rewrite_csv
 from .discrepancy import empirical_discrepancy, finite_moments
 from .federated import run_case1, run_case2
 from .harness import (
@@ -107,8 +107,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     spec = CorruptionSpec(kind=args.kind, proportion=args.proportion, seed=args.seed)
-    data = load_csv(args.input, args.label_column)
-    save_csv(corrupt(data, spec), args.output, label_column=args.label_column)
+    rewrite_csv(args.input, args.output, lambda data: corrupt(data, spec), args.label_column)
     print(f"wrote corrupted copy to {args.output}")
     return 0
 

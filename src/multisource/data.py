@@ -14,15 +14,16 @@ parse, `_plain_lines` screens the file's whole text with string searches
 for what sends it to the loop (a quote, a separator \\x1c-\\x1f, a carriage
 return outside CRLF, a field over csv's field size limit) and tests lines
 one by one for a comment only when the text holds a '#'. Both readers skip
-a leading UTF-8 BOM.
+a leading UTF-8 BOM. `rewrite_csv` writes a changed copy of a file from the
+lines it read, formatting only the cells the change moved.
 
-`load_csvs` parses a command's files, and `save_csv` formats a table's
-rows in blocks, through `_forked`: one ordered fork-map that deals item i
-to process i % k, on up to one process per usable CPU, and has each forked
-child send its results back as length-prefixed frames. An item whose frame
-does not arrive, as its child could not be forked, failed or died, is
-computed in process, so results, errors and bytes are those of one
-process doing the items in order, and no child outlives its call.
+`load_csvs` parses a command's files through `_forked`: one ordered
+fork-map that deals item i to process i % k, on up to one process per
+usable CPU, and has each forked child send its results back as
+length-prefixed frames. An item whose frame does not arrive, as its child
+could not be forked, failed or died, is computed in process, so results
+and errors are those of one process doing the items in order, and no child
+outlives its call.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "CsvFormatError",
     "load_csv",
     "load_csvs",
+    "rewrite_csv",
     "save_csv",
     "merge",
     "kfold_indices",
@@ -158,18 +160,89 @@ def load_csv(path: str | Path, label_column: str = "label") -> Dataset:
     names the offending 1-based data row and column, or returns its own
     result where `float()` accepts a cell that numpy does not (`1_0`).
     """
+    path = _existing(path)
+    data = _parse_plain(path, _plain_lines(path), label_column)
+    return data if data is not None else Dataset(*_load_csv_per_cell(path, label_column))
+
+
+def rewrite_csv(source: str | Path, target: str | Path, change: Callable[[Dataset], Dataset],
+                label_column: str = "label") -> None:
+    """Write `change(load_csv(source, label_column))` to `target` as the rows of
+    `source`: its header and data rows, less blank and comment rows, with CRLF
+    line ends. Every label cell is written as 1 or -1, and every feature cell
+    whose value the change moved (compared bit for bit) as `%.17g`; every other
+    cell keeps its text. So `load_csv` of `target` is the changed dataset, bit
+    for bit. `change` must keep the row and feature counts.
+
+    `source` is read once, and checked and changed before `target` is opened,
+    so an invalid input leaves `target` as it was, and `target` may be
+    `source`. A file whose lines `_plain_lines` passes is written with one
+    comma split and join per line (no cell of such a file needs quoting); any
+    other file goes through csv.reader and csv.writer, which quotes a cell only
+    where it must.
+    """
+    source, target = _existing(source), Path(target)
+    lines = _plain_lines(source)
+    data = _parse_plain(source, lines, label_column)
+    plain = data is not None
+    if not plain:  # csv.reader's rows, as lists of cells
+        lines = _csv_rows(source)
+        data = Dataset(*_parse_cells(source, lines, label_column))
+    header = lines.pop(0)
+    label_idx = _parse_header(source, header.split(",") if plain else header, label_column)[1]
+    cells = _changed_cells(data, change(data), label_idx)
+    with target.open("w", newline="", encoding="utf-8") as fh:
+        if not plain:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(map(cells, range(len(lines)), lines))
+            return
+        fh.write(header + "\r\n")
+        fh.writelines(",".join(cells(r, line.split(","))) + "\r\n"
+                      for r, line in enumerate(lines))
+
+
+def _changed_cells(data: Dataset, changed: Dataset,
+                   label_idx: int) -> Callable[[int, list[str]], list[str]]:
+    """The function that rewrites data row r's cells in place, and returns
+    them: the label becomes 1 or -1, a feature the change moved becomes its
+    `%.17g`, and every other cell stays as it was read."""
+    if changed.features.shape != data.features.shape:
+        raise ValueError(f"the change turned a {data.features.shape} table into a "
+                         f"{changed.features.shape} one")
+    labels = ["1" if y == 1.0 else "-1" for y in changed.labels.tolist()]
+    moved = changed.features.view(np.uint64) != data.features.view(np.uint64)
+    columns = [c for c in range(data.n_features + 1) if c != label_idx]
+    texts = {int(r): [(columns[j], "%.17g" % changed.features[r, j])
+                      for j in np.flatnonzero(moved[r])]
+             for r in np.flatnonzero(moved.any(axis=1))}
+
+    def rewrite(r: int, cells: list[str]) -> list[str]:
+        cells[label_idx] = labels[r]
+        for c, text in texts.get(r, ()):
+            cells[c] = text
+        return cells
+
+    return rewrite
+
+
+def _existing(path: str | Path) -> Path:
+    """`path` as a Path, or FileNotFoundError naming it."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    return path
 
-    lines = _plain_lines(path)
+
+def _parse_plain(path: Path, lines: list[str] | None, label_column: str) -> Dataset | None:
+    """The Dataset of `_plain_lines`' lines in one numpy parse, or None when
+    the per-cell loop must read the file. A bad header raises here."""
     # a header-only file is left to the loop: np.loadtxt warns on no data
-    if lines is not None and len(lines) > 1:
-        header, label_idx = _parse_header(path, lines[0].split(","), label_column)
-        parsed = _parse_plain_rows(lines[1:], len(header), label_idx)
-        if parsed is not None:
-            return Dataset(*parsed)
-    return Dataset(*_load_csv_per_cell(path, label_column))
+    if lines is None or len(lines) < 2:
+        return None
+    header, label_idx = _parse_header(path, lines[0].split(","), label_column)
+    parsed = _parse_plain_rows(lines[1:], len(header), label_idx)
+    return None if parsed is None else Dataset(*parsed)
 
 
 def _plain_lines(path: Path) -> list[str] | None:
@@ -248,8 +321,18 @@ def _parse_plain_rows(
 def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
     """The reference reader: csv.reader rows, one `float()` per cell. Raises
     an error naming the first offending row and column."""
+    return _parse_cells(path, _csv_rows(path), label_column)
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    """csv.reader's rows of the file, less blank and comment rows."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        return [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+
+
+def _parse_cells(path: Path, rows: list[list[str]],
+                 label_column: str) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels) of `_csv_rows`' rows, one `float()` per cell."""
     if not rows:
         raise CsvFormatError(f"{path}: no header row found")
     header, label_idx = _parse_header(path, rows[0], label_column)
@@ -320,7 +403,7 @@ def load_csvs(paths: Sequence[str | Path], label_column: str = "label") -> Itera
     Read the generator to its end or close it (`contextlib.closing`): either
     closes the pipes, then kills and reaps every reader.
     """
-    return _forked(lambda path: load_csv(path, label_column), paths, _usable_cpus(), False,
+    return _forked(lambda path: load_csv(path, label_column), paths, _usable_cpus(),
                    _pack_dataset, _unpack_dataset)
 
 
@@ -338,13 +421,13 @@ def _unpack_dataset(frame: bytes) -> Dataset:
     return Dataset(values[:rows * cols].reshape(rows, cols), values[rows * cols:])
 
 
-def _forked(work: Callable, items: Sequence, k: int, here: bool,
+def _forked(work: Callable, items: Sequence, k: int,
             pack: Callable[[object], bytes], unpack: Callable[[bytes], object]) -> Iterator:
     """`work(item)` for each item, in order, as a generator, computed on up to
     k processes: one per item at most, and only this one without `os.fork`.
 
-    Item i goes to process i % k. With `here`, or when k is 1, process 0 is
-    this one; every other process is a child forked on the first `next`. A
+    Item i goes to process i % k. When k is 1, that process is this one;
+    otherwise every process is a child forked on the first `next`. A
     child sends `pack(work(item))` for each of its items as one frame, the
     bytes after their length as 8 bytes, and ends at its first error. An
     item whose frame does not arrive whole, as its child could not be
@@ -357,9 +440,9 @@ def _forked(work: Callable, items: Sequence, k: int, here: bool,
     """
     items = list(items)
     k = max(1, min(k, len(items))) if hasattr(os, "fork") else 1
-    # (pid, read end of its pipe) of each process; this one, as process 0 or
-    # the only one, reads as a child that sent nothing
-    children: list[tuple[int | None, BinaryIO]] = [(None, io.BytesIO())] if here or k == 1 else []
+    # (pid, read end of its pipe) of each process; this one, as the only
+    # one, reads as a child that sent nothing
+    children: list[tuple[int | None, BinaryIO]] = [(None, io.BytesIO())] if k == 1 else []
     try:
         while len(children) < k:
             children.append(_fork(work, items[len(children)::k], pack))
@@ -424,10 +507,7 @@ def _receive(pipe: BinaryIO) -> bytes | None:
     return frame if len(frame) == size else None
 
 
-# The fewest cells each process's blocks must hold for a formatter to pay for
-# its fork: on a 2-CPU machine two processes first beat one at 11,000-13,000 cells.
-_SHARE_CELLS = 6_000
-_BLOCK_ROWS = 256  # rows of text a formatter sends, and this process holds, at a time
+_BLOCK_ROWS = 256  # rows of text formatted, and held, at a time
 
 
 def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
@@ -435,13 +515,8 @@ def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") ->
     number with 17 significant digits (round-trip safe), CRLF line ends.
 
     The header goes through csv.writer, which quotes an unusual label name.
-    Once the file is open, the rows are formatted in blocks of `_BLOCK_ROWS`
-    rows by `_forked`, on k = min(usable CPUs, cells // `_SHARE_CELLS`)
-    processes, this one among them, and written in order as they arrive. A
-    forked formatter runs at most a pipe's 64 KiB ahead of the blocks taken
-    here, so it never waits long on a full pipe. So the file is written
-    front to back, without a seek, with the bytes of a one-process write,
-    and no formatter outlives the call.
+    Once the file is open, the rows are formatted and written in blocks of
+    `_BLOCK_ROWS` rows.
     """
     path = Path(path)
     names = [f"f{j}" for j in range(dataset.n_features)]
@@ -454,21 +529,11 @@ def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") ->
     table = np.column_stack([dataset.features, dataset.labels])
     header = io.StringIO()
     csv.writer(header).writerow(names + [label_column])
-    k = min(_usable_cpus(), table.size // _SHARE_CELLS)
     with path.open("wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))  # buffered: a formatter never flushes it
-        texts = _forked(lambda first: _text(table, row, first, first + _BLOCK_ROWS),
-                        range(0, len(table), _BLOCK_ROWS), k, True, bytes, bytes)
-        try:
-            for text in texts:
-                fh.write(text)
-        finally:
-            texts.close()
-
-
-def _text(table: np.ndarray, row: str, start: int, stop: int) -> bytes:
-    """The CSV text of rows `start` to `stop` of `table`."""
-    return "".join([row % tuple(values) for values in table[start:stop].tolist()]).encode()
+        fh.write(header.getvalue().encode("utf-8"))
+        for first in range(0, len(table), _BLOCK_ROWS):
+            block = table[first:first + _BLOCK_ROWS].tolist()
+            fh.write("".join([row % tuple(values) for values in block]).encode())
 
 
 def merge(datasets: Sequence[Dataset]) -> Dataset:

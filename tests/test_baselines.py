@@ -58,6 +58,10 @@ def test_geometric_median_matches_exact_median_on_odd_1d_sets():
 def test_geometric_median_empty():
     with pytest.raises(ValueError):
         geometric_median(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="^need at least one point, all of equal dimension$"):
+        componentwise_median([])
+    with pytest.raises(ValueError, match="^need at least one model$"):
+        MedianOfProbsEnsemble([])
 
 
 def test_componentwise_median():

@@ -109,6 +109,26 @@ def test_corrupt_command(tmp_path):
     assert np.all(corrupted.labels == 1.0)
 
 
+def test_corrupt_command_may_write_over_its_input(tmp_path, capsys):
+    src, copy = tmp_path / "in.csv", tmp_path / "copy.csv"
+    _write_dataset(src, 5, n=300)
+    corrupt = ["--kind", "shuffled_features", "--proportion", "0.5", "--seed", "2"]
+    assert _run(["corrupt", "--input", str(src), "--output", str(copy), *corrupt], capsys)[0] == 0
+    assert _run(["corrupt", "--input", str(src), "--output", str(src), *corrupt], capsys)[0] == 0
+    assert src.read_bytes() == copy.read_bytes()
+
+
+def test_corrupt_command_forks_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    forks = []
+    monkeypatch.setattr(data, "_fork", lambda *args: forks.append(args))
+    src = tmp_path / "in.csv"
+    _write_dataset(src, 6, n=5000)
+    assert _run(["corrupt", "--input", str(src), "--output", str(tmp_path / "out.csv"),
+                 "--kind", "shuffled_labels"], capsys)[0] == 0
+    assert forks == []
+
+
 def test_experiment_command_deterministic(tmp_path, small_config):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["experiment", "--config", str(small_config), "--out", str(out_a)]) == 0
@@ -486,6 +506,9 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
         (["corrupt", "--input", str(tmp_path / "plain_reference.csv"), "--output",
           str(tmp_path / "noisy.csv"), "--kind", "label_bias", "--seed", "-1"],
          "multisource corrupt: error: seed must lie in [0, 2**64), got -1\n"),
+        (["corrupt", "--input", str(tmp_path / "ragged.csv"), "--output",
+          str(tmp_path / "noisy.csv"), "--kind", "label_bias"],
+         f"multisource corrupt: error: {ragged}"),
         (["simulate-federated", "--case", "1", "--config", str(no_sources)],
          f"multisource simulate-federated: error: {no_sources}: source_paths must be a path or "
          "a nonempty list of paths, got []\n"),
@@ -555,3 +578,4 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+    assert not (tmp_path / "noisy.csv").exists()  # an invalid input creates no output

@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import errno
+import inspect
 import io
+import itertools
 import os
 import signal
 
@@ -12,6 +14,7 @@ import hypothesis.strategies as st
 
 from helpers import zero_one_copy
 from multisource import data
+from multisource.corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
 from multisource.data import (
     CsvFormatError,
     Dataset,
@@ -40,6 +43,8 @@ def test_dataset_rejects_shape_mismatch():
         Dataset([[1.0], [2.0]], [1.0])
     with pytest.raises(ValueError):
         Dataset(np.empty((2, 0)), [1.0, -1.0])
+    with pytest.raises(ValueError, match=r"^features must be 2-D, got shape \(2,\)$"):
+        Dataset([1.0, 2.0], [1.0, -1.0])
 
 
 def test_dataset_is_immutable():
@@ -59,6 +64,8 @@ def test_pool_validation():
         SourcePool((), a)
     with pytest.raises(ValueError, match="reference is empty"):
         SourcePool((a,), Dataset(np.empty((0, 1)), np.empty(0)))
+    with pytest.raises(ValueError, match="^source 1 is empty$"):
+        SourcePool((a, Dataset(np.empty((0, 1)), np.empty(0))), a)
 
 
 def test_load_csv_zero_one_encoding(tmp_path):
@@ -136,6 +143,14 @@ def test_load_csv_errors(tmp_path):
     nolab.write_text("f0,f1\n1.0,2.0\n")
     with pytest.raises(CsvFormatError, match="label column"):
         load_csv(nolab, "y")
+    only_label = tmp_path / "only_label.csv"
+    only_label.write_text("label\n1\n-1\n")
+    with pytest.raises(CsvFormatError, match="no feature columns besides 'label'"):
+        load_csv(only_label)
+    no_header = tmp_path / "no_header.csv"
+    no_header.write_text("# only a comment\n\n  # and another\n")
+    with pytest.raises(CsvFormatError, match=r"no_header\.csv: no header row found$"):
+        load_csv(no_header)
 
 
 def test_csv_round_trip(tmp_path):
@@ -184,6 +199,7 @@ def _old_save_csv_bytes(dataset, label_column="label"):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("label_column", ["label", "y,class"])
 def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, monkeypatch, label_column, cpus):
+    # whatever the CPU count, the rows are formatted in this process
     rng = np.random.default_rng(17)
     special = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e300,
                1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0]
@@ -192,14 +208,12 @@ def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, monkeypatch, label_c
         rng.standard_normal((40, 2)) * 10.0 ** rng.integers(-300, 301, (40, 2)),
     ])
     ds = Dataset(features, np.where(rng.random(len(features)) < 0.5, 1.0, -1.0))
-    # every CPU formats a share of the 51 rows, each share in several blocks
     monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
-    formatters = _fork_spy(monkeypatch)
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 4)  # the 51 rows in several blocks
+    forks = _fork_calls(monkeypatch)
     path = tmp_path / "d.csv"
     save_csv(ds, path, label_column)
-    assert len(formatters) == cpus - 1
+    assert forks == []
     assert path.read_bytes() == _old_save_csv_bytes(ds, label_column)
     back = load_csv(path, label_column)
     assert back.features.tobytes() == ds.features.tobytes()
@@ -351,6 +365,158 @@ def test_load_csv_matches_the_per_cell_loop(tmp_path_factory, text):
     assert _outcome(fast) == _outcome(loop)
 
 
+# named columns, the label second, numbers as people write them, 0/1 labels
+_NAMED = ("# heights and weights\n"
+          "height, label ,weight,age\n"
+          "0.1,1,1e3, 2.5\n"
+          "\n"
+          "2.50,0,-0,7\n"
+          "  # a comment between rows\n"
+          "1e-3,1,+4,0.1\n"
+          "3,0,5.0,1e3\n")
+
+
+def _quoted_twin(text: str) -> str:
+    """`text` with every cell of its header and data rows quoted."""
+    return "\n".join(line if not line.strip() or line.lstrip().startswith("#")
+                     else ",".join(f'"{cell}"' for cell in line.split(","))
+                     for line in text.split("\n"))
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("label_bias", "height, label ,weight,age\r\n0.1,1,1e3, 2.5\r\n2.50,1,-0,7\r\n"
+                   "1e-3,1,+4,0.1\r\n3,1,5.0,1e3\r\n"),
+    # every row's height and age swap places: each moved value is written as
+    # %.17g, and the weights, which stay, keep their text
+    ("shuffled_features", "height, label ,weight,age\r\n2.5,1,1e3,0.10000000000000001\r\n"
+                          "7,-1,-0,2.5\r\n0.10000000000000001,1,+4,0.001\r\n"
+                          "1000,-1,5.0,3\r\n"),
+], ids=["label_bias", "shuffled_features"])
+def test_rewrite_csv_keeps_the_text_of_every_cell_it_does_not_change(tmp_path, monkeypatch,
+                                                                     kind, expected):
+    spec = CorruptionSpec(kind, 1.0, 3)
+    source, quoted = tmp_path / "named.csv", tmp_path / "quoted.csv"
+    source.write_text(_NAMED)
+    quoted.write_text(_quoted_twin(_NAMED))
+    data.rewrite_csv(quoted, tmp_path / "from_quoted.csv", lambda ds: corrupt(ds, spec))
+
+    def no_csv_module(path):
+        raise AssertionError("a plain file was read through csv.reader")
+
+    monkeypatch.setattr(data, "_csv_rows", no_csv_module)
+    target = tmp_path / "out.csv"
+    data.rewrite_csv(source, target, lambda ds: corrupt(ds, spec))
+    assert target.read_bytes() == expected.encode()
+    assert (tmp_path / "from_quoted.csv").read_bytes() == expected.encode()
+    back, changed = load_csv(target), corrupt(load_csv(source), spec)
+    assert back.features.tobytes() == changed.features.tobytes()
+    assert back.labels.tobytes() == changed.labels.tobytes()
+
+
+@pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, kind):
+    rng = np.random.default_rng(31)
+    ds = Dataset(rng.standard_normal((600, 4)) * 10.0 ** rng.integers(-300, 301, (600, 4)),
+                 np.where(rng.random(600) < 0.5, 1.0, -1.0))
+    source, expected, target = (tmp_path / f"{name}.csv" for name in ("in", "expected", "out"))
+    save_csv(ds, source)
+    spec = CorruptionSpec(kind, 0.5, 8)
+    save_csv(corrupt(ds, spec), expected)
+    data.rewrite_csv(source, target, lambda d: corrupt(d, spec))
+    assert target.read_bytes() == expected.read_bytes()
+
+
+def _failing_change(ds):
+    raise ValueError("the change failed")
+
+
+@pytest.mark.parametrize("content, change, error", [
+    ("f0,label\n1,1\n2\n", None, "row 2 has 1 cells"),
+    ("f0,y\n1,1\n", None, "label column 'label' not in header"),
+    (None, None, "no such file"),
+    ("f0,label\n1,1\n2,-1\n", _failing_change, "the change failed"),
+    ("f0,label\n1,1\n2,-1\n", lambda ds: ds.take([0]), r"\(2, 1\) table into a \(1, 1\)"),
+], ids=["ragged", "no_label_column", "missing", "failing_change", "fewer_rows"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_rewrite_csv_of_an_invalid_input_leaves_the_target_as_it_was(tmp_path, content, change,
+                                                                     error, existing):
+    source, target = tmp_path / "in.csv", tmp_path / "out.csv"
+    if content is not None:
+        source.write_text(content)
+    if existing:
+        target.write_bytes(b"kept\r\n")
+    with pytest.raises((ValueError, FileNotFoundError), match=error):
+        data.rewrite_csv(source, target, change or (lambda ds: ds))
+    assert target.read_bytes() == b"kept\r\n" if existing else not target.exists()
+
+
+_PLAIN_NUMBERS = ["0.1", "1e3", " 2.5", "2.50 ", "-0", "0", "+4", "7.", ".5", "5e-324",
+                  "-2.5e-320", "1.7976931348623157e308", "123456789012345678", "1_0"]
+_POSITIVE = ["1", "1.0", " 1", "+1"]
+_NEGATIVE = [["-1", "-1.0", " -1"], ["0", "-0", "0.0"]]
+
+
+@st.composite
+def _plain_csv_texts(draw):
+    """Valid CSV texts that `_plain_lines` passes: no quote and no stray
+    carriage return, with numbers, labels and column names as people write
+    them."""
+    d = draw(st.integers(1, 3))
+    names = [draw(st.sampled_from([f"x{j}", f" f{j}", f"weight {j}"])) for j in range(d)]
+    label_at = draw(st.integers(0, d))
+    names.insert(label_at, draw(st.sampled_from(["label", " label "])))
+    negative = draw(st.sampled_from(_NEGATIVE))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "comment":
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["# note", "  # indented", "#,1,2"])))
+        elif kind == "blank":
+            lines.append("")
+        else:
+            cells = [draw(st.sampled_from(_PLAIN_NUMBERS)) for _ in range(d)]
+            cells.insert(label_at, draw(st.sampled_from(_POSITIVE + negative)))
+            lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@st.composite
+def _changes(draw):
+    """A corruption, or a change that negates some cells (so 0 becomes -0,
+    which differs from it bit for bit)."""
+    kind = draw(st.sampled_from([*CORRUPTION_KINDS, "negate"]))
+    seed = draw(st.integers(0, 2**32))
+    if kind != "negate":
+        spec = CorruptionSpec(kind, draw(st.sampled_from([0.3, 0.5, 1.0])), seed)
+        return lambda ds: corrupt(ds, spec)
+
+    def negate(ds):
+        flip = np.random.default_rng(seed).random(ds.features.shape) < 0.5
+        return Dataset(np.where(flip, -ds.features, ds.features), ds.labels)
+
+    return negate
+
+
+@given(_plain_csv_texts(), _changes())
+@settings(max_examples=300, deadline=None)
+def test_rewrite_csv_of_a_plain_file_equals_the_csv_module_path(tmp_path_factory, text, change):
+    folder = tmp_path_factory.mktemp("rewrite")
+    source, plain, reference = (folder / f"{name}.csv" for name in ("in", "plain", "reference"))
+    source.write_bytes(text.encode("utf-8"))
+    data.rewrite_csv(source, plain, change)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_plain_lines", lambda path: None)
+        data.rewrite_csv(source, reference, change)
+    assert plain.read_bytes() == reference.read_bytes()
+    back, changed = load_csv(plain), change(load_csv(source))
+    assert back.features.shape == changed.features.shape
+    assert back.features.tobytes() == changed.features.tobytes()
+    assert back.labels.tobytes() == changed.labels.tobytes()
+
+
 def _mixed_csvs(tmp_path, rows=3000):
     """Paths of files of every kind `load_csv` reads: CRLF, LF, a BOM,
     comment lines, 0 labels, a quoted cell (the per-cell loop) and a header
@@ -385,6 +551,18 @@ def _fork_spy(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", spy)
     return pids
+
+
+def _fork_calls(monkeypatch) -> list[None]:
+    """One entry for each `data._fork` call from now on."""
+    calls, fork = [], data._fork
+
+    def spy(*args):
+        calls.append(None)
+        return fork(*args)
+
+    monkeypatch.setattr(data, "_fork", spy)
+    return calls
 
 
 def _same(a: Dataset, b: Dataset) -> bool:
@@ -472,70 +650,17 @@ def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, m
 
 
 def _large_dataset(rows=20_000) -> Dataset:
-    """A table whose every share of two holds far more text than a pipe."""
+    """A table whose text is far more than a pipe holds."""
     rng = np.random.default_rng(29)
     return Dataset(rng.standard_normal((rows, 2)), np.where(rng.random(rows) < 0.5, 1.0, -1.0))
 
 
-def test_a_formatter_killed_mid_share_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
-    ds, path = _large_dataset(), tmp_path / "d.csv"
-    formatters = _fork_spy(monkeypatch)
-    parent, formatted_here, delivered = os.getpid(), [], []
-    text, receive = data._text, data._receive
-
-    def text_spy(table, row, start, stop):
-        if os.getpid() == parent:
-            formatted_here.append(start)
-        return text(table, row, start, stop)
-
-    def receive_spy(pipe):
-        block = receive(pipe)
-        if block is not None:  # a block of the formatter, which has the odd blocks
-            delivered.append(block)
-            if len(delivered) == 1:
-                os.kill(formatters[0], signal.SIGKILL)
-                # wait for its death without reaping it: alive, it could send more
-                os.waitid(os.P_PID, formatters[0], os.WEXITED | os.WNOWAIT)
-        return block
-
-    monkeypatch.setattr(data, "_text", text_spy)
-    monkeypatch.setattr(data, "_receive", receive_spy)
-    save_csv(ds, path)
-    starts = range(0, ds.n_samples, data._BLOCK_ROWS)
-    first_lost = 1 + 2 * len(delivered)  # the formatter's first undelivered block
-    assert first_lost < len(starts), "the formatter's rest was not formatted here"
-    assert formatted_here == [start for b, start in enumerate(starts)
-                              if b % 2 == 0 or b >= first_lost]
-    assert path.read_bytes() == _old_save_csv_bytes(ds)
-
-
-def test_a_formatter_that_cannot_be_forked_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
-    ds, path = _large_dataset(rows=3000), tmp_path / "d.csv"
-    formatters, fork, calls = _fork_spy(monkeypatch), os.fork, []
-
-    def second_fails():
-        calls.append(None)
-        if len(calls) == 2:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", second_fails)
-    save_csv(ds, path)
-    assert len(calls) == 2 and len(formatters) == 1
-    assert path.read_bytes() == _old_save_csv_bytes(ds)
-
-
 def test_save_csv_to_a_path_it_cannot_open_forks_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(data, "_SHARE_CELLS", 1)
-    formatters = _fork_spy(monkeypatch)
+    forks = _fork_calls(monkeypatch)
     with pytest.raises(IsADirectoryError):
         save_csv(_large_dataset(rows=100), tmp_path)
-    assert formatters == []
+    assert forks == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -544,12 +669,12 @@ def test_save_csv_to_an_output_that_fails_mid_write_raises_and_leaves_no_formatt
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-    formatters = _fork_spy(monkeypatch)
+    forks = _fork_calls(monkeypatch)
     with pytest.raises(OSError) as failure:
         save_csv(_large_dataset(), "/dev/full")
     assert failure.value.errno == errno.ENOSPC
-    assert len(formatters) == cpus - 1
-    with pytest.raises(ChildProcessError):  # no formatter is left, running or unreaped
+    assert forks == []
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
         os.waitpid(-1, os.WNOHANG)
 
 
@@ -568,10 +693,10 @@ def _encode(value: int) -> bytes:
     return str(value).encode()
 
 
-@pytest.mark.parametrize("here", [False, True])
+@pytest.mark.parametrize("close_early", [False, True])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
-def test_forked_equals_work_of_each_item_in_order(monkeypatch, n, cpus, here):
+def test_forked_equals_work_of_each_item_in_order(monkeypatch, n, cpus, close_early):
     children = _fork_spy(monkeypatch)
     parent, computed_here = os.getpid(), []
 
@@ -580,35 +705,47 @@ def test_forked_equals_work_of_each_item_in_order(monkeypatch, n, cpus, here):
             computed_here.append(i)
         return i * i
 
-    got = list(data._forked(work, range(n), cpus, here, _encode, int))
-    assert got == [i * i for i in range(n)]
+    taken = (n + 1) // 2 if close_early else n  # then closed with children still running
+    results = data._forked(work, range(n), cpus, _encode, int)
+    got = list(itertools.islice(results, taken))
+    results.close()
+    assert got == [i * i for i in range(taken)]
     k = min(cpus, n)
-    assert len(children) == (0 if k < 2 else k - here)  # no child without an item
-    # item i goes to process i % k, and process 0 is this one with `here`
-    assert computed_here == [i for i in range(n) if k < 2 or (here and i % k == 0)]
+    assert len(children) == (0 if k < 2 else k)  # no child without an item
+    # item i goes to process i % k, and this process is the only one when k is 1
+    assert computed_here == [i for i in range(taken) if k < 2]
+    with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 6])
-@pytest.mark.parametrize("here", [False, True])
+@pytest.mark.parametrize("only_in_children", [False, True])
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_forked_raises_the_first_error_of_the_one_by_one_calls(cpus, here, bad):
+def test_forked_raises_the_first_error_of_the_one_by_one_calls(cpus, only_in_children, bad):
+    parent = os.getpid()
+
     def work(i):
-        if i >= bad and i % 2 == bad % 2:  # fails from item `bad` on, in every process
+        # fails from item `bad` on, in every process or only in the children
+        if i >= bad and i % 2 == bad % 2 and not (only_in_children and os.getpid() == parent):
             raise ValueError(f"item {i} is bad")
         return i * i
 
-    got = _forked_outcomes(data._forked(work, range(7), cpus, here, _encode, int))
-    assert got == [i * i for i in range(bad)] + [(ValueError, f"item {bad} is bad")]
+    got = _forked_outcomes(data._forked(work, range(7), cpus, _encode, int))
+    # a child's error is not final: its item, and its later ones, are computed here
+    assert got == _forked_outcomes(map(work, range(7)))
+    assert got == ([i * i for i in range(7)] if only_in_children
+                   else [i * i for i in range(bad)] + [(ValueError, f"item {bad} is bad")])
 
 
-@pytest.mark.parametrize("here", [False, True])
-def test_forked_computes_the_items_of_a_child_that_cannot_be_forked_here(monkeypatch, here):
+@pytest.mark.parametrize("first", [False, True])
+def test_forked_computes_the_items_of_a_child_that_cannot_be_forked_here(monkeypatch, first):
     children, fork, calls = _fork_spy(monkeypatch), os.fork, []
     parent, computed_here = os.getpid(), []
+    failing = 1 if first else 2  # which of the three forks fails
 
-    def second_fails():
+    def one_fails():
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == failing:
             raise BlockingIOError(11, "Resource temporarily unavailable")
         return fork()
 
@@ -617,12 +754,16 @@ def test_forked_computes_the_items_of_a_child_that_cannot_be_forked_here(monkeyp
             computed_here.append(i)
         return -i
 
-    monkeypatch.setattr(os, "fork", second_fails)
-    got = list(data._forked(work, range(10), 3, here, _encode, int))
+    monkeypatch.setattr(os, "fork", one_fails)
+    got = list(data._forked(work, range(10), 3, _encode, int))
     assert got == [-i for i in range(10)]
-    assert len(calls) == 3 - here and len(children) == 2 - here
-    unforked = 2 if here else 1  # the process of the second fork
-    assert computed_here == [i for i in range(10) if i % 3 == unforked or (here and i % 3 == 0)]
+    assert len(calls) == 3 and len(children) == 2
+    assert computed_here == [i for i in range(10) if i % 3 == failing - 1]
+
+
+def test_forked_takes_no_in_process_flag():
+    # with k > 1 every process of the fork-map is a child
+    assert "here" not in inspect.signature(data._forked).parameters
 
 
 def test_kfold_sizes():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -459,6 +460,8 @@ def test_config_validation():
             _config(**{name: (1.0, bad)})
     with pytest.raises(ValueError):
         _config(repeats=0)
+    with pytest.raises(ValueError, match="^cv_folds must be >= 2$"):
+        _config(cv_folds=1)
     # a misspelt key used to fall back to the default grid without a word
     text = config_to_json(_config())
     with pytest.raises(ValueError, match="lamda_grid"):
@@ -473,6 +476,24 @@ def test_config_validation():
     assert config_from_json(text.replace('"seed": 5', '"seed": 5.0')).seed == 5
     with pytest.raises(ValueError, match="seed must be a whole number"):
         config_from_json(text.replace('"seed": 5', '"seed": Infinity'))
+    # JSON reads a 400-digit number as an exact int, too large for a float
+    with pytest.raises(ValueError, match="^seed must be a whole number, got 9{400}$"):
+        config_from_json(text.replace('"seed": 5', '"seed": ' + "9" * 400))
+    with pytest.raises(ValueError, match="^class_separation must be a finite number, got 9{400}$"):
+        config_from_json(re.sub(r'"class_separation": [^,}]+', '"class_separation": ' + "9" * 400,
+                                text))
+    # the data block names exactly one known kind
+    data = json.loads(text)["data"]
+    for bad in (dict(data, csv_paths={"source_paths": ["a.csv"], "reference_path": "r.csv",
+                                      "test_path": "t.csv"}),
+                {"parquet": data["synthetic"]}, {}):
+        with pytest.raises(ValueError, match="^config data must contain exactly one of "
+                                             "'synthetic' or 'csv_paths'$"):
+            config_from_json(json.dumps(dict(json.loads(text), data=bad)))
+    for name in ("reference_path", "test_path", "label_column"):
+        paths = dict(source_paths=("a.csv",), reference_path="r.csv", test_path="t.csv")
+        with pytest.raises(ValueError, match=f"^{name} must be a string, got 5$"):
+            CsvDataSpec(**dict(paths, **{name: 5}))
     # a seed is a 64-bit seed: both ends of the range are read, a value outside is named
     assert [_config(seed=s).seed for s in (0, 2**64 - 1)] == [0, 2**64 - 1]
     for seed in (-1, 2**64):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from multisource import models
 from multisource.data import Dataset, SourcePool
 from multisource.models import (
+    FLOAT_SLACK,
     HUBER_C,
     LOSSES,
     LinearPredictor,
@@ -139,6 +141,14 @@ def test_train_erm_rejects_an_empty_dataset():
     ds = Dataset(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
         train_erm(ds)
+
+
+def test_linear_predictor_rejects_a_matrix_or_non_finite_parameters():
+    with pytest.raises(ValueError, match="^weights must be a vector$"):
+        LinearPredictor(np.ones((2, 1)), 0.0)
+    for weights, bias in (([1.0, np.nan], 0.0), ([np.inf], 0.0), ([1.0], -np.inf)):
+        with pytest.raises(ValueError, match="^predictor parameters must be finite$"):
+            LinearPredictor(np.array(weights), bias)
 
 
 def test_predict_tie_goes_positive():
@@ -381,3 +391,37 @@ def test_unregularized_degenerate_data_give_a_finite_predictor(loss, case):
     assert _gradient_norm(predictor, X, y, s, loss, 0.0) <= 1e-8 * start
     if case != "repeated_column":
         assert zero_one_error(predictor, ds) == 0.0
+
+
+def test_a_newton_step_that_overshoots_is_halved(monkeypatch):
+    # features five orders of magnitude apart: full Newton steps overshoot,
+    # so the line search halves some of them
+    rng = np.random.default_rng(430)
+    n, d = rng.integers(2, 40), rng.integers(1, 4)
+    features = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3, d)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    weights = np.full(n, 1.0 / n)
+    unspied = minimize_weighted_loss(features, labels, weights, "logistic", 1e-6)
+
+    values, accepted = [], []  # every objective evaluated; the one each solve starts from
+    evaluate, solve = models._evaluate, np.linalg.solve
+
+    def evaluate_spy(*args):
+        result = evaluate(*args)
+        values.append(result[0])
+        return result
+
+    def solve_spy(*args):
+        accepted.append(values[-1])  # the last trial evaluated was the one taken
+        return solve(*args)
+
+    monkeypatch.setattr(models, "_evaluate", evaluate_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    fit = minimize_weighted_loss(features, labels, weights, "logistic", 1e-6)
+    solves = len(accepted)
+    accepted.append(values[-1])  # the fit ended on its gradient, at an accepted point
+    assert fit.weights.tobytes() == unspied.weights.tobytes() and fit.bias == unspied.bias
+    # one evaluation at zero, then one per full step and one per halving
+    assert len(values) - 1 - solves >= 1
+    for before, after in zip(accepted, accepted[1:]):
+        assert after - before <= FLOAT_SLACK * abs(before)

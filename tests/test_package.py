@@ -83,7 +83,7 @@ def test_every_benchmark_fit_span_names_a_live_function():
 
 
 def test_the_cli_loads_no_process_or_signal_module():
-    # each would slow every CLI start; the forked readers and formatters of
+    # each would slow every CLI start; the forked readers of
     # `multisource.data` use `os` alone
     heavy = ["signal", "multiprocessing", "concurrent.futures", "subprocess"]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -116,6 +116,8 @@ def test_weight_problem_validation():
         solve_weights(WeightProblem(np.array([0.5]), np.array([10])), -1.0)
     with pytest.raises(ValueError):
         WeightProblem(np.array([0.5, 0.5]), np.array([10]))
+    with pytest.raises(ValueError, match="^discrepancies must be a nonempty vector$"):
+        WeightProblem([], [])
     for counts in ([2.5, 3.9], [10.0, np.inf], [10.0, np.nan]):
         with pytest.raises(ValueError, match="sample_counts"):
             WeightProblem(np.array([0.1, 0.4]), np.array(counts))
