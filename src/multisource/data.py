@@ -6,16 +6,19 @@ its negative class as -1 or as 0, and each file is read by its own labels:
 All randomized operations are pure functions of their inputs and an
 explicit 64-bit seed (see `_derive_seed`).
 
-A CSV file is parsed with one numpy call and written as `%.17g` text
-formatted in blocks of rows; the per-cell loop `_load_csv_per_cell` runs
-only to locate a fault (a `CsvFormatError` naming the file, row and
-column) or to read input that the numpy parse does not model. Before the
-parse, `_plain_lines` screens the file's whole text with string searches
-for what sends it to the loop (a quote, a separator \\x1c-\\x1f, a carriage
-return outside CRLF, a field over csv's field size limit) and tests lines
-one by one for a comment only when the text holds a '#'. Both readers skip
-a leading UTF-8 BOM. `rewrite_csv` writes a changed copy of a file from the
-lines it read, formatting only the cells the change moved.
+A CSV file's data lines are parsed as JSON arrays by orjson, 256 lines
+per call, or with one numpy call where a line is not JSON numbers (`+4`,
+`.5`, `nan`) or may hold the integer -0, which JSON reads as +0. A file is
+written as `%.17g` text formatted in blocks of rows. The per-cell loop
+`_load_csv_per_cell` runs only to locate a fault (a `CsvFormatError`
+naming the file, row and column) or to read input that the numpy parse
+does not model. Before the parse, `_plain_lines` reads the file with
+universal newlines, screens its whole text with string searches for what
+sends it to the loop (a quote, a separator \\x1c-\\x1f, a field over csv's
+field size limit) and tests lines one by one for a comment only when the
+text holds a '#'. Both readers skip a leading UTF-8 BOM. `rewrite_csv`
+writes a changed copy of a file from the lines it read, formatting only
+the cells the change moved.
 
 `load_csvs` parses a command's files through `_forked`: one ordered
 fork-map that deals item i to process i % k, on up to one process per
@@ -154,11 +157,12 @@ def load_csv(path: str | Path, label_column: str = "label") -> Dataset:
     both map to -1, but a file that writes its negative class both ways is
     rejected. A header that repeats a name is rejected.
 
-    The data rows are parsed with one `np.loadtxt` call. Only when that
-    fails, or the file quotes a cell or breaks lines in a way the fast path
-    does not model, does the per-cell loop run: it raises the error that
-    names the offending 1-based data row and column, or returns its own
-    result where `float()` accepts a cell that numpy does not (`1_0`).
+    The data rows are parsed as JSON by orjson, or with one `np.loadtxt`
+    call where that fails. Only when both fail, or the file quotes a cell or
+    has a line the fast path does not model, does the per-cell loop run: it
+    raises the error that names the offending 1-based data row and column,
+    or returns its own result where `float()` accepts a cell that numpy does
+    not (`1_0`).
     """
     path = _existing(path)
     data = _parse_plain(path, _plain_lines(path), label_column)
@@ -249,10 +253,11 @@ def _plain_lines(path: Path) -> list[str] | None:
     """The header and data lines of the file: the rows csv.reader would give,
     less blank and comment rows, as unsplit lines.
 
-    The file is decoded whole, less a leading UTF-8 BOM, and screened by
-    string searches over the whole text. None when splitting at line ends
-    and commas would not give csv.reader's cells (a quote, a carriage return
-    outside CRLF, or a field longer than csv's field size limit, on which
+    The file is decoded whole, less a leading UTF-8 BOM, with universal
+    newlines: CRLF and a lone CR both end a line, as each ends a csv.reader
+    row. The text is screened by string searches over the whole of it. None
+    when splitting at line ends and commas would not give csv.reader's cells
+    (a quote, or a field longer than csv's field size limit, on which
     csv.reader raises even in a comment; only a line over the limit is split
     to look for one), when the text holds one of the separators \\x1c-\\x1f,
     which numpy strips from a number as whitespace but `float()` rejects, or
@@ -260,17 +265,13 @@ def _plain_lines(path: Path) -> list[str] | None:
     it read). Lines are tested one by one for a comment only when the text
     holds a '#'.
     """
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with path.open(encoding="utf-8-sig") as fh:  # universal newlines
         try:
             text = fh.read()
         except UnicodeDecodeError:
             return None
     if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")  # rebound so that the CRLF original is freed
-        if "\r" in text:
-            return None
     lines = text.split("\n")
     limit = csv.field_size_limit()
     if max(map(len, lines)) > limit and any(
@@ -294,16 +295,22 @@ def _parse_header(path: Path, row: list[str], label_column: str) -> tuple[list[s
     return header, header.index(label_column)
 
 
+_BLOCK_ROWS = 256  # rows of text parsed or formatted, and held, at a time
+
+
 def _parse_plain_rows(
     rows: list[str], n_cols: int, label_idx: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(features, labels) of unquoted data lines in one numpy parse, or None
-    when a line is malformed, a label not 1, -1 or 0, the labels hold both
-    -1 and 0, or a feature is non-finite."""
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
+    """(features, labels) of unquoted data lines, or None when a line is
+    malformed, a label not 1, -1 or 0, the labels hold both -1 and 0, or a
+    feature is non-finite. The lines are parsed as JSON (`_json_table`), or
+    in one numpy parse when that fails."""
+    table = _json_table(rows, n_cols, label_idx)
+    if table is None:
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
     if table.shape != (len(rows), n_cols):
         return None
     raw = table[:, label_idx]
@@ -316,6 +323,42 @@ def _parse_plain_rows(
     labels = np.full_like(raw, -1.0)  # np.where here raised the benchmark's peak RSS
     labels[raw == 1.0] = 1.0
     return features, labels
+
+
+def _json_table(rows: list[str], n_cols: int, label_idx: int) -> np.ndarray | None:
+    """The (len(rows), n_cols) table of the data lines, each read as a JSON
+    array, `_BLOCK_ROWS` lines per orjson call; None when a block is not
+    n_cols JSON numbers per line.
+
+    JSON's numbers are a subset of `float()`'s grammar, and orjson rounds
+    them as `float()` does, except that it reads the integer -0 as 0: so a
+    table with a zero feature whose lines hold "-0" is None too. A block
+    that holds a t, f, n or [ is None, so that no true, false, null or
+    nested array reads as a number.
+    """
+    import orjson  # here, not at the top, which would grow every CLI process
+
+    table = np.empty((len(rows), n_cols), dtype=np.float64)
+    minus_zero = False
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[first:first + _BLOCK_ROWS]
+        text = "],[".join(block)
+        if any(c in text for c in "tfn") or text.count("[") >= len(block):
+            return None
+        try:
+            part = np.array(orjson.loads("[[" + text + "]]"), dtype=np.float64)
+        except (ValueError, TypeError):  # orjson's decode error is a ValueError
+            return None
+        if part.shape != (len(block), n_cols):
+            return None
+        table[first:first + len(block)] = part
+        minus_zero = minus_zero or "-0" in text
+    if minus_zero:
+        zero = (table == 0.0).any(axis=0)
+        zero[label_idx] = False
+        if zero.any():
+            return None
+    return table
 
 
 def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -403,6 +446,7 @@ def load_csvs(paths: Sequence[str | Path], label_column: str = "label") -> Itera
     Read the generator to its end or close it (`contextlib.closing`): either
     closes the pipes, then kills and reaps every reader.
     """
+    import orjson  # noqa: F401 -- imported before the readers fork, so each inherits it
     return _forked(lambda path: load_csv(path, label_column), paths, _usable_cpus(),
                    _pack_dataset, _unpack_dataset)
 
@@ -505,9 +549,6 @@ def _receive(pipe: BinaryIO) -> bytes | None:
     size = int.from_bytes(header, "little")
     frame = pipe.read(size)
     return frame if len(frame) == size else None
-
-
-_BLOCK_ROWS = 256  # rows of text formatted, and held, at a time
 
 
 def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:

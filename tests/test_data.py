@@ -294,7 +294,10 @@ def test_load_csv_raises_the_loops_error_on_input_the_fast_path_skips(tmp_path, 
 
 _NUMBERS = ["0.5", "-3", "1e-320", "-0", "2.5e300", " 4.25 ", "1_0", "１", "nan", "inf",
             "-inf", "oops", "", "0x1p3", "7.", ".5", "+1", "\xa01", "2\x0c", "3\x1c", "\x1f4",
-            "1#2"]
+            "1#2",
+            # JSON that is no number, or that JSON and float() read apart
+            "true", "false", "null", "[1]", "1E5", "-0e0", "00", "1e400",
+            "18446744073709551616"]
 _LABELS = ["1", "-1", "0", "1.0", "-0", " 1", "2", "nan", "1_0", "x", ""]
 
 
@@ -324,7 +327,7 @@ def _csv_texts(draw):
                 cells[j] = f'"{cells[j]}"'
             elif kind == "ragged":
                 cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
-            elif kind == "stray_cr":  # numpy strips it from a cell; csv.reader ends the row
+            elif kind == "stray_cr":  # csv.reader, and universal newlines, end the row there
                 j = draw(st.integers(0, d))
                 cells[j] = draw(st.sampled_from(["\r" + cells[j], cells[j] + "\r"]))
             lines.append(",".join(cells))
@@ -363,6 +366,68 @@ def test_load_csv_matches_the_per_cell_loop(tmp_path_factory, text):
         return data._load_csv_per_cell(path, "label")
 
     assert _outcome(fast) == _outcome(loop)
+
+
+@st.composite
+def _float_texts(draw):
+    """CSV texts of float64 bit patterns in the forms programs write them,
+    with integer cells and both negative zeros among them."""
+    d = draw(st.integers(1, 4))
+
+    def cell():
+        kind = draw(st.sampled_from(["bits", "bits", "bits", "integer", "zero"]))
+        if kind == "integer":
+            return str(draw(st.integers(-2**70, 2**70)))
+        if kind == "zero":
+            return draw(st.sampled_from(["-0", "-0.0", "0"]))
+        value = float(np.uint64(draw(st.integers(0, 2**64 - 1))).view(np.float64))
+        return draw(st.sampled_from(["%.17g", "%.16g", "%r", "%.25e"])) % value
+
+    rows = [",".join([cell() for _ in range(d)] + [draw(st.sampled_from(["1", "-1"]))])
+            for _ in range(draw(st.integers(1, 20)))]
+    return "\n".join([",".join(f"f{j}" for j in range(d)) + ",label"] + rows) + "\n"
+
+
+@given(_float_texts())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_of_written_floats_matches_the_per_cell_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("floats") / "d.csv"
+    path.write_text(text)
+
+    def fast():
+        ds = load_csv(path)
+        return ds.features, ds.labels
+
+    assert _outcome(fast) == _outcome(lambda: data._load_csv_per_cell(path, "label"))
+
+
+def test_a_plain_file_is_parsed_as_json_and_never_by_the_per_cell_loop(tmp_path, monkeypatch):
+    loadtxt = np.loadtxt
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    def no_fallback(*args):
+        raise AssertionError("the per-cell loop ran on a plain file")
+
+    rng = np.random.default_rng(9)
+    ds = Dataset(rng.standard_normal((600, 3)), np.where(rng.random(600) < 0.5, 1.0, -1.0))
+    saved = tmp_path / "saved.csv"
+    save_csv(ds, saved)  # %.17g, in three blocks of rows
+    monkeypatch.setattr(np, "loadtxt", spy)
+    monkeypatch.setattr(data, "_load_csv_per_cell", no_fallback)
+    back = load_csv(saved)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert calls == []
+    # +4 is no JSON number, and JSON reads the integer -0 as +0: numpy reads both
+    for cell, value in [("+4", 4.0), ("-0", -0.0)]:
+        path = tmp_path / "numpy.csv"
+        path.write_text(f"f0,label\n0.5,1\n{cell},-1\n")
+        back = load_csv(path)
+        assert back.features.tobytes() == np.array([[0.5], [value]]).tobytes()
+    assert len(calls) == 2
 
 
 # named columns, the label second, numbers as people write them, 0/1 labels
@@ -458,9 +523,9 @@ _NEGATIVE = [["-1", "-1.0", " -1"], ["0", "-0", "0.0"]]
 
 @st.composite
 def _plain_csv_texts(draw):
-    """Valid CSV texts that `_plain_lines` passes: no quote and no stray
-    carriage return, with numbers, labels and column names as people write
-    them."""
+    """Valid CSV texts that `_plain_lines` passes: no quote, lines that end
+    in LF, CRLF or a lone CR, and numbers, labels and column names as people
+    write them."""
     d = draw(st.integers(1, 3))
     names = [draw(st.sampled_from([f"x{j}", f" f{j}", f"weight {j}"])) for j in range(d)]
     label_at = draw(st.integers(0, d))
@@ -478,7 +543,7 @@ def _plain_csv_texts(draw):
             cells = [draw(st.sampled_from(_PLAIN_NUMBERS)) for _ in range(d)]
             cells.insert(label_at, draw(st.sampled_from(_POSITIVE + negative)))
             lines.append(",".join(cells))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = end.join(lines) + draw(st.sampled_from(["", end]))
     return ("\ufeff" if draw(st.booleans()) else "") + text
 

@@ -6,9 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import config_to_json
 import multisource
+from multisource.data import Dataset, save_csv
+from multisource.harness import CorruptionSetting, ExperimentConfig, SyntheticSpec
 
 PACKAGE = Path(multisource.__file__).parent
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -92,3 +96,46 @@ def test_the_cli_loads_no_process_or_signal_module():
          f"import sys, multisource.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+_ORJSON_PROBE = """
+import contextlib, io, os, sys
+from multisource import cli, data
+seen = {"import multisource.cli": "orjson" in sys.modules}
+weights, config, csv_path = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["weights", weights, "--lambda", "0.5"]) == 0
+    assert cli.main(["simulate-federated", "--case", "1", "--config", config]) == 0
+    assert cli.main(["simulate-federated", "--case", "2", "--config", config, "--rounds", "50"]) == 0
+seen["weights and simulate-federated"] = "orjson" in sys.modules
+forks, fork = [], os.fork
+
+def spy():
+    forks.append("orjson" in sys.modules)
+    return fork()
+
+os.fork, data._usable_cpus = spy, lambda: 2
+assert len(list(data.load_csvs([csv_path, csv_path]))) == 2
+seen["each fork of load_csvs"] = forks
+print(seen)
+"""
+
+
+def test_orjson_is_loaded_only_to_read_csv_files(tmp_path):
+    # importing orjson adds about half a megabyte to a process's resident
+    # memory; the CSV parse imports it on first use, and load_csvs before
+    # its readers fork, so that they inherit it
+    weights, config, csv_path = (tmp_path / name for name in ("w.json", "c.json", "d.csv"))
+    weights.write_text('{"discrepancies": [0.1, 0.4], "sample_counts": [100, 100]}')
+    config.write_text(config_to_json(ExperimentConfig(
+        data=SyntheticSpec(n_sources=3, samples_per_source=25, reference_size=20,
+                           test_size=100, n_features=2, class_separation=2.0),
+        method=("all_data",), lambda_grid=(1.0,), ridge_grid=(1e-2,), repeats=1, seed=11,
+        corruption=CorruptionSetting("shuffled_labels", (0,), 1.0))))
+    save_csv(Dataset(np.arange(6.0).reshape(3, 2), np.array([1.0, -1.0, 1.0])), csv_path)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", _ORJSON_PROBE, str(weights), str(config),
+                           str(csv_path)], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == str({"import multisource.cli": False,
+                                       "weights and simulate-federated": False,
+                                       "each fork of load_csvs": [True, True]})
