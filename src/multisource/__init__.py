@@ -8,7 +8,7 @@ deterministic simulator of the decentralized discrepancy protocols.
 
 from .baselines import MedianOfProbsEnsemble, componentwise_median, geometric_median
 from .corruption import CorruptionSpec, corrupt, corrupt_pool
-from .data import Dataset, SourcePool, kfold_indices, load_csv, merge, save_csv
+from .data import Dataset, SourcePool, kfold_indices, load_csv, merge
 from .discrepancy import DiscrepancyEstimate, empirical_discrepancies, empirical_discrepancy
 from .federated import Message, ProtocolTrace, run_case1, run_case2
 from .harness import (

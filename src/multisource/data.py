@@ -8,37 +8,32 @@ explicit 64-bit seed (see `_derive_seed`).
 
 A CSV file's data lines are parsed as JSON arrays by orjson, 256 lines
 per call, or with one numpy call where a line is not JSON numbers (`+4`,
-`.5`, `nan`) or may hold the integer -0, which JSON reads as +0. A file is
-written as `%.17g` text formatted in blocks of rows. The per-cell loop
-`_load_csv_per_cell` runs only to locate a fault (a `CsvFormatError`
-naming the file, row and column) or to read input that the numpy parse
-does not model. Before the parse, `_plain_lines` reads the file with
-universal newlines, screens its whole text with string searches for what
-sends it to the loop (a quote, a separator \\x1c-\\x1f, a field over csv's
-field size limit) and tests lines one by one for a comment only when the
-text holds a '#'. Both readers skip a leading UTF-8 BOM. `rewrite_csv`
-writes a changed copy of a file from the lines it read, formatting only
-the cells the change moved.
+`.5`, `nan`) or may hold the integer -0, which JSON reads as +0. The
+per-cell loop `_load_csv_per_cell` runs only to locate a fault (a
+`CsvFormatError` naming the file, row and column) or to read input that
+the numpy parse does not model. Before the parse, `_plain_lines` reads
+the file with universal newlines, screens its whole text with string
+searches for what sends it to the loop (a quote, a separator \\x1c-\\x1f,
+a field over csv's field size limit) and tests lines one by one for a
+comment only when the text holds a '#'. Both readers skip a leading UTF-8
+BOM. `rewrite_csv` writes a changed copy of a file from the lines it read,
+formatting only the cells the change moved.
 
-`load_csvs` parses a command's files through `_forked`: one ordered
-fork-map that deals item i to process i % k, on up to one process per
-usable CPU, and has each forked child send its results back as
-length-prefixed frames. An item whose frame does not arrive, as its child
-could not be forked, failed or died, is computed in process, so results
-and errors are those of one process doing the items in order, and no child
-outlives its call.
+`load_csvs` parses a command's files in forked readers through
+`_fork.forked`, and each reader sends a file back as its shape and raw
+float64 bytes.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+from ._fork import forked
 
 __all__ = [
     "Dataset",
@@ -47,7 +42,6 @@ __all__ = [
     "load_csv",
     "load_csvs",
     "rewrite_csv",
-    "save_csv",
     "merge",
     "kfold_indices",
 ]
@@ -295,7 +289,7 @@ def _parse_header(path: Path, row: list[str], label_column: str) -> tuple[list[s
     return header, header.index(label_column)
 
 
-_BLOCK_ROWS = 256  # rows of text parsed or formatted, and held, at a time
+_BLOCK_ROWS = 256  # data lines per orjson call, whose lists are held at once
 
 
 def _parse_plain_rows(
@@ -424,21 +418,11 @@ def _parse_cells(path: Path, rows: list[list[str]],
     return features, labels
 
 
-_SIGKILL = 9  # the same on every POSIX system; importing signal would slow every CLI start
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def load_csvs(paths: Sequence[str | Path], label_column: str = "label") -> Iterator[Dataset]:
     """`load_csv(path, label_column)` of each path, in order, as a generator.
 
-    The files are parsed by `_forked` in up to one reader process per usable
-    CPU, none of them this one (a parent that parses files made
+    The files are parsed by `_fork.forked` in up to one reader process per
+    usable CPU, none of them this one (a parent that parses files made
     `discrepancy` slower), and each comes back as its shape and raw float64
     bytes. So every result, and every error with its order, is the one of
     `load_csv` called on each path in turn.
@@ -447,8 +431,8 @@ def load_csvs(paths: Sequence[str | Path], label_column: str = "label") -> Itera
     closes the pipes, then kills and reaps every reader.
     """
     import orjson  # noqa: F401 -- imported before the readers fork, so each inherits it
-    return _forked(lambda path: load_csv(path, label_column), paths, _usable_cpus(),
-                   _pack_dataset, _unpack_dataset)
+    return forked(lambda path: load_csv(path, label_column), paths,
+                  _pack_dataset, _unpack_dataset)
 
 
 def _pack_dataset(data: Dataset) -> bytes:
@@ -463,118 +447,6 @@ def _unpack_dataset(frame: bytes) -> Dataset:
     rows, cols = np.frombuffer(frame, dtype=np.int64, count=2)
     values = np.frombuffer(frame, dtype=np.float64, offset=16)
     return Dataset(values[:rows * cols].reshape(rows, cols), values[rows * cols:])
-
-
-def _forked(work: Callable, items: Sequence, k: int,
-            pack: Callable[[object], bytes], unpack: Callable[[bytes], object]) -> Iterator:
-    """`work(item)` for each item, in order, as a generator, computed on up to
-    k processes: one per item at most, and only this one without `os.fork`.
-
-    Item i goes to process i % k. When k is 1, that process is this one;
-    otherwise every process is a child forked on the first `next`. A
-    child sends `pack(work(item))` for each of its items as one frame, the
-    bytes after their length as 8 bytes, and ends at its first error. An
-    item whose frame does not arrive whole, as its child could not be
-    forked, failed or died, is computed here with `work`, and so is every
-    later item of that child. So the results, and the first error with its
-    type and message, are those of `work` called on each item in turn.
-
-    Read the generator to its end or close it: either closes the pipes, then
-    kills and reaps every child.
-    """
-    items = list(items)
-    k = max(1, min(k, len(items))) if hasattr(os, "fork") else 1
-    # (pid, read end of its pipe) of each process; this one, as the only
-    # one, reads as a child that sent nothing
-    children: list[tuple[int | None, BinaryIO]] = [(None, io.BytesIO())] if k == 1 else []
-    try:
-        while len(children) < k:
-            children.append(_fork(work, items[len(children)::k], pack))
-        for i, item in enumerate(items):
-            pipe = children[i % k][1]
-            frame = None if pipe.closed else _receive(pipe)
-            if frame is None:
-                pipe.close()  # compute this item and the child's later ones here
-                result = work(item)
-            else:
-                result = unpack(frame)
-                del frame  # no frame outlives its unpack
-            yield result
-    finally:
-        for _, pipe in children:
-            pipe.close()
-        for pid, _ in children:
-            if pid is not None:
-                os.kill(pid, _SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork(work: Callable, items: list, pack: Callable) -> tuple[int | None, BinaryIO]:
-    """(pid, read end of its pipe) of a forked child that sends the frame of
-    each item and ends with `os._exit`: it never returns, and never flushes
-    what this process had buffered when it forked. When no pipe or process
-    can be spared, (None, an empty stream), which the caller reads as a
-    child that ended before it sent anything."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None, io.BytesIO()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None, io.BytesIO()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                for item in items:
-                    frame = pack(work(item))
-                    out.write(len(frame).to_bytes(8, "little"))
-                    out.write(frame)
-                    out.flush()  # the parent may be waiting for the last bytes
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _receive(pipe: BinaryIO) -> bytes | None:
-    """The next frame a child sent, or None when it ended before the whole
-    frame."""
-    header = pipe.read(8)
-    if len(header) < 8:
-        return None
-    size = int.from_bytes(header, "little")
-    frame = pipe.read(size)
-    return frame if len(frame) == size else None
-
-
-def save_csv(dataset: Dataset, path: str | Path, label_column: str = "label") -> None:
-    """Write `dataset` as CSV: columns f0..f{d-1} then `label_column`, every
-    number with 17 significant digits (round-trip safe), CRLF line ends.
-
-    The header goes through csv.writer, which quotes an unusual label name.
-    Once the file is open, the rows are formatted and written in blocks of
-    `_BLOCK_ROWS` rows.
-    """
-    path = Path(path)
-    names = [f"f{j}" for j in range(dataset.n_features)]
-    if not label_column or label_column != label_column.strip():
-        # load_csv strips header cells, so it could never find this column
-        raise ValueError(f"label column {label_column!r} is empty or has surrounding whitespace")
-    if label_column in names:
-        raise ValueError(f"label column {label_column!r} collides with a feature column name")
-    row = ",".join(["%.17g"] * (dataset.n_features + 1)) + "\r\n"
-    table = np.column_stack([dataset.features, dataset.labels])
-    header = io.StringIO()
-    csv.writer(header).writerow(names + [label_column])
-    with path.open("wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
-        for first in range(0, len(table), _BLOCK_ROWS):
-            block = table[first:first + _BLOCK_ROWS].tolist()
-            fh.write("".join([row % tuple(values) for values in block]).encode())
 
 
 def merge(datasets: Sequence[Dataset]) -> Dataset:

@@ -43,7 +43,7 @@ from .data import (
     merge,
 )
 from .discrepancy import empirical_discrepancies, finite_moments
-from .models import LinearPredictor, train_erm, train_weighted_erm, zero_one_error
+from .models import LinearPredictor, misses, train_erm, train_weighted_erm, zero_one_error
 from .weights import WeightProblem, solve_weights
 
 __all__ = [
@@ -283,7 +283,9 @@ def _cross_validate(
     fit_fold: Callable[[Dataset], Callable],
 ):
     """The grid point with the lowest held-out 0/1 error summed over k folds
-    of the reference; the first such point in grid order wins ties.
+    of the reference; the first such point in grid order wins ties. The sum
+    is exact: the folds have a or a + 1 rows, and fold f adds its misses
+    times a(a + 1) / n_f, an integer.
 
     `fit_fold(ref_train)` returns a function from a grid point to a predictor
     trained against `ref_train`. A one-point grid returns without any fit.
@@ -293,13 +295,16 @@ def _cross_validate(
     n = pool.reference.n_samples
     if folds > n:
         raise ValueError(f"cv_folds={folds} exceeds the reference's {n} rows")
-    scores = np.zeros(len(grid))
+    a = n // folds
+    scores = [0] * len(grid)
     for heldout in kfold_indices(n, folds, seed):
         fit = fit_fold(pool.reference.take(np.setdiff1d(np.arange(n), heldout)))
         heldout_data = pool.reference.take(heldout)
-        scores += [zero_one_error(fit(point), heldout_data) for point in grid]
+        scale = a * (a + 1) // len(heldout)
+        scores = [s + misses(fit(point), heldout_data) * scale
+                  for s, point in zip(scores, grid)]
         del fit  # frees this fold's prepared data before the next fold's is built
-    return grid[int(np.argmin(scores))]
+    return grid[scores.index(min(scores))]
 
 
 def _fitter(method: str, sources: Sequence[Dataset], reference: Dataset,

@@ -38,6 +38,7 @@ __all__ = [
     "LOSSES",
     "HUBER_C",
     "LinearPredictor",
+    "misses",
     "zero_one_error",
     "loss_terms",
     "minimize_weighted_loss",
@@ -267,9 +268,14 @@ def train_erm(dataset: Dataset, loss: str = "logistic", ridge: float = 1e-4) -> 
     return minimize_weighted_loss(dataset.features, dataset.labels, weights, loss, ridge)
 
 
+def misses(predictor, data: Dataset) -> int:
+    """Rows of `data` misclassified, as an integer; `predictor` needs
+    predict_labels()."""
+    return int(np.count_nonzero(predictor.predict_labels(data.features) != data.labels))
+
+
 def zero_one_error(predictor, data: Dataset) -> float:
-    """Fraction of `data` misclassified; `predictor` needs predict_labels()."""
+    """Fraction of `data` misclassified: `misses` over the row count."""
     if data.n_samples == 0:
         raise ValueError("cannot score an empty dataset")
-    predicted = predictor.predict_labels(data.features)
-    return float(np.mean(predicted != data.labels))
+    return misses(predictor, data) / data.n_samples

@@ -8,7 +8,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or unreaped:
-    a child of `data._forked` (a CSV reader of `load_csvs`) must not outlive
+    a child of `_fork.forked` (a CSV reader of `load_csvs`) must not outlive
     the call that started it. A child left
     running fails every later test until it ends, so the first failure names
     the test at fault."""

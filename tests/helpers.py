@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict
@@ -41,8 +42,18 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(obj, indent=2)
 
 
+def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
+    """Write `dataset` to `path` as csv.writer rows: columns f0..f{d-1} then
+    `label_column`, every number as `%.17g` (round-trip safe), CRLF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(dataset.n_features)] + [label_column])
+        for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
+
+
 def zero_one_copy(signed, path):
-    """`path`, a copy of the `save_csv` file `signed` with its -1 labels written as 0."""
+    """`path`, a copy of the `write_csv` file `signed` with its -1 labels written as 0."""
     path.write_bytes(signed.read_bytes().replace(b",-1\r\n", b",0\r\n"))
     assert path.read_bytes() != signed.read_bytes()
     return path

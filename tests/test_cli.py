@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import config_to_json, zero_one_copy
+from helpers import config_to_json, write_csv, zero_one_copy
 import multisource
-from multisource import data
+from multisource import _fork
 from multisource.cli import build_parser, main
-from multisource.data import Dataset, load_csv, save_csv
+from multisource.data import Dataset, load_csv
 from multisource.harness import CorruptionSetting, ExperimentConfig, SyntheticSpec
 
 
@@ -38,7 +38,7 @@ def _write_dataset(path, seed, n=20):
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     features = rng.standard_normal((n, 2))
     features[:, 0] += labels
-    save_csv(Dataset(features, labels), path)
+    write_csv(Dataset(features, labels), path)
 
 
 def test_discrepancy_command(tmp_path, capsys):
@@ -119,9 +119,9 @@ def test_corrupt_command_may_write_over_its_input(tmp_path, capsys):
 
 
 def test_corrupt_command_forks_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     forks = []
-    monkeypatch.setattr(data, "_fork", lambda *args: forks.append(args))
+    monkeypatch.setattr(_fork, "_start_child", lambda *args: forks.append(args))
     src = tmp_path / "in.csv"
     _write_dataset(src, 6, n=5000)
     assert _run(["corrupt", "--input", str(src), "--output", str(tmp_path / "out.csv"),
@@ -279,12 +279,12 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
     # `shift` good sources are read first, so each bad CSV file other than the
     # discrepancy command's reference (always read first) moves to the other
     # of the two readers
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     reference_features = {"three_reference": 3, "constant_reference": 1}  # the others have 2
     for d in (1, 2, 3):
         rng = np.random.default_rng(10 + d)
-        save_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
-                 tmp_path / f"pad_{d}.csv")
+        write_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
+                  tmp_path / f"pad_{d}.csv")
 
     def pad(reference: str) -> list[str]:
         d = reference_features.get(Path(reference).stem, 2)
@@ -352,8 +352,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
     for name, scale in (("huge_source", 1e200), ("huge_reference", 1e200),
                         ("huge_test", 1e200), ("plain_reference", 1.0)):
         rng = np.random.default_rng(len(name))
-        save_csv(Dataset(scale * rng.standard_normal((40, 2)),
-                         np.where(rng.random(40) < 0.5, 1.0, -1.0)), tmp_path / f"{name}.csv")
+        write_csv(Dataset(scale * rng.standard_normal((40, 2)),
+                          np.where(rng.random(40) < 0.5, 1.0, -1.0)), tmp_path / f"{name}.csv")
     huge_config, huge_source_config = tmp_path / "huge.json", tmp_path / "huge_source.json"
     huge_reference_config = tmp_path / "huge_reference.json"
     for path, source, reference in ((huge_config, "huge_source", "huge_reference"),
@@ -372,8 +372,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
     # singular to working precision wherever it is solved
     rng = np.random.default_rng(0)
     for name, n in (("constant_a", 16), ("constant_b", 32), ("constant_reference", 16)):
-        save_csv(Dataset(np.full((n, 1), 1e5), np.where(rng.random(n) < 0.5, 1.0, -1.0)),
-                 tmp_path / f"{name}.csv")
+        write_csv(Dataset(np.full((n, 1), 1e5), np.where(rng.random(n) < 0.5, 1.0, -1.0)),
+                  tmp_path / f"{name}.csv")
     constant_config = tmp_path / "constant.json"
     constant_config.write_text(json.dumps(dict(config, corruption=None, data={"csv_paths": {
         "source_paths": pad("constant_reference") + [str(tmp_path / "constant_a.csv"),
@@ -384,12 +384,12 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
                 "the features\n")
     # a header-only file is named by its path, where the pool is built and
     # where the discrepancy command reads it
-    save_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
+    write_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
     # a source whose feature count differs from the reference's is named
     for name, d in (("two_features", 2), ("three_features", 3), ("three_reference", 3)):
         rng = np.random.default_rng(d)
-        save_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
-                 tmp_path / f"{name}.csv")
+        write_csv(Dataset(rng.standard_normal((20, d)), np.where(rng.random(20) < 0.5, 1.0, -1.0)),
+                  tmp_path / f"{name}.csv")
     csv_configs = {  # name: (sources, reference, test)
         "empty_reference": (["plain_reference"], "reference", "plain_reference"),
         "empty_source": (["plain_reference", "reference"], "plain_reference", "plain_reference"),

@@ -1,8 +1,6 @@
 import contextlib
 import csv
-import errno
 import inspect
-import io
 import itertools
 import os
 import signal
@@ -12,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import zero_one_copy
-from multisource import data
+from helpers import write_csv, zero_one_copy
+from multisource import _fork, data
 from multisource.corruption import CORRUPTION_KINDS, CorruptionSpec, corrupt
 from multisource.data import (
     CsvFormatError,
@@ -22,7 +20,6 @@ from multisource.data import (
     kfold_indices,
     load_csv,
     merge,
-    save_csv,
 )
 
 
@@ -79,8 +76,8 @@ def test_load_csv_zero_one_encoding(tmp_path):
 def test_a_zero_one_copy_loads_to_the_same_bytes_in_both_readers(tmp_path):
     rng = np.random.default_rng(8)
     signed, zero_one = tmp_path / "signed.csv", tmp_path / "zero_one.csv"
-    save_csv(Dataset(rng.standard_normal((40, 3)), np.where(rng.random(40) < 0.5, 1.0, -1.0)),
-             signed)
+    write_csv(Dataset(rng.standard_normal((40, 3)), np.where(rng.random(40) < 0.5, 1.0, -1.0)),
+              signed)
     zero_one_copy(signed, zero_one)
     assert b",-1\r\n" not in zero_one.read_bytes()
     expected = load_csv(signed)
@@ -154,52 +151,6 @@ def test_load_csv_errors(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    ds = Dataset(rng.standard_normal((10, 4)) * 1e3,
-                 np.where(rng.random(10) < 0.5, 1.0, -1.0))
-    path = tmp_path / "rt.csv"
-    save_csv(ds, path)
-    back = load_csv(path, "label")
-    assert np.max(np.abs(back.features - ds.features)) < 1e-12
-    assert np.array_equal(back.labels, ds.labels)
-
-
-def test_label_column_colliding_with_a_feature_name_is_rejected(tmp_path):
-    # the header f0,f1,f1 used to read back the feature f1 as the labels
-    ds = Dataset([[0.5, 2.0], [1.5, 3.0]], [1.0, -1.0])
-    path = tmp_path / "d.csv"
-    with pytest.raises(ValueError, match="'f1' collides"):
-        save_csv(ds, path, label_column="f1")
-    path.write_text("f0,f1,f1\n0.5,2.0,1\n1.5,3.0,-1\n")
-    with pytest.raises(CsvFormatError, match=r"d\.csv: column 'f1' appears more than once"):
-        load_csv(path, label_column="f1")
-    path.write_text('"f0",f0,label\n0.5,2.0,1\n')  # quoted: read by the per-cell loop
-    with pytest.raises(CsvFormatError, match="column 'f0' appears more than once"):
-        load_csv(path)
-
-
-@pytest.mark.parametrize("label_column", ["", " y", "y ", "\ty", " "])
-def test_save_csv_rejects_a_label_column_load_csv_cannot_find(tmp_path, label_column):
-    path = tmp_path / "d.csv"
-    with pytest.raises(ValueError, match="whitespace"):
-        save_csv(Dataset([[0.5], [1.5]], [1.0, -1.0]), path, label_column=label_column)
-    assert not path.exists()
-
-
-def _old_save_csv_bytes(dataset, label_column="label"):
-    """save_csv as a csv.writer loop over f"{v:.17g}" cells: the byte reference."""
-    out = io.StringIO(newline="")
-    writer = csv.writer(out)
-    writer.writerow([f"f{j}" for j in range(dataset.n_features)] + [label_column])
-    for x, y in zip(dataset.features, dataset.labels):
-        writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
-    return out.getvalue().encode("utf-8")
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("label_column", ["label", "y,class"])
-def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, monkeypatch, label_column, cpus):
-    # whatever the CPU count, the rows are formatted in this process
     rng = np.random.default_rng(17)
     special = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e300,
                1.7976931348623157e308, 0.1, 1 / 3, 123456789012345678.0]
@@ -208,16 +159,23 @@ def test_save_csv_bytes_match_the_csv_writer_loop(tmp_path, monkeypatch, label_c
         rng.standard_normal((40, 2)) * 10.0 ** rng.integers(-300, 301, (40, 2)),
     ])
     ds = Dataset(features, np.where(rng.random(len(features)) < 0.5, 1.0, -1.0))
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 4)  # the 51 rows in several blocks
-    forks = _fork_calls(monkeypatch)
+    path = tmp_path / "rt.csv"
+    for label_column in ("label", "y,class"):  # the second is quoted: the per-cell loop
+        write_csv(ds, path, label_column)
+        back = load_csv(path, label_column)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_label_column_colliding_with_a_feature_name_is_rejected(tmp_path):
+    # the header f0,f1,f1 used to read back the feature f1 as the labels
     path = tmp_path / "d.csv"
-    save_csv(ds, path, label_column)
-    assert forks == []
-    assert path.read_bytes() == _old_save_csv_bytes(ds, label_column)
-    back = load_csv(path, label_column)
-    assert back.features.tobytes() == ds.features.tobytes()
-    assert back.labels.tobytes() == ds.labels.tobytes()
+    path.write_text("f0,f1,f1\n0.5,2.0,1\n1.5,3.0,-1\n")
+    with pytest.raises(CsvFormatError, match=r"d\.csv: column 'f1' appears more than once"):
+        load_csv(path, label_column="f1")
+    path.write_text('"f0",f0,label\n0.5,2.0,1\n')  # quoted: read by the per-cell loop
+    with pytest.raises(CsvFormatError, match="column 'f0' appears more than once"):
+        load_csv(path)
 
 
 def test_plain_files_do_not_fall_back_to_the_per_cell_loop(tmp_path, monkeypatch):
@@ -228,7 +186,7 @@ def test_plain_files_do_not_fall_back_to_the_per_cell_loop(tmp_path, monkeypatch
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((30, 3)), np.where(rng.random(30) < 0.5, 1.0, -1.0))
     saved = tmp_path / "saved.csv"
-    save_csv(ds, saved)
+    write_csv(ds, saved)
     back = load_csv(saved)
     assert back.features.tobytes() == ds.features.tobytes()
     commented = tmp_path / "commented.csv"
@@ -263,7 +221,7 @@ def test_lines_wider_than_the_field_size_limit_read_on_the_fast_path(tmp_path, m
     rng = np.random.default_rng(7)
     ds = Dataset(rng.standard_normal((20, 7000)), np.where(rng.random(20) < 0.5, 1.0, -1.0))
     path = tmp_path / "wide.csv"
-    save_csv(ds, path)
+    write_csv(ds, path)
     rows = path.read_text().splitlines()[1:]
     assert min(map(len, rows)) > csv.field_size_limit()
     features, labels = data._load_csv_per_cell(path, "label")
@@ -415,7 +373,7 @@ def test_a_plain_file_is_parsed_as_json_and_never_by_the_per_cell_loop(tmp_path,
     rng = np.random.default_rng(9)
     ds = Dataset(rng.standard_normal((600, 3)), np.where(rng.random(600) < 0.5, 1.0, -1.0))
     saved = tmp_path / "saved.csv"
-    save_csv(ds, saved)  # %.17g, in three blocks of rows
+    write_csv(ds, saved)  # %.17g, in three blocks of rows
     monkeypatch.setattr(np, "loadtxt", spy)
     monkeypatch.setattr(data, "_load_csv_per_cell", no_fallback)
     back = load_csv(saved)
@@ -484,9 +442,9 @@ def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, kind
     ds = Dataset(rng.standard_normal((600, 4)) * 10.0 ** rng.integers(-300, 301, (600, 4)),
                  np.where(rng.random(600) < 0.5, 1.0, -1.0))
     source, expected, target = (tmp_path / f"{name}.csv" for name in ("in", "expected", "out"))
-    save_csv(ds, source)
+    write_csv(ds, source)
     spec = CorruptionSpec(kind, 0.5, 8)
-    save_csv(corrupt(ds, spec), expected)
+    write_csv(corrupt(ds, spec), expected)
     data.rewrite_csv(source, target, lambda d: corrupt(d, spec))
     assert target.read_bytes() == expected.read_bytes()
 
@@ -588,8 +546,8 @@ def _mixed_csvs(tmp_path, rows=3000):
     only. Each of the first five holds more than a pipe's 64 KiB."""
     rng = np.random.default_rng(23)
     crlf = tmp_path / "crlf.csv"
-    save_csv(Dataset(rng.standard_normal((rows, 3)), np.where(rng.random(rows) < 0.5, 1.0, -1.0)),
-             crlf)
+    write_csv(Dataset(rng.standard_normal((rows, 3)), np.where(rng.random(rows) < 0.5, 1.0, -1.0)),
+              crlf)
     text = crlf.read_bytes()
     texts = {
         "lf": text.replace(b"\r\n", b"\n"),
@@ -605,7 +563,7 @@ def _mixed_csvs(tmp_path, rows=3000):
 
 
 def _fork_spy(monkeypatch) -> list[int]:
-    """The pids of the readers or formatters forked from now on, in order."""
+    """The pids of the children forked from now on, in order."""
     pids, fork = [], os.fork
 
     def spy():
@@ -618,18 +576,6 @@ def _fork_spy(monkeypatch) -> list[int]:
     return pids
 
 
-def _fork_calls(monkeypatch) -> list[None]:
-    """One entry for each `data._fork` call from now on."""
-    calls, fork = [], data._fork
-
-    def spy(*args):
-        calls.append(None)
-        return fork(*args)
-
-    monkeypatch.setattr(data, "_fork", spy)
-    return calls
-
-
 def _same(a: Dataset, b: Dataset) -> bool:
     return all(x.shape == y.shape and x.tobytes() == y.tobytes()
                and x.flags.writeable == y.flags.writeable
@@ -639,7 +585,7 @@ def _same(a: Dataset, b: Dataset) -> bool:
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_load_csvs_equals_load_csv_of_each_file(tmp_path, monkeypatch, cpus):
     paths = _mixed_csvs(tmp_path)
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
     readers = _fork_spy(monkeypatch)
     got = list(data.load_csvs(paths))
     assert len(readers) == (cpus if cpus > 1 else 0)  # 1: read in process
@@ -662,7 +608,7 @@ def _outcomes(datasets) -> list:
 @pytest.mark.parametrize("bad_at", range(4))
 def test_load_csvs_raises_the_first_error_of_the_one_by_one_reads(tmp_path, monkeypatch,
                                                                   bad_at):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     good, *_ = _mixed_csvs(tmp_path, rows=50)
     ragged = tmp_path / "ragged.csv"
     ragged.write_bytes(b"f0,label\n1,1\n2\n")
@@ -675,7 +621,7 @@ def test_load_csvs_raises_the_first_error_of_the_one_by_one_reads(tmp_path, monk
 
 
 def test_a_reader_killed_mid_stream_leaves_the_results_unchanged(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     paths = _mixed_csvs(tmp_path)[:5]  # each too large for a pipe to hold
     readers = _fork_spy(monkeypatch)
     parent, read_here = os.getpid(), []
@@ -698,7 +644,7 @@ def test_a_reader_killed_mid_stream_leaves_the_results_unchanged(tmp_path, monke
 
 
 def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
     paths = _mixed_csvs(tmp_path, rows=50)
     readers, fork, calls = _fork_spy(monkeypatch), os.fork, []
 
@@ -712,35 +658,6 @@ def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, m
     got = list(data.load_csvs(paths))
     assert len(calls) == 3 and len(readers) == 2
     assert all(map(_same, got, [load_csv(p) for p in paths]))
-
-
-def _large_dataset(rows=20_000) -> Dataset:
-    """A table whose text is far more than a pipe holds."""
-    rng = np.random.default_rng(29)
-    return Dataset(rng.standard_normal((rows, 2)), np.where(rng.random(rows) < 0.5, 1.0, -1.0))
-
-
-def test_save_csv_to_a_path_it_cannot_open_forks_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
-    forks = _fork_calls(monkeypatch)
-    with pytest.raises(IsADirectoryError):
-        save_csv(_large_dataset(rows=100), tmp_path)
-    assert forks == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_save_csv_to_an_output_that_fails_mid_write_raises_and_leaves_no_formatter(monkeypatch,
-                                                                                  cpus):
-    if not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
-    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
-    forks = _fork_calls(monkeypatch)
-    with pytest.raises(OSError) as failure:
-        save_csv(_large_dataset(), "/dev/full")
-    assert failure.value.errno == errno.ENOSPC
-    assert forks == []
-    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _forked_outcomes(results) -> list:
@@ -771,7 +688,8 @@ def test_forked_equals_work_of_each_item_in_order(monkeypatch, n, cpus, close_ea
         return i * i
 
     taken = (n + 1) // 2 if close_early else n  # then closed with children still running
-    results = data._forked(work, range(n), cpus, _encode, int)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+    results = _fork.forked(work, range(n), _encode, int)
     got = list(itertools.islice(results, taken))
     results.close()
     assert got == [i * i for i in range(taken)]
@@ -786,7 +704,9 @@ def test_forked_equals_work_of_each_item_in_order(monkeypatch, n, cpus, close_ea
 @pytest.mark.parametrize("bad", [0, 1, 2, 6])
 @pytest.mark.parametrize("only_in_children", [False, True])
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_forked_raises_the_first_error_of_the_one_by_one_calls(cpus, only_in_children, bad):
+def test_forked_raises_the_first_error_of_the_one_by_one_calls(monkeypatch, cpus,
+                                                                only_in_children, bad):
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
     parent = os.getpid()
 
     def work(i):
@@ -795,7 +715,7 @@ def test_forked_raises_the_first_error_of_the_one_by_one_calls(cpus, only_in_chi
             raise ValueError(f"item {i} is bad")
         return i * i
 
-    got = _forked_outcomes(data._forked(work, range(7), cpus, _encode, int))
+    got = _forked_outcomes(_fork.forked(work, range(7), _encode, int))
     # a child's error is not final: its item, and its later ones, are computed here
     assert got == _forked_outcomes(map(work, range(7)))
     assert got == ([i * i for i in range(7)] if only_in_children
@@ -820,15 +740,17 @@ def test_forked_computes_the_items_of_a_child_that_cannot_be_forked_here(monkeyp
         return -i
 
     monkeypatch.setattr(os, "fork", one_fails)
-    got = list(data._forked(work, range(10), 3, _encode, int))
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+    got = list(_fork.forked(work, range(10), _encode, int))
     assert got == [-i for i in range(10)]
     assert len(calls) == 3 and len(children) == 2
     assert computed_here == [i for i in range(10) if i % 3 == failing - 1]
 
 
 def test_forked_takes_no_in_process_flag():
-    # with k > 1 every process of the fork-map is a child
-    assert "here" not in inspect.signature(data._forked).parameters
+    # with k > 1 every process of the fork-map is a child, and k is one per
+    # usable CPU, which no caller sets
+    assert list(inspect.signature(_fork.forked).parameters) == ["work", "items", "pack", "unpack"]
 
 
 def test_kfold_sizes():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import config_to_json, random_dataset
+from helpers import config_to_json, random_dataset, write_csv
 from multisource import discrepancy, harness
 from multisource.baselines import standardize
-from multisource.data import Dataset, SourcePool, load_csvs, merge, save_csv
+from multisource.data import Dataset, SourcePool, load_csvs, merge
 from multisource.harness import (
     CorruptionSetting,
     CsvDataSpec,
@@ -228,6 +228,47 @@ def test_cross_validate_tie_goes_to_first_grid_point():
                                lambda ref_train: lambda point: same) == grid[0]
 
 
+class _Misses:
+    """A predictor that calls +1 every row but the first `count`."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def predict_labels(self, features):
+        return np.where(np.arange(len(features)) < self.count, -1.0, 1.0)
+
+
+def test_cross_validate_ties_in_exact_sums_go_to_the_first_grid_point():
+    # 20-row folds: misses (1, 2, 0, 0, 0) and (3, 0, 0, 0, 0) tie at 3/20,
+    # but as float fractions they sum to 0.15000000000000002 and 0.15
+    reference = Dataset(np.zeros((100, 1)), np.ones(100))
+    patterns = {0: (1, 2, 0, 0, 0), 1: (3, 0, 0, 0, 0)}
+    folds = []
+
+    def fit_fold(ref_train):
+        folds.append(None)
+        return lambda point: _Misses(patterns[point][len(folds) - 1])
+
+    assert _cross_validate(SourcePool((reference,), reference), [0, 1], 5, 0, fit_fold) == 0
+    assert len(folds) == 5
+
+
+def test_cross_validate_sums_fold_fractions_not_pooled_misses():
+    # 11 rows in 5 folds of 2, 2, 2, 2 and 3: one miss in a 2-row fold (1/2)
+    # weighs more than one in the 3-row fold (1/3), though both count 1
+    reference = Dataset(np.zeros((11, 1)), np.ones(11))
+    held_out = []
+
+    def fit_fold(ref_train):
+        held_out.append(11 - ref_train.n_samples)
+        first_pair = held_out[-1] == 2 and held_out.count(2) == 1
+        misses = {0: int(first_pair), 1: int(held_out[-1] == 3)}
+        return lambda point: _Misses(misses[point])
+
+    assert _cross_validate(SourcePool((reference,), reference), [0, 1], 5, 0, fit_fold) == 1
+    assert sorted(held_out) == [2, 2, 2, 2, 3]
+
+
 def test_cross_validate_picks_strictly_better_later_point():
     predictors = {"wrong": LinearPredictor(np.array([-1.0, 0.0]), 0.0),
                   "coin": LinearPredictor(np.zeros(2), 0.0),
@@ -365,7 +406,7 @@ def test_a_csv_sweep_reads_its_files_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     paths = [str(tmp_path / f"{name}.csv") for name in ("a", "b", "reference", "test")]
     for path in paths:
-        save_csv(random_dataset(rng, 30, 2), path)
+        write_csv(random_dataset(rng, 30, 2), path)
     reads = []
 
     def counting(paths, label_column):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import config_to_json
+from helpers import config_to_json, write_csv
 import multisource
-from multisource.data import Dataset, save_csv
+from multisource.data import Dataset
 from multisource.harness import CorruptionSetting, ExperimentConfig, SyntheticSpec
 
 PACKAGE = Path(multisource.__file__).parent
@@ -86,9 +87,30 @@ def test_every_benchmark_fit_span_names_a_live_function():
         assert callable(getattr(importlib.import_module(f"multisource.{layer}"), name, None)), span
 
 
+def _version(text: str) -> str:
+    """`text` less trailing ".0" parts, so that 2.0 and 2.0.0 compare equal."""
+    return re.sub(r"(\.0)+$", "", text)
+
+
+def test_the_lowest_versions_job_installs_every_floor_of_pyproject():
+    # read with re: tomllib is missing on Python 3.10, and PyYAML is no test dependency
+    root = Path(__file__).parents[1]
+    project = (root / "pyproject.toml").read_text(encoding="utf-8")
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    [dependencies] = re.findall(r"^dependencies = \[(.*?)\]", project, re.MULTILINE | re.DOTALL)
+    floors = dict(re.findall(r'"([\w-]+)>=([^"]+)"', dependencies))
+    floors["python"] = re.search(r'^requires-python = ">=([^"]+)"', project, re.MULTILINE)[1]
+    [job] = re.findall(r"^  lowest-versions:\n(.*?)(?=^  \S|\Z)", workflow,
+                       re.MULTILINE | re.DOTALL)
+    pins = dict(re.findall(r'"([\w-]+)==([^"]+)"', job))
+    pins["python"] = re.search(r'python-version: "([^"]+)"', job)[1]
+    assert len(floors) == 3
+    assert {k: _version(v) for k, v in floors.items()} == {k: _version(v) for k, v in pins.items()}
+
+
 def test_the_cli_loads_no_process_or_signal_module():
-    # each would slow every CLI start; the forked readers of
-    # `multisource.data` use `os` alone
+    # each would slow every CLI start; `multisource._fork`, which forks the
+    # CSV readers of `multisource.data`, uses `os` alone
     heavy = ["signal", "multiprocessing", "concurrent.futures", "subprocess"]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
@@ -100,7 +122,7 @@ def test_the_cli_loads_no_process_or_signal_module():
 
 _ORJSON_PROBE = """
 import contextlib, io, os, sys
-from multisource import cli, data
+from multisource import _fork, cli, data
 seen = {"import multisource.cli": "orjson" in sys.modules}
 weights, config, csv_path = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -114,7 +136,7 @@ def spy():
     forks.append("orjson" in sys.modules)
     return fork()
 
-os.fork, data._usable_cpus = spy, lambda: 2
+os.fork, _fork.usable_cpus = spy, lambda: 2
 assert len(list(data.load_csvs([csv_path, csv_path]))) == 2
 seen["each fork of load_csvs"] = forks
 print(seen)
@@ -132,7 +154,7 @@ def test_orjson_is_loaded_only_to_read_csv_files(tmp_path):
                            test_size=100, n_features=2, class_separation=2.0),
         method=("all_data",), lambda_grid=(1.0,), ridge_grid=(1e-2,), repeats=1, seed=11,
         corruption=CorruptionSetting("shuffled_labels", (0,), 1.0))))
-    save_csv(Dataset(np.arange(6.0).reshape(3, 2), np.array([1.0, -1.0, 1.0])), csv_path)
+    write_csv(Dataset(np.arange(6.0).reshape(3, 2), np.array([1.0, -1.0, 1.0])), csv_path)
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", _ORJSON_PROBE, str(weights), str(config),
                            str(csv_path)], env=env, capture_output=True, text=True, check=True)
