@@ -11,7 +11,9 @@ JSONL trace. Given experiment config paths, or federated config paths after
 `--federated`, runs only those. With `--csv`, runs only the benchmark's
 csv_score sequence (`corrupt` on half the source CSVs, then `discrepancy`,
 `weights` and `train`) at base seeds 1 and 9001, and digests the corrupted
-files and the stdout of the last three calls: 14 lines. Prints one
+files and the stdout of the last three calls; then runs it again on copies
+of the inputs whose non-negative cells carry a leading `+`, which are no
+JSON numbers, so the per-cell reader reads them: 28 lines. Prints one
 `sha256  name` line per artifact. Run it in two trees with the same BLAS
 thread count and diff the outputs:
 
@@ -73,13 +75,27 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def csv_digests(work: Path, base: int) -> int:
+def plus_signed(path: Path) -> None:
+    """Rewrite the CSV file at `path` with a `+` before every data cell that
+    has no `-`."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header] + [",".join(c if c.startswith("-") else "+" + c
+                                                   for c in row.split(",")) for row in rows])
+                    + "\n", encoding="utf-8")
+
+
+def csv_digests(work: Path, base: int, plus: bool = False) -> int:
     """Digest the csv_score sequence at `base`, run in a new directory
-    `work` on relative paths so that no stdout names the directory."""
+    `work` on relative paths so that no stdout names the directory; with
+    `plus`, on inputs rewritten by `plus_signed`."""
     work.mkdir()
     with contextlib.chdir(work):
         workload = CsvScore()
         workload.prepare(Path(), base)
+        if plus:
+            for path in [*workload.src_paths, workload.ref_path, workload.test_path]:
+                plus_signed(path)
+        tag = f"csv{'-plus' if plus else ''}-{base}"
         for src, dst in zip(workload.src_paths, workload.corrupted):
             code, _ = _run(["corrupt", "--input", str(src), "--output", str(dst), "--kind",
                             "shuffled_labels", "--proportion", "0.5",
@@ -87,12 +103,12 @@ def csv_digests(work: Path, base: int) -> int:
             if code != 0:
                 return code
         for dst in workload.corrupted:
-            _digest(dst.read_bytes(), f"csv-{base}.{dst.name}")
+            _digest(dst.read_bytes(), f"{tag}.{dst.name}")
         code, scores = _run(["discrepancy", *map(str, workload.scored),
                              "--reference", str(workload.ref_path)])
         if code != 0:
             return code
-        _digest(scores.encode("utf-8"), f"csv-{base}.discrepancy.stdout")
+        _digest(scores.encode("utf-8"), f"{tag}.discrepancy.stdout")
         report = json.loads(scores)
         weights_in = Path("scores.json")
         weights_in.write_text(json.dumps({
@@ -104,7 +120,7 @@ def csv_digests(work: Path, base: int) -> int:
             code, stdout = _run([name, *argv])
             if code != 0:
                 return code
-            _digest(stdout.encode("utf-8"), f"csv-{base}.{name}.stdout")
+            _digest(stdout.encode("utf-8"), f"{tag}.{name}.stdout")
     return 0
 
 
@@ -120,10 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         if args.csv:
-            for base in BASE_SEEDS:
-                code = csv_digests(work / str(base), base)
-                if code != 0:
-                    return code
+            for plus in (False, True):
+                for base in BASE_SEEDS:
+                    code = csv_digests(work / f"{plus}-{base}", base, plus)
+                    if code != 0:
+                        return code
             return 0
         default = not (args.configs or args.federated)
         experiments = bench_configs(work) if default else [Path(c) for c in args.configs]

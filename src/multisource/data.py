@@ -6,15 +6,12 @@ its negative class as -1 or as 0, and each file is read by its own labels:
 All randomized operations are pure functions of their inputs and an
 explicit 64-bit seed (see `_derive_seed`).
 
-A CSV file's data lines are parsed as JSON arrays by orjson, 256 lines
-per call, or with one numpy call where a line is not JSON numbers (`+4`,
-`.5`, `nan`) or may hold the integer -0, which JSON reads as +0. The
-per-cell loop `_load_csv_per_cell` runs only to locate a fault (a
-`CsvFormatError` naming the file, row and column) or to read input that
-the numpy parse does not model. Before the parse, `_plain_lines` reads
-the file with universal newlines, screens its whole text with string
-searches for what sends it to the loop (a quote, a separator \\x1c-\\x1f,
-a field over csv's field size limit) and tests lines one by one for a
+A CSV file is read as JSON numbers by orjson, 256 data lines per call,
+else by the per-cell loop `_load_csv_per_cell`, which also locates a fault
+(a `CsvFormatError` naming the file, row and column). Before the JSON
+parse, `_plain_lines` reads the file with universal newlines, screens its
+whole text with string searches for what sends it to the loop (a quote, a
+field over csv's field size limit) and tests lines one by one for a
 comment only when the text holds a '#'. Both readers skip a leading UTF-8
 BOM. `rewrite_csv` writes a changed copy of a file from the lines it read,
 formatting only the cells the change moved.
@@ -151,12 +148,10 @@ def load_csv(path: str | Path, label_column: str = "label") -> Dataset:
     both map to -1, but a file that writes its negative class both ways is
     rejected. A header that repeats a name is rejected.
 
-    The data rows are parsed as JSON by orjson, or with one `np.loadtxt`
-    call where that fails. Only when both fail, or the file quotes a cell or
-    has a line the fast path does not model, does the per-cell loop run: it
-    raises the error that names the offending 1-based data row and column,
-    or returns its own result where `float()` accepts a cell that numpy does
-    not (`1_0`).
+    The file is read as JSON numbers by orjson, else by the per-cell loop:
+    a cell that is no JSON number (`+4`, `.5`, `nan`) or a quoted cell sends
+    the file to the loop, which raises the error that names the offending
+    1-based data row and column, or returns its result.
     """
     path = _existing(path)
     data = _parse_plain(path, _plain_lines(path), label_column)
@@ -174,10 +169,10 @@ def rewrite_csv(source: str | Path, target: str | Path, change: Callable[[Datase
 
     `source` is read once, and checked and changed before `target` is opened,
     so an invalid input leaves `target` as it was, and `target` may be
-    `source`. A file whose lines `_plain_lines` passes is written with one
-    comma split and join per line (no cell of such a file needs quoting); any
-    other file goes through csv.reader and csv.writer, which quotes a cell only
-    where it must.
+    `source`. A file read as JSON numbers by orjson is written with one comma
+    split and join per line (no cell of such a file needs quoting); any file
+    read by the per-cell loop goes through csv.reader and csv.writer, which
+    quotes a cell only where it must.
     """
     source, target = _existing(source), Path(target)
     lines = _plain_lines(source)
@@ -233,10 +228,9 @@ def _existing(path: str | Path) -> Path:
 
 
 def _parse_plain(path: Path, lines: list[str] | None, label_column: str) -> Dataset | None:
-    """The Dataset of `_plain_lines`' lines in one numpy parse, or None when
+    """The Dataset of `_plain_lines`' lines read as JSON numbers, or None when
     the per-cell loop must read the file. A bad header raises here."""
-    # a header-only file is left to the loop: np.loadtxt warns on no data
-    if lines is None or len(lines) < 2:
+    if not lines:
         return None
     header, label_idx = _parse_header(path, lines[0].split(","), label_column)
     parsed = _parse_plain_rows(lines[1:], len(header), label_idx)
@@ -245,7 +239,8 @@ def _parse_plain(path: Path, lines: list[str] | None, label_column: str) -> Data
 
 def _plain_lines(path: Path) -> list[str] | None:
     """The header and data lines of the file: the rows csv.reader would give,
-    less blank and comment rows, as unsplit lines.
+    less blank and comment rows, as unsplit lines for the JSON parse; None
+    sends the file to the per-cell loop.
 
     The file is decoded whole, less a leading UTF-8 BOM, with universal
     newlines: CRLF and a lone CR both end a line, as each ends a csv.reader
@@ -253,18 +248,16 @@ def _plain_lines(path: Path) -> list[str] | None:
     when splitting at line ends and commas would not give csv.reader's cells
     (a quote, or a field longer than csv's field size limit, on which
     csv.reader raises even in a comment; only a line over the limit is split
-    to look for one), when the text holds one of the separators \\x1c-\\x1f,
-    which numpy strips from a number as whitespace but `float()` rejects, or
-    when it is not UTF-8 (the loop's error gives the offset within the chunk
-    it read). Lines are tested one by one for a comment only when the text
-    holds a '#'.
+    to look for one), or when it is not UTF-8 (the loop's error gives the
+    offset within the chunk it read). Lines are tested one by one for a
+    comment only when the text holds a '#'.
     """
     with path.open(encoding="utf-8-sig") as fh:  # universal newlines
         try:
             text = fh.read()
         except UnicodeDecodeError:
             return None
-    if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+    if '"' in text:
         return None
     lines = text.split("\n")
     limit = csv.field_size_limit()
@@ -295,40 +288,16 @@ _BLOCK_ROWS = 256  # data lines per orjson call, whose lists are held at once
 def _parse_plain_rows(
     rows: list[str], n_cols: int, label_idx: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """(features, labels) of unquoted data lines, or None when a line is
-    malformed, a label not 1, -1 or 0, the labels hold both -1 and 0, or a
-    feature is non-finite. The lines are parsed as JSON (`_json_table`), or
-    in one numpy parse when that fails."""
-    table = _json_table(rows, n_cols, label_idx)
-    if table is None:
-        try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if table.shape != (len(rows), n_cols):
-        return None
-    raw = table[:, label_idx]
-    mixed = (raw == -1.0).any() and (raw == 0.0).any()
-    if mixed or not np.isin(raw, (1.0, -1.0, 0.0)).all():
-        return None
-    features = np.delete(table, label_idx, axis=1)
-    if not np.isfinite(features).all():
-        return None
-    labels = np.full_like(raw, -1.0)  # np.where here raised the benchmark's peak RSS
-    labels[raw == 1.0] = 1.0
-    return features, labels
-
-
-def _json_table(rows: list[str], n_cols: int, label_idx: int) -> np.ndarray | None:
-    """The (len(rows), n_cols) table of the data lines, each read as a JSON
-    array, `_BLOCK_ROWS` lines per orjson call; None when a block is not
-    n_cols JSON numbers per line.
+    """(features, labels) of unquoted data lines, each read as a JSON array,
+    `_BLOCK_ROWS` lines per orjson call; None when a block is not n_cols JSON
+    numbers per line, a label not 1, -1 or 0, the labels hold both -1 and 0,
+    or a feature is non-finite.
 
     JSON's numbers are a subset of `float()`'s grammar, and orjson rounds
-    them as `float()` does, except that it reads the integer -0 as 0: so a
-    table with a zero feature whose lines hold "-0" is None too. A block
-    that holds a t, f, n or [ is None, so that no true, false, null or
-    nested array reads as a number.
+    them as `float()` does, except that it reads the integer -0 as 0: so
+    lines that hold "-0" beside a zero feature are None too. A block that
+    holds a t, f, n or [ is None, so that no true, false, null or nested
+    array reads as a number.
     """
     import orjson  # here, not at the top, which would grow every CLI process
 
@@ -347,12 +316,16 @@ def _json_table(rows: list[str], n_cols: int, label_idx: int) -> np.ndarray | No
             return None
         table[first:first + len(block)] = part
         minus_zero = minus_zero or "-0" in text
-    if minus_zero:
-        zero = (table == 0.0).any(axis=0)
-        zero[label_idx] = False
-        if zero.any():
-            return None
-    return table
+    raw = table[:, label_idx]
+    mixed = (raw == -1.0).any() and (raw == 0.0).any()
+    if mixed or not np.isin(raw, (1.0, -1.0, 0.0)).all():
+        return None
+    features = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(features).all() or (minus_zero and (features == 0.0).any()):
+        return None
+    labels = np.full_like(raw, -1.0)  # np.where here raised the benchmark's peak RSS
+    labels[raw == 1.0] = 1.0
+    return features, labels
 
 
 def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
+from .models import LinearPredictor, misses
 
 __all__ = [
     "RELAX_RIDGE",
@@ -89,13 +90,6 @@ def solve_relaxation(gram: np.ndarray, target: np.ndarray) -> np.ndarray:
                                  "center or rescale the features") from None
 
 
-def _misses(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> int:
-    """Rows where sign(w.x + b), theta = (w, b), tie at 0 to +1, differs from `labels`."""
-    if not np.isfinite(theta).all():
-        raise ValueError("predictor parameters must be finite")
-    return int(np.count_nonzero((features @ theta[:-1] + theta[-1] >= 0.0) != (labels > 0.0)))
-
-
 def empirical_discrepancies(sources: Sequence[Dataset],
                             reference: Dataset) -> tuple[DiscrepancyEstimate, ...]:
     """Each source's risk gap to `reference` by the flipped-label relaxation
@@ -121,9 +115,11 @@ def empirical_discrepancies(sources: Sequence[Dataset],
     estimates, m_ref = [], reference.n_samples
     for source, theta in zip(sources, solve_relaxation(gram, target)):
         m_src = source.n_samples
-        misses = (_misses(theta, source.features, -source.labels) * m_ref
-                  + _misses(theta, reference.features, reference.labels) * m_src)
-        estimates.append(DiscrepancyEstimate(misses / (m_src * m_ref)))
+        predictor = LinearPredictor(theta[:-1], theta[-1])
+        # the flipped-label misses: with labels of +-1, every row not missed
+        wrong = ((m_src - misses(predictor, source)) * m_ref
+                 + misses(predictor, reference) * m_src)
+        estimates.append(DiscrepancyEstimate(wrong / (m_src * m_ref)))
     return tuple(estimates)
 
 

@@ -43,12 +43,12 @@ import numpy as np
 from .data import SourcePool
 from .discrepancy import (
     DiscrepancyEstimate,
-    _misses,
     empirical_discrepancies,
     finite_moments,
     moments,
     solve_relaxation,
 )
+from .models import LinearPredictor, misses
 
 __all__ = [
     "BYTES_PER_REAL",
@@ -184,8 +184,10 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     # scalar, and the source answers with its local flipped-label risk added
     final_queries, results = [], []
     for source, candidate in zip(pool.sources, theta):
-        ref_risk = _misses(candidate, reference.features, reference.labels) / reference.n_samples
-        local_risk = _misses(candidate, source.features, -source.labels) / source.n_samples
+        predictor = LinearPredictor(candidate[:-1], candidate[-1])
+        ref_risk = misses(predictor, reference) / reference.n_samples
+        # the flipped-label misses: with labels of +-1, every row not missed
+        local_risk = (source.n_samples - misses(predictor, source)) / source.n_samples
         final_queries.append((*candidate.tolist(), ref_risk))
         results.append(DiscrepancyEstimate(local_risk + ref_risk))
 

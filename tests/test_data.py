@@ -191,9 +191,9 @@ def test_plain_files_do_not_fall_back_to_the_per_cell_loop(tmp_path, monkeypatch
     assert back.features.tobytes() == ds.features.tobytes()
     commented = tmp_path / "commented.csv"
     commented.write_bytes(b"# a comment\r\n  # indented\r\nf0,label\r\n\r\n"
-                          b"0.5,1\r\n#,x\r\n-0,0\r\n")
+                          b"0.5,1\r\n#,x\r\n-0.5,0\r\n")
     back = load_csv(commented)
-    assert back.features.tobytes() == np.array([[0.5], [-0.0]]).tobytes()
+    assert back.features.tobytes() == np.array([[0.5], [-0.5]]).tobytes()
     assert list(back.labels) == [1.0, -1.0]
 
 
@@ -360,13 +360,6 @@ def test_load_csv_of_written_floats_matches_the_per_cell_loop(tmp_path_factory, 
 
 
 def test_a_plain_file_is_parsed_as_json_and_never_by_the_per_cell_loop(tmp_path, monkeypatch):
-    loadtxt = np.loadtxt
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return loadtxt(*args, **kwargs)
-
     def no_fallback(*args):
         raise AssertionError("the per-cell loop ran on a plain file")
 
@@ -374,18 +367,30 @@ def test_a_plain_file_is_parsed_as_json_and_never_by_the_per_cell_loop(tmp_path,
     ds = Dataset(rng.standard_normal((600, 3)), np.where(rng.random(600) < 0.5, 1.0, -1.0))
     saved = tmp_path / "saved.csv"
     write_csv(ds, saved)  # %.17g, in three blocks of rows
-    monkeypatch.setattr(np, "loadtxt", spy)
     monkeypatch.setattr(data, "_load_csv_per_cell", no_fallback)
     back = load_csv(saved)
     assert back.features.tobytes() == ds.features.tobytes()
-    assert calls == []
-    # +4 is no JSON number, and JSON reads the integer -0 as +0: numpy reads both
-    for cell, value in [("+4", 4.0), ("-0", -0.0)]:
-        path = tmp_path / "numpy.csv"
-        path.write_text(f"f0,label\n0.5,1\n{cell},-1\n")
-        back = load_csv(path)
-        assert back.features.tobytes() == np.array([[0.5], [value]]).tobytes()
-    assert len(calls) == 2
+
+
+# +4, .5 and 7. are no JSON numbers, and JSON reads the integer -0 as +0
+@pytest.mark.parametrize("cell, value", [("+4", 4.0), (".5", 0.5), ("7.", 7.0), ("-0", -0.0)])
+def test_a_file_of_cells_json_does_not_read_is_read_by_the_per_cell_loop(tmp_path, monkeypatch,
+                                                                        cell, value):
+    path = tmp_path / "d.csv"
+    path.write_text(f"f0,f1,label\n0.5,0,1\n{cell},2,-1\n")  # f1 holds a zero
+    loop, calls = data._load_csv_per_cell, []
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(data, "_load_csv_per_cell", spy)
+    back = load_csv(path)
+    assert len(calls) == 1
+    features, labels = loop(path, "label")
+    assert back.features.tobytes() == features.tobytes()
+    assert back.features.tobytes() == np.array([[0.5, 0.0], [value, 2.0]]).tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
 
 
 # named columns, the label second, numbers as people write them, 0/1 labels
@@ -415,18 +420,12 @@ def _quoted_twin(text: str) -> str:
                           "7,-1,-0,2.5\r\n0.10000000000000001,1,+4,0.001\r\n"
                           "1000,-1,5.0,3\r\n"),
 ], ids=["label_bias", "shuffled_features"])
-def test_rewrite_csv_keeps_the_text_of_every_cell_it_does_not_change(tmp_path, monkeypatch,
-                                                                     kind, expected):
+def test_rewrite_csv_keeps_the_text_of_every_cell_it_does_not_change(tmp_path, kind, expected):
     spec = CorruptionSpec(kind, 1.0, 3)
     source, quoted = tmp_path / "named.csv", tmp_path / "quoted.csv"
     source.write_text(_NAMED)
     quoted.write_text(_quoted_twin(_NAMED))
     data.rewrite_csv(quoted, tmp_path / "from_quoted.csv", lambda ds: corrupt(ds, spec))
-
-    def no_csv_module(path):
-        raise AssertionError("a plain file was read through csv.reader")
-
-    monkeypatch.setattr(data, "_csv_rows", no_csv_module)
     target = tmp_path / "out.csv"
     data.rewrite_csv(source, target, lambda ds: corrupt(ds, spec))
     assert target.read_bytes() == expected.encode()
@@ -437,7 +436,7 @@ def test_rewrite_csv_keeps_the_text_of_every_cell_it_does_not_change(tmp_path, m
 
 
 @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, kind):
+def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, monkeypatch, kind):
     rng = np.random.default_rng(31)
     ds = Dataset(rng.standard_normal((600, 4)) * 10.0 ** rng.integers(-300, 301, (600, 4)),
                  np.where(rng.random(600) < 0.5, 1.0, -1.0))
@@ -445,6 +444,11 @@ def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, kind
     write_csv(ds, source)
     spec = CorruptionSpec(kind, 0.5, 8)
     write_csv(corrupt(ds, spec), expected)
+
+    def no_csv_module(path):
+        raise AssertionError("a file of JSON numbers was read through csv.reader")
+
+    monkeypatch.setattr(data, "_csv_rows", no_csv_module)
     data.rewrite_csv(source, target, lambda d: corrupt(d, spec))
     assert target.read_bytes() == expected.read_bytes()
 

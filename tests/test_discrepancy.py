@@ -10,10 +10,10 @@ from helpers import (
     random_dataset,
     spearman,
 )
-from multisource.data import Dataset
+from multisource import discrepancy, federated
+from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import (
     DiscrepancyEstimate,
-    _misses,
     empirical_discrepancies,
     empirical_discrepancy,
 )
@@ -181,11 +181,15 @@ def test_a_batch_checks_every_source_before_the_reference():
         empirical_discrepancies([], plain)
 
 
-def test_a_non_finite_classifier_raises_as_a_predictor_does():
+def test_a_non_finite_classifier_raises_as_a_predictor_does(monkeypatch):
     plain = Dataset([[1.0], [-1.0]], [1.0, -1.0])
     for theta in ([np.nan, 0.0], [0.0, np.inf]):
+        for module in (discrepancy, federated):
+            monkeypatch.setattr(module, "solve_relaxation", lambda gram, target: np.array([theta]))
         with pytest.raises(ValueError, match="^predictor parameters must be finite$"):
-            _misses(np.array(theta), plain.features, plain.labels)
+            empirical_discrepancies([plain], plain)
+        with pytest.raises(ValueError, match="^predictor parameters must be finite$"):
+            federated.run_case2(SourcePool((plain,), plain), rounds=3)
 
 
 def test_unequal_sizes_are_weighted_not_resampled():
