@@ -27,6 +27,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -89,7 +90,9 @@ def csv_digests(work: Path, base: int, plus: bool = False) -> int:
     `work` on relative paths so that no stdout names the directory; with
     `plus`, on inputs rewritten by `plus_signed`."""
     work.mkdir()
-    with contextlib.chdir(work):
+    home = Path.cwd()
+    os.chdir(work)  # contextlib.chdir is new in Python 3.11
+    try:
         workload = CsvScore()
         workload.prepare(Path(), base)
         if plus:
@@ -121,6 +124,8 @@ def csv_digests(work: Path, base: int, plus: bool = False) -> int:
             if code != 0:
                 return code
             _digest(stdout.encode("utf-8"), f"{tag}.{name}.stdout")
+    finally:
+        os.chdir(home)
     return 0
 
 

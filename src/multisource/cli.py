@@ -24,7 +24,6 @@ from .discrepancy import empirical_discrepancy, finite_moments
 from .federated import run_case1, run_case2
 from .harness import (
     METHODS,
-    _nonempty,
     build_pool,
     config_from_json,
     run_method,
@@ -62,11 +61,10 @@ def _weights_input(text: str) -> WeightProblem:
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
     files = load_csvs([args.reference, *args.sources], args.label_column)
     with contextlib.closing(files):
-        reference = _nonempty(args.reference, "reference", next(files))
+        reference = next(files)
         finite_moments(reference, f"{args.reference}: the reference's")
         report = []
         for path, source in zip(args.sources, files):  # each source is scored as it arrives
-            source = _nonempty(path, "source", source)
             try:
                 estimate = empirical_discrepancy(source, reference)
             except (ValueError, FloatingPointError) as exc:  # a mismatch or overflow: name it

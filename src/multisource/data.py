@@ -59,9 +59,10 @@ class CsvFormatError(ValueError):
 class Dataset:
     """Immutable feature matrix with binary labels in {-1, +1}.
 
-    Arrays are copied at construction, validated (finite features, signed
-    labels, consistent shapes), and marked read-only so instances can be
-    shared freely across threads.
+    Arrays are copied at construction, validated (a row and a feature column
+    at least, finite features, signed labels, consistent shapes), and marked
+    read-only so instances can be shared freely across threads. As every
+    Dataset has a row, no consumer checks for an empty sample.
     """
 
     features: np.ndarray
@@ -72,6 +73,8 @@ class Dataset:
         labels = np.array(self.labels, dtype=np.float64, copy=True)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
+        if features.shape[0] < 1:
+            raise ValueError("datasets need at least one row")
         if features.shape[1] < 1:
             raise ValueError("datasets need at least one feature column")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
@@ -81,7 +84,7 @@ class Dataset:
         if not np.isfinite(features).all():
             bad = np.argwhere(~np.isfinite(features))[0]
             raise ValueError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
-        if labels.size and not np.all(np.abs(labels) == 1.0):
+        if not np.all(np.abs(labels) == 1.0):
             bad_row = int(np.flatnonzero(np.abs(labels) != 1.0)[0])
             raise ValueError(f"label at row {bad_row} is {labels[bad_row]!r}, not -1 or +1")
         features.flags.writeable = False
@@ -105,7 +108,7 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class SourcePool:
-    """An ordered collection of source datasets plus one trusted reference."""
+    """Ordered source datasets plus one trusted reference, all of one width."""
 
     sources: tuple[Dataset, ...]
     reference: Dataset
@@ -114,16 +117,12 @@ class SourcePool:
         sources = tuple(self.sources)
         if len(sources) < 1:
             raise ValueError("a pool needs at least one source")
-        if self.reference.n_samples < 1:
-            raise ValueError("the reference is empty")
         d = self.reference.n_features
         for i, src in enumerate(sources):
             if src.n_features != d:
                 raise ValueError(
                     f"source {i} has {src.n_features} features, reference has {d}"
                 )
-            if src.n_samples < 1:
-                raise ValueError(f"source {i} is empty")
         object.__setattr__(self, "sources", sources)
 
     @property
@@ -151,7 +150,9 @@ def load_csv(path: str | Path, label_column: str = "label") -> Dataset:
     The file is read as JSON numbers by orjson, else by the per-cell loop:
     a cell that is no JSON number (`+4`, `.5`, `nan`) or a quoted cell sends
     the file to the loop, which raises the error that names the offending
-    1-based data row and column, or returns its result.
+    1-based data row and column, or returns its result. Both readers raise
+    one that names the file for a file with no data row, a field over csv's
+    field size limit, or text that is not UTF-8.
     """
     path = _existing(path)
     data = _parse_plain(path, _plain_lines(path), label_column)
@@ -168,11 +169,11 @@ def rewrite_csv(source: str | Path, target: str | Path, change: Callable[[Datase
     for bit. `change` must keep the row and feature counts.
 
     `source` is read once, and checked and changed before `target` is opened,
-    so an invalid input leaves `target` as it was, and `target` may be
-    `source`. A file read as JSON numbers by orjson is written with one comma
-    split and join per line (no cell of such a file needs quoting); any file
-    read by the per-cell loop goes through csv.reader and csv.writer, which
-    quotes a cell only where it must.
+    so an invalid input (one with no data row too) leaves `target` as it
+    was, and `target` may be `source`. A file read as JSON numbers by orjson
+    is written with one comma split and join per line (no cell of such a
+    file needs quoting); any file read by the per-cell loop goes through
+    csv.reader and csv.writer, which quote a cell only where they must.
     """
     source, target = _existing(source), Path(target)
     lines = _plain_lines(source)
@@ -229,8 +230,9 @@ def _existing(path: str | Path) -> Path:
 
 def _parse_plain(path: Path, lines: list[str] | None, label_column: str) -> Dataset | None:
     """The Dataset of `_plain_lines`' lines read as JSON numbers, or None when
-    the per-cell loop must read the file. A bad header raises here."""
-    if not lines:
+    the per-cell loop must read the file (one with no data line too, for its
+    error). A bad header raises here."""
+    if lines is None or len(lines) < 2:
         return None
     header, label_idx = _parse_header(path, lines[0].split(","), label_column)
     parsed = _parse_plain_rows(lines[1:], len(header), label_idx)
@@ -248,9 +250,9 @@ def _plain_lines(path: Path) -> list[str] | None:
     when splitting at line ends and commas would not give csv.reader's cells
     (a quote, or a field longer than csv's field size limit, on which
     csv.reader raises even in a comment; only a line over the limit is split
-    to look for one), or when it is not UTF-8 (the loop's error gives the
-    offset within the chunk it read). Lines are tested one by one for a
-    comment only when the text holds a '#'.
+    to look for one), or when it is not UTF-8; the loop raises the error
+    that names the file for both. Lines are tested one by one for a comment
+    only when the text holds a '#'.
     """
     with path.open(encoding="utf-8-sig") as fh:  # universal newlines
         try:
@@ -335,9 +337,16 @@ def _load_csv_per_cell(path: Path, label_column: str) -> tuple[np.ndarray, np.nd
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
-    """csv.reader's rows of the file, less blank and comment rows."""
+    """csv.reader's rows of the file, less blank and comment rows; a field
+    over csv's field size limit, or text that is not UTF-8, is named."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        return [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+        reader = csv.reader(fh)
+        try:
+            return [r for r in reader if r and not r[0].lstrip().startswith("#")]
+        except csv.Error as exc:  # not a ValueError
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_cells(path: Path, rows: list[list[str]],
@@ -346,6 +355,8 @@ def _parse_cells(path: Path, rows: list[list[str]],
     if not rows:
         raise CsvFormatError(f"{path}: no header row found")
     header, label_idx = _parse_header(path, rows[0], label_column)
+    if len(rows) < 2:
+        raise CsvFormatError(f"{path}: no data rows")
     feature_names = [c for i, c in enumerate(header) if i != label_idx]
 
     n_cols = len(header)

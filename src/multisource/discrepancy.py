@@ -94,18 +94,15 @@ def empirical_discrepancies(sources: Sequence[Dataset],
                             reference: Dataset) -> tuple[DiscrepancyEstimate, ...]:
     """Each source's risk gap to `reference` by the flipped-label relaxation
     mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2 + (RELAX_RIDGE/2) ||w||^2,
-    solved in one stack with the reference's moments built once. An overflow is
-    named by its sample, every source before the reference, in a `FloatingPointError`."""
+    solved in one stack with the reference's moments built once. Each mean is
+    over at least one row, as every Dataset has one. An overflow is named by
+    its sample, every source before the reference, in a `FloatingPointError`."""
     if not sources:
         raise ValueError("no sources to score")
     for source in sources:
         if source.n_features != reference.n_features:
             raise ValueError(f"feature mismatch: source has {source.n_features}, "
                              f"reference {reference.n_features}")
-        if source.n_samples == 0:
-            raise ValueError("the source is empty")
-    if reference.n_samples == 0:
-        raise ValueError("the reference is empty")
     gram_src, moment_src = map(np.stack, zip(*[finite_moments(s, "the source's")
                                                for s in sources]))
     gram_ref, moment_ref = finite_moments(reference, "the reference's")

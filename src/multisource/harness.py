@@ -242,33 +242,26 @@ def generate_synthetic_pool(
     return SourcePool(sources, reference), test
 
 
-def _nonempty(path: str, role: str, data: Dataset) -> Dataset:
-    """`data`, the source, reference or test file read from `path`; one with
-    no rows raises a ValueError that names it."""
-    if data.n_samples == 0:
-        raise ValueError(f"{path}: the {role} is empty")
-    return data
-
-
 def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset]:
-    """The config's pool and test set. A CSV input that is empty, whose
-    feature count differs from the reference's, or (a source or the
-    reference) whose feature moments overflow is named before any fit."""
+    """The config's pool and test set. A CSV input that its reader rejects
+    (one with no data row too), whose feature count differs from the
+    reference's, or (a source or the reference) whose feature moments
+    overflow is named before any fit."""
     spec = config.data
     if isinstance(spec, SyntheticSpec):
         return generate_synthetic_pool(spec, seed)
     files = load_csvs([*spec.source_paths, spec.reference_path, spec.test_path],
                       spec.label_column)
     with contextlib.closing(files):
-        sources = tuple(_nonempty(p, "source", next(files)) for p in spec.source_paths)
-        reference = _nonempty(spec.reference_path, "reference", next(files))
+        sources = tuple(next(files) for _ in spec.source_paths)
+        reference = next(files)
         for path, source in zip(spec.source_paths, sources):
             if source.n_features != reference.n_features:
                 raise ValueError(f"{path}: feature mismatch: source has {source.n_features}, "
                                  f"reference {reference.n_features}")
             finite_moments(source, f"{path}: the source's")  # one source's design at a time
         finite_moments(reference, f"{spec.reference_path}: the reference's")
-        test = _nonempty(spec.test_path, "test set", next(files))
+        test = next(files)
     if test.n_features != reference.n_features:
         raise ValueError(f"{spec.test_path}: feature mismatch: test set has {test.n_features}, "
                          f"reference {reference.n_features}")
@@ -276,7 +269,7 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
 
 
 def _cross_validate(
-    pool: SourcePool,
+    reference: Dataset,
     grid: Sequence,
     folds: int,
     seed: int,
@@ -292,14 +285,14 @@ def _cross_validate(
     """
     if len(grid) == 1:
         return grid[0]
-    n = pool.reference.n_samples
+    n = reference.n_samples
     if folds > n:
         raise ValueError(f"cv_folds={folds} exceeds the reference's {n} rows")
     a = n // folds
     scores = [0] * len(grid)
     for heldout in kfold_indices(n, folds, seed):
-        fit = fit_fold(pool.reference.take(np.setdiff1d(np.arange(n), heldout)))
-        heldout_data = pool.reference.take(heldout)
+        fit = fit_fold(reference.take(np.setdiff1d(np.arange(n), heldout)))
+        heldout_data = reference.take(heldout)
         scale = a * (a + 1) // len(heldout)
         scores = [s + misses(fit(point), heldout_data) * scale
                   for s, point in zip(scores, grid)]
@@ -379,7 +372,7 @@ def run_method(
         fit = fitter(ref_train)
         return lambda point: fit(point)[0]
 
-    best = _cross_validate(pool, grid, config.cv_folds, seed, fit_fold)
+    best = _cross_validate(pool.reference, grid, config.cv_folds, seed, fit_fold)
     predictor, alpha, discrepancies = fitter(pool.reference)(best)
     return RunResult(method=method, test_error=zero_one_error(predictor, test_data),
                      selected_lambda=best[0], selected_ridge=best[1], alpha=alpha,

@@ -262,8 +262,6 @@ def train_weighted_erm(
 
 def train_erm(dataset: Dataset, loss: str = "logistic", ridge: float = 1e-4) -> LinearPredictor:
     """Plain regularized ERM on a single dataset."""
-    if dataset.n_samples == 0:
-        raise ValueError("cannot train on an empty dataset")
     weights = np.full(dataset.n_samples, 1.0 / dataset.n_samples)
     return minimize_weighted_loss(dataset.features, dataset.labels, weights, loss, ridge)
 
@@ -276,6 +274,4 @@ def misses(predictor, data: Dataset) -> int:
 
 def zero_one_error(predictor, data: Dataset) -> float:
     """Fraction of `data` misclassified: `misses` over the row count."""
-    if data.n_samples == 0:
-        raise ValueError("cannot score an empty dataset")
     return misses(predictor, data) / data.n_samples

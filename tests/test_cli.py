@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -382,9 +383,14 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
         "test_path": str(tmp_path / "constant_reference.csv")}})))
     singular = ("the relaxation's system is singular to working precision; center or rescale "
                 "the features\n")
-    # a header-only file is named by its path, where the pool is built and
-    # where the discrepancy command reads it
-    write_csv(Dataset(np.empty((0, 2)), np.empty(0)), tmp_path / "reference.csv")
+    # a header-only file, a field over csv's size limit and text that is not
+    # UTF-8 are each named by their path, by every command that reads them
+    (tmp_path / "reference.csv").write_bytes(b"f0,f1,label\r\n")
+    no_rows = f"{tmp_path / 'reference.csv'}: no data rows\n"
+    (tmp_path / "long.csv").write_text(f"f0,f1,label\n1,{'2' * (csv.field_size_limit() + 1)},1\n")
+    long_field = f"{tmp_path / 'long.csv'}: line 2: field larger than field limit"
+    (tmp_path / "not_utf8.csv").write_bytes(b"f0,f1,label\n" + b"1.5,2,1\n" * 2000 + b"\xff,2,1\n")
+    not_utf8 = f"{tmp_path / 'not_utf8.csv'}: not UTF-8 text (invalid start byte)\n"
     # a source whose feature count differs from the reference's is named
     for name, d in (("two_features", 2), ("three_features", 3), ("three_reference", 3)):
         rng = np.random.default_rng(d)
@@ -395,6 +401,8 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
         "empty_source": (["plain_reference", "reference"], "plain_reference", "plain_reference"),
         "mismatch": (["three_features", "two_features"], "three_reference", "three_reference"),
         "empty_test": (["plain_reference"], "plain_reference", "reference"),
+        "long_source": (["plain_reference", "long"], "plain_reference", "plain_reference"),
+        "not_utf8_test": (["plain_reference"], "plain_reference", "not_utf8"),
         "mismatched_test": (["two_features"], "plain_reference", "three_reference"),
         "ragged_source": (["plain_reference", "ragged"], "plain_reference", "plain_reference"),
         "missing_test": (["plain_reference"], "plain_reference", "missing"),
@@ -406,9 +414,7 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
                           "reference_path": str(tmp_path / f"{reference}.csv"),
                           "test_path": str(tmp_path / f"{test}.csv")}})))
     empty_reference_config = tmp_path / "empty_reference.json"
-    empty_reference = f"{tmp_path / 'reference.csv'}: the reference is empty"
     mismatch = f"{tmp_path / 'two_features.csv'}: feature mismatch: source has 2, reference 3"
-    empty_test = f"{tmp_path / 'reference.csv'}: the test set is empty\n"
     mismatched_test = (f"{tmp_path / 'three_reference.csv'}: feature mismatch: test set has 3, "
                        "reference 2\n")
     # a file that cannot be parsed, or is missing, is named by its reader's error
@@ -531,31 +537,51 @@ def test_invalid_input_prints_one_error_line(tmp_path, small_config, capsys, mon
         (["train", "--method", "batch_norm", "--config", str(huge_config)],
          f"multisource train: error: {huge_source}"),
         (["train", "--method", "all_data", "--config", str(tmp_path / "empty_test.json")],
-         f"multisource train: error: {empty_test}"),
+         f"multisource train: error: {no_rows}"),
         (["experiment", "--config", str(tmp_path / "empty_test.json"),
           "--out", str(tmp_path / "results.csv")],
-         f"multisource experiment: error: {empty_test}"),
+         f"multisource experiment: error: {no_rows}"),
         (["train", "--method", "ours", "--config", str(tmp_path / "mismatched_test.json")],
          f"multisource train: error: {mismatched_test}"),
         (["train", "--method", "reference_only", "--config", str(empty_reference_config)],
-         f"multisource train: error: {empty_reference}\n"),
+         f"multisource train: error: {no_rows}"),
         (["experiment", "--config", str(empty_reference_config),
           "--out", str(tmp_path / "results.csv")],
-         f"multisource experiment: error: {empty_reference}\n"),
+         f"multisource experiment: error: {no_rows}"),
         (["simulate-federated", "--case", "2", "--config", str(empty_reference_config)],
-         f"multisource simulate-federated: error: {empty_reference}\n"),
+         f"multisource simulate-federated: error: {no_rows}"),
         (["train", "--method", "ours", "--config", str(tmp_path / "empty_source.json")],
-         f"multisource train: error: {tmp_path / 'reference.csv'}: the source is empty\n"),
+         f"multisource train: error: {no_rows}"),
+        (["corrupt", "--input", str(tmp_path / "reference.csv"), "--output",
+          str(tmp_path / "noisy.csv"), "--kind", "label_bias"],
+         f"multisource corrupt: error: {no_rows}"),
+        (["discrepancy", str(tmp_path / "long.csv"),
+          "--reference", str(tmp_path / "plain_reference.csv")],
+         f"multisource discrepancy: error: {long_field}"),
+        (["corrupt", "--input", str(tmp_path / "long.csv"), "--output",
+          str(tmp_path / "noisy.csv"), "--kind", "label_bias"],
+         f"multisource corrupt: error: {long_field}"),
+        (["simulate-federated", "--case", "1", "--config", str(tmp_path / "long_source.json")],
+         f"multisource simulate-federated: error: {long_field}"),
+        (["discrepancy", str(tmp_path / "plain_reference.csv"), str(tmp_path / "not_utf8.csv"),
+          "--reference", str(tmp_path / "plain_reference.csv")],
+         f"multisource discrepancy: error: {not_utf8}"),
+        (["corrupt", "--input", str(tmp_path / "not_utf8.csv"), "--output",
+          str(tmp_path / "noisy.csv"), "--kind", "label_bias"],
+         f"multisource corrupt: error: {not_utf8}"),
+        (["experiment", "--config", str(tmp_path / "not_utf8_test.json"),
+          "--out", str(tmp_path / "results.csv")],
+         f"multisource experiment: error: {not_utf8}"),
         (["train", "--method", "all_data", "--config", str(tmp_path / "mismatch.json")],
          f"multisource train: error: {mismatch}\n"),
         (["simulate-federated", "--case", "1", "--config", str(tmp_path / "mismatch.json")],
          f"multisource simulate-federated: error: {mismatch}\n"),
         (["discrepancy", str(tmp_path / "plain_reference.csv"),
           "--reference", str(tmp_path / "reference.csv")],
-         f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the reference is empty"),
+         f"multisource discrepancy: error: {no_rows}"),
         (["discrepancy", str(tmp_path / "reference.csv"),
           "--reference", str(tmp_path / "plain_reference.csv")],
-         f"multisource discrepancy: error: {tmp_path / 'reference.csv'}: the source is empty"),
+         f"multisource discrepancy: error: {no_rows}"),
         (["discrepancy", str(tmp_path / "constant_a.csv"),
           "--reference", str(tmp_path / "constant_reference.csv")],
          f"multisource discrepancy: error: {tmp_path / 'constant_a.csv'}: {singular}"),

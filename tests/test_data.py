@@ -44,6 +44,15 @@ def test_dataset_rejects_shape_mismatch():
         Dataset([1.0, 2.0], [1.0, -1.0])
 
 
+def test_dataset_rejects_zero_rows():
+    # every statistic of the method averages over a sample's rows, so the
+    # Dataset is the one place that checks for an empty sample
+    with pytest.raises(ValueError, match="^datasets need at least one row$"):
+        Dataset(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match="^datasets need at least one row$"):
+        Dataset([[1.0], [2.0]], [1.0, -1.0]).take([])
+
+
 def test_dataset_is_immutable():
     ds = Dataset([[1.0], [2.0]], [1.0, -1.0])
     with pytest.raises(ValueError):
@@ -59,10 +68,6 @@ def test_pool_validation():
         SourcePool((a, b), a)
     with pytest.raises(ValueError, match="at least one source"):
         SourcePool((), a)
-    with pytest.raises(ValueError, match="reference is empty"):
-        SourcePool((a,), Dataset(np.empty((0, 1)), np.empty(0)))
-    with pytest.raises(ValueError, match="^source 1 is empty$"):
-        SourcePool((a, Dataset(np.empty((0, 1)), np.empty(0))), a)
 
 
 def test_load_csv_zero_one_encoding(tmp_path):
@@ -248,6 +253,7 @@ def test_load_csv_raises_the_loops_error_on_input_the_fast_path_skips(tmp_path, 
     with pytest.raises(Exception) as loop:
         data._load_csv_per_cell(path, "label")
     assert (type(fast.value), str(fast.value)) == (type(loop.value), str(loop.value))
+    assert type(loop.value) is CsvFormatError and str(loop.value).startswith(f"{path}: ")
 
 
 _NUMBERS = ["0.5", "-3", "1e-320", "-0", "2.5e300", " 4.25 ", "1_0", "１", "nan", "inf",
@@ -477,17 +483,19 @@ def test_rewrite_csv_of_an_invalid_input_leaves_the_target_as_it_was(tmp_path, c
     assert target.read_bytes() == b"kept\r\n" if existing else not target.exists()
 
 
-_PLAIN_NUMBERS = ["0.1", "1e3", " 2.5", "2.50 ", "-0", "0", "+4", "7.", ".5", "5e-324",
-                  "-2.5e-320", "1.7976931348623157e308", "123456789012345678", "1_0"]
-_POSITIVE = ["1", "1.0", " 1", "+1"]
-_NEGATIVE = [["-1", "-1.0", " -1"], ["0", "-0", "0.0"]]
+# JSON numbers only: a cell like +4, 7., .5 or 1_0, or an integer -0 (read
+# as 0 by orjson), sends a file to the per-cell loop
+_PLAIN_NUMBERS = ["0.1", "1e3", " 2.5", "2.50 ", "0", "5e-324", "-2.5e-320",
+                  "1.7976931348623157e308", "123456789012345678"]
+_POSITIVE = ["1", "1.0", " 1"]
+_NEGATIVE = [["-1", "-1.0", " -1"], ["0", "0.0"]]
 
 
 @st.composite
 def _plain_csv_texts(draw):
-    """Valid CSV texts that `_plain_lines` passes: no quote, lines that end
-    in LF, CRLF or a lone CR, and numbers, labels and column names as people
-    write them."""
+    """Valid CSV texts that are read as JSON numbers: no quote, lines that
+    end in LF, CRLF or a lone CR, column names as people write them, and no
+    data row, or some."""
     d = draw(st.integers(1, 3))
     names = [draw(st.sampled_from([f"x{j}", f" f{j}", f"weight {j}"])) for j in range(d)]
     label_at = draw(st.integers(0, d))
@@ -527,17 +535,34 @@ def _changes(draw):
     return negate
 
 
+def _rewritten(source, target, change):
+    """The bytes `rewrite_csv` writes to `target`, or the (type, message) of
+    its error."""
+    try:
+        data.rewrite_csv(source, target, change)
+    except CsvFormatError as exc:
+        return type(exc), str(exc)
+    return target.read_bytes()
+
+
 @given(_plain_csv_texts(), _changes())
 @settings(max_examples=300, deadline=None)
 def test_rewrite_csv_of_a_plain_file_equals_the_csv_module_path(tmp_path_factory, text, change):
     folder = tmp_path_factory.mktemp("rewrite")
     source, plain, reference = (folder / f"{name}.csv" for name in ("in", "plain", "reference"))
     source.write_bytes(text.encode("utf-8"))
-    data.rewrite_csv(source, plain, change)
+    read_by_csv_module, csv_rows = [], data._csv_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_csv_rows",
+                      lambda path: read_by_csv_module.append(path) or csv_rows(path))
+        written = _rewritten(source, plain, change)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "_plain_lines", lambda path: None)
-        data.rewrite_csv(source, reference, change)
-    assert plain.read_bytes() == reference.read_bytes()
+        assert _rewritten(source, reference, change) == written
+    if written == (CsvFormatError, f"{source}: no data rows"):
+        assert read_by_csv_module == [source]  # the loop raises for both branches
+        return
+    assert read_by_csv_module == []  # the split/join branch
     back, changed = load_csv(plain), change(load_csv(source))
     assert back.features.shape == changed.features.shape
     assert back.features.tobytes() == changed.features.tobytes()
@@ -546,8 +571,9 @@ def test_rewrite_csv_of_a_plain_file_equals_the_csv_module_path(tmp_path_factory
 
 def _mixed_csvs(tmp_path, rows=3000):
     """Paths of files of every kind `load_csv` reads: CRLF, LF, a BOM,
-    comment lines, 0 labels, a quoted cell (the per-cell loop) and a header
-    only. Each of the first five holds more than a pipe's 64 KiB."""
+    comment lines, 0 labels, a quoted cell (the per-cell loop), and last a
+    header only, which it rejects. Each of the first five holds more than a
+    pipe's 64 KiB."""
     rng = np.random.default_rng(23)
     crlf = tmp_path / "crlf.csv"
     write_csv(Dataset(rng.standard_normal((rows, 3)), np.where(rng.random(rows) < 0.5, 1.0, -1.0)),
@@ -580,33 +606,47 @@ def _fork_spy(monkeypatch) -> list[int]:
     return pids
 
 
-def _same(a: Dataset, b: Dataset) -> bool:
-    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
-               and x.flags.writeable == y.flags.writeable
-               for x, y in ((a.features, b.features), (a.labels, b.labels)))
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_load_csvs_equals_load_csv_of_each_file(tmp_path, monkeypatch, cpus):
     paths = _mixed_csvs(tmp_path)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
     readers = _fork_spy(monkeypatch)
-    got = list(data.load_csvs(paths))
+    with contextlib.closing(data.load_csvs(paths)) as files:
+        got = _outcomes(files)
     assert len(readers) == (cpus if cpus > 1 else 0)  # 1: read in process
-    expected = [load_csv(p) for p in paths]
-    assert len(got) == len(expected) and all(map(_same, got, expected))
+    assert got == _outcomes(load_csv(p) for p in paths)
+    assert got[-1] == (CsvFormatError, f"{paths[-1]}: no data rows")
 
 
 def _outcomes(datasets) -> list:
-    """Each dataset's bytes, in order, then the (type, message) of the
-    error that stops the iteration, if any."""
+    """Each dataset's shape, bytes and write flags, in order, then the
+    (type, message) of the error that stops the iteration, if any."""
     out = []
     try:
         for ds in datasets:
-            out.append((ds.features.shape, ds.features.tobytes(), ds.labels.tobytes()))
+            out.append((ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(),
+                        ds.features.flags.writeable, ds.labels.flags.writeable))
     except Exception as exc:
         out.append((type(exc), str(exc)))
     return out
+
+
+def test_a_file_with_no_data_row_raises_one_named_error_from_every_reader(tmp_path,
+                                                                          monkeypatch):
+    good, *_, header_only = _mixed_csvs(tmp_path, rows=50)
+    expected = [(CsvFormatError, f"{header_only}: no data rows")]
+    for read in (load_csv, lambda path: Dataset(*data._load_csv_per_cell(path, "label"))):
+        assert _outcomes(map(read, [header_only])) == expected
+    readers = _fork_spy(monkeypatch)
+    for cpus in (1, 2):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        with contextlib.closing(data.load_csvs([good, header_only])) as files:
+            assert _outcomes(files)[1:] == expected
+        assert len(readers) == 2 * (cpus - 1)  # 2: the header-only file is read in a child
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"kept\r\n")
+    assert _rewritten(header_only, target, lambda ds: ds) == expected[0]
+    assert target.read_bytes() == b"kept\r\n"
 
 
 @pytest.mark.parametrize("bad_at", range(4))
@@ -644,7 +684,7 @@ def test_a_reader_killed_mid_stream_leaves_the_results_unchanged(tmp_path, monke
         os.waitid(os.P_PID, readers[1], os.WEXITED | os.WNOWAIT)
         got += list(files)
     assert read_here == paths[1::2]
-    assert all(map(_same, got, [load(p) for p in paths]))
+    assert _outcomes(got) == _outcomes(map(load, paths))
 
 
 def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, monkeypatch):
@@ -659,9 +699,11 @@ def test_a_reader_that_cannot_be_forked_leaves_the_results_unchanged(tmp_path, m
         return fork()
 
     monkeypatch.setattr(os, "fork", second_fails)
-    got = list(data.load_csvs(paths))
+    with contextlib.closing(data.load_csvs(paths)) as files:
+        got = _outcomes(files)
     assert len(calls) == 3 and len(readers) == 2
-    assert all(map(_same, got, [load_csv(p) for p in paths]))
+    assert got == _outcomes(load_csv(p) for p in paths)
+    assert got[-1] == (CsvFormatError, f"{paths[-1]}: no data rows")
 
 
 def _forked_outcomes(results) -> list:

@@ -138,11 +138,6 @@ def test_discrepancy_errors():
     b = Dataset([[1.0, 2.0]], [1.0])
     with pytest.raises(ValueError, match="feature"):
         empirical_discrepancy(a, b)
-    empty = Dataset(np.empty((0, 1)), np.empty(0))
-    with pytest.raises(ValueError, match="the reference is empty"):
-        empirical_discrepancy(a, empty)
-    with pytest.raises(ValueError, match="the source is empty"):
-        empirical_discrepancy(empty, a)
     with pytest.raises(ValueError, match="thresholds_1d"):
         exact_discrepancy_oracle(b, b, "thresholds_1d")
     with pytest.raises(ValueError, match="lines_2d"):
@@ -170,13 +165,10 @@ def test_an_overflow_names_the_sample():
 def test_a_batch_checks_every_source_before_the_reference():
     plain = Dataset([[1.0], [-1.0]], [1.0, -1.0])
     huge = Dataset([[1e200], [-1e200]], [1.0, -1.0])
-    empty = Dataset(np.empty((0, 1)), np.empty(0))
     with pytest.raises(FloatingPointError, match="^the source's feature moments overflowed"):
         empirical_discrepancies([plain, huge], huge)
-    with pytest.raises(ValueError, match="^the source is empty$"):
-        empirical_discrepancies([plain, empty], empty)
     with pytest.raises(ValueError, match="^feature mismatch: source has 2, reference 1$"):
-        empirical_discrepancies([plain, Dataset([[1.0, 2.0]], [1.0])], empty)
+        empirical_discrepancies([plain, Dataset([[1.0, 2.0]], [1.0])], huge)
     with pytest.raises(ValueError, match="^no sources to score$"):
         empirical_discrepancies([], plain)
 

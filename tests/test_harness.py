@@ -213,18 +213,17 @@ def test_splitting_a_source_into_its_identical_halves_changes_nothing(seed, lam,
     assert abs(p_whole.bias - p_split.bias) <= 1e-9
 
 
-def _separable_pool(n=20):
+def _separable_reference(n=20):
     # label = sign of the first feature, so LinearPredictor([1, 0], 0) is perfect
     rng = np.random.default_rng(6)
     features = rng.standard_normal((n, 2))
-    ref = Dataset(features, np.where(features[:, 0] >= 0, 1.0, -1.0))
-    return SourcePool((ref,), ref)
+    return Dataset(features, np.where(features[:, 0] >= 0, 1.0, -1.0))
 
 
 def test_cross_validate_tie_goes_to_first_grid_point():
     same = LinearPredictor(np.array([0.3, -1.0]), 0.1)
     for grid in (["b", "a", "c"], [2.0, 0.5]):
-        assert _cross_validate(_separable_pool(), grid, 4, 0,
+        assert _cross_validate(_separable_reference(), grid, 4, 0,
                                lambda ref_train: lambda point: same) == grid[0]
 
 
@@ -249,7 +248,7 @@ def test_cross_validate_ties_in_exact_sums_go_to_the_first_grid_point():
         folds.append(None)
         return lambda point: _Misses(patterns[point][len(folds) - 1])
 
-    assert _cross_validate(SourcePool((reference,), reference), [0, 1], 5, 0, fit_fold) == 0
+    assert _cross_validate(reference, [0, 1], 5, 0, fit_fold) == 0
     assert len(folds) == 5
 
 
@@ -265,7 +264,7 @@ def test_cross_validate_sums_fold_fractions_not_pooled_misses():
         misses = {0: int(first_pair), 1: int(held_out[-1] == 3)}
         return lambda point: _Misses(misses[point])
 
-    assert _cross_validate(SourcePool((reference,), reference), [0, 1], 5, 0, fit_fold) == 1
+    assert _cross_validate(reference, [0, 1], 5, 0, fit_fold) == 1
     assert sorted(held_out) == [2, 2, 2, 2, 3]
 
 
@@ -273,7 +272,7 @@ def test_cross_validate_picks_strictly_better_later_point():
     predictors = {"wrong": LinearPredictor(np.array([-1.0, 0.0]), 0.0),
                   "coin": LinearPredictor(np.zeros(2), 0.0),
                   "right": LinearPredictor(np.array([1.0, 0.0]), 0.0)}
-    chosen = _cross_validate(_separable_pool(), list(predictors), 4, 0,
+    chosen = _cross_validate(_separable_reference(), list(predictors), 4, 0,
                              lambda ref_train: predictors.__getitem__)
     assert chosen == "right"
 
@@ -282,18 +281,18 @@ def test_cross_validate_one_point_grid_never_fits():
     def fit_fold(ref_train):
         raise AssertionError("a one-point grid needs no fit")
 
-    assert _cross_validate(_separable_pool(), [(1.0, 1e-2)], 5, 0, fit_fold) == (1.0, 1e-2)
+    assert _cross_validate(_separable_reference(), [(1.0, 1e-2)], 5, 0, fit_fold) == (1.0, 1e-2)
 
 
 def test_cross_validate_holds_out_each_fold_once():
-    pool = _separable_pool(n=10)
+    reference = _separable_reference(n=10)
     seen = []
 
     def fit_fold(ref_train):
         seen.append(ref_train.n_samples)
         return lambda point: LinearPredictor(np.zeros(2), 0.0)
 
-    _cross_validate(pool, [0, 1], 5, 0, fit_fold)
+    _cross_validate(reference, [0, 1], 5, 0, fit_fold)
     assert seen == [8] * 5
 
 

@@ -132,15 +132,15 @@ def test_zero_one_error_matches_hand_enumeration():
 
 
 def test_zero_one_error_empty():
-    ds = Dataset(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError):
-        zero_one_error(LinearPredictor(np.ones(2), 0.0), ds)
+    # an empty sample is refused where it is built, before it can be scored
+    with pytest.raises(ValueError, match="^datasets need at least one row$"):
+        zero_one_error(LinearPredictor(np.ones(2), 0.0), Dataset(np.empty((0, 2)), np.empty(0)))
 
 
 def test_train_erm_rejects_an_empty_dataset():
-    ds = Dataset(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
-        train_erm(ds)
+    # an empty sample is refused where it is built, before it can be trained on
+    with pytest.raises(ValueError, match="^datasets need at least one row$"):
+        train_erm(Dataset(np.empty((0, 2)), np.empty(0)))
 
 
 def test_linear_predictor_rejects_a_matrix_or_non_finite_parameters():

@@ -108,6 +108,16 @@ def test_the_lowest_versions_job_installs_every_floor_of_pyproject():
     assert {k: _version(v) for k, v in floors.items()} == {k: _version(v) for k, v in pins.items()}
 
 
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml allows Python 3.10, so no file may use a newer syntax
+    root = Path(__file__).parents[1]
+    paths = [path for folder in ("src", "scripts", "tests")
+             for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_the_cli_loads_no_process_or_signal_module():
     # each would slow every CLI start; `multisource._fork`, which forks the
     # CSV readers of `multisource.data`, uses `os` alone

@@ -16,8 +16,14 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 ENV = dict(os.environ, PYTHONPATH=str(Path(multisource.__file__).parents[1]))
 
 
-def _run(script, *args):
-    return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+# runs the script in argv[1] as a program, as Python 3.10 would run it:
+# without contextlib.chdir, which is new in 3.11
+AS_ON_PYTHON_3_10 = ("import contextlib, runpy, sys; vars(contextlib).pop('chdir', None); "
+                     "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+
+
+def _run(script, *args, python=(sys.executable,)):
+    return subprocess.run([*python, str(SCRIPTS / script), *args],
                           capture_output=True, text=True, env=ENV, timeout=60)
 
 
@@ -100,7 +106,7 @@ def test_sweep_digests_of_a_case2_trace(tmp_path):
 
 
 def test_sweep_digests_of_the_csv_sequence(tmp_path, monkeypatch):
-    done = _run("sweep_digests.py", "--csv")
+    done = _run("sweep_digests.py", "--csv", python=(sys.executable, "-c", AS_ON_PYTHON_3_10))
     assert done.returncode == 0, done.stderr
     digests = dict(line.split("  ")[::-1] for line in done.stdout.splitlines())
     names = [*(f"corrupted_{i}.csv" for i in range(4)), "discrepancy.stdout", "weights.stdout",
