@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""sha256 digests of `multisource experiment` artifacts, of case-2 traces and
-of the CSV scoring sequence, for checking that a change keeps them byte for byte.
+"""sha256 digests of `multisource experiment` artifacts, of the federated
+protocols' output and of the CSV scoring sequence, for checking that a change
+keeps them byte for byte.
 
 With no arguments, runs the benchmark's c07_sweep and full_grid configs
 (`bench/workloads.py`, read only) at seeds derive_seed(s, j) for s in
 (1, 9001) and j = 0..3: 16 sweeps, 48 artifacts; then runs
-`simulate-federated --case 2 --rounds 1000 --trace` on the benchmark's
-federated configs at the same 8 seeds: 16 more digests, of stdout and of the
-JSONL trace. Given experiment config paths, or federated config paths after
-`--federated`, runs only those. With `--csv`, runs only the benchmark's
-csv_score sequence (`corrupt` on half the source CSVs, then `discrepancy`,
-`weights` and `train`) at base seeds 1 and 9001, and digests the corrupted
-files and the stdout of the last three calls; then runs it again on copies
-of the inputs whose non-negative cells carry a leading `+`, which are no
-JSON numbers, so the per-cell reader reads them: 28 lines. Prints one
-`sha256  name` line per artifact. Run it in two trees with the same BLAS
+`simulate-federated --case 1` and `--case 2 --rounds 1000 --trace` on the
+benchmark's federated configs at the same 8 seeds: 24 more digests, of case
+1's stdout and of case 2's stdout and JSONL trace, 72 lines in all. Given
+experiment config paths, or federated config paths after `--federated`, runs
+only those. With `--csv`, runs only the benchmark's csv_score sequence
+(`corrupt` on half the source CSVs, then `discrepancy`, `weights` and
+`train`) at base seeds 1 and 9001, and digests the corrupted files and the
+stdout of the last three calls; then runs it again on copies of the inputs
+whose non-negative cells carry a leading `+`, which are no JSON numbers, so
+the per-cell reader reads them: 28 lines. Prints one `sha256  name` line per
+artifact. Run it in two trees with the same BLAS
 thread count and diff the outputs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/sweep_digests.py > digests.txt
@@ -134,7 +136,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("configs", nargs="*",
                         help="experiment config files (default: the benchmark's sweeps)")
     parser.add_argument("--federated", nargs="+", default=[], metavar="CONFIG",
-                        help="configs to run case 2 on (default: the benchmark's federated ones)")
+                        help="configs to run cases 1 and 2 on (default: the benchmark's "
+                             "federated ones)")
     parser.add_argument("--csv", action="store_true",
                         help="run only the benchmark's csv_score sequence")
     args = parser.parse_args(argv)
@@ -159,6 +162,10 @@ def main(argv: list[str] | None = None) -> int:
                              out.with_suffix(".summary.csv")):
                 _digest(artifact.read_bytes(), artifact.name)
         for config in federated:
+            code, stdout = _run(["simulate-federated", "--case", "1", "--config", str(config)])
+            if code != 0:
+                return code
+            _digest(stdout.encode("utf-8"), f"{config.stem}.case1.stdout")
             trace = work / f"{config.stem}.case2.jsonl"
             code, stdout = _run(["simulate-federated", "--case", "2", "--config", str(config),
                                  "--rounds", str(CASE2_ROUNDS), "--trace", str(trace)])

@@ -62,7 +62,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     files = load_csvs([args.reference, *args.sources], args.label_column)
     with contextlib.closing(files):
         reference = next(files)
-        finite_moments(reference, f"{args.reference}: the reference's")
+        finite_moments((reference,), f"{args.reference}: the reference's")
         report = []
         for path, source in zip(args.sources, files):  # each source is scored as it arrives
             try:

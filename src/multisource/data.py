@@ -24,6 +24,7 @@ float64 bytes.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -84,7 +85,7 @@ class Dataset:
         if not np.isfinite(features).all():
             bad = np.argwhere(~np.isfinite(features))[0]
             raise ValueError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
-        if not np.all(np.abs(labels) == 1.0):
+        if not (np.abs(labels) == 1.0).all():
             bad_row = int(np.flatnonzero(np.abs(labels) != 1.0)[0])
             raise ValueError(f"label at row {bad_row} is {labels[bad_row]!r}, not -1 or +1")
         features.flags.writeable = False
@@ -285,6 +286,8 @@ def _parse_header(path: Path, row: list[str], label_column: str) -> tuple[list[s
 
 
 _BLOCK_ROWS = 256  # data lines per orjson call, whose lists are held at once
+# a cell ending in -0: no '.', digit, e or E after (a lookbehind would take 8x the time)
+_MINUS_ZERO_END = re.compile(r"-0(?=\s*(?:,|$))", re.MULTILINE)
 
 
 def _parse_plain_rows(
@@ -297,9 +300,9 @@ def _parse_plain_rows(
 
     JSON's numbers are a subset of `float()`'s grammar, and orjson rounds
     them as `float()` does, except that it reads the integer -0 as 0: so
-    lines that hold "-0" beside a zero feature are None too. A block that
-    holds a t, f, n or [ is None, so that no true, false, null or nested
-    array reads as a number.
+    lines with a feature cell -0 are None too, searched for only when the text
+    holds "-0" and a feature is 0. A block that holds a t, f, n or [ is None,
+    so that no true, false, null or nested array reads as a number.
     """
     import orjson  # here, not at the top, which would grow every CLI process
 
@@ -323,8 +326,14 @@ def _parse_plain_rows(
     if mixed or not np.isin(raw, (1.0, -1.0, 0.0)).all():
         return None
     features = np.delete(table, label_idx, axis=1)
-    if not np.isfinite(features).all() or (minus_zero and (features == 0.0).any()):
+    if not np.isfinite(features).all():
         return None
+    if minus_zero and (features == 0.0).any():  # is a feature cell an integer -0?
+        text = "\n".join(rows)
+        heads = (text[text.rfind("\n", 0, m.start()) + 1:m.start()]  # each -0's line up to it
+                 for m in _MINUS_ZERO_END.finditer(text))
+        if any(not h.rsplit(",", 1)[-1].strip() and h.count(",") != label_idx for h in heads):
+            return None
     labels = np.full_like(raw, -1.0)  # np.where here raised the benchmark's peak RSS
     labels[raw == 1.0] = 1.0
     return features, labels

@@ -21,11 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .models import LinearPredictor, misses
+from .models import predicts_positive
 
 __all__ = [
     "RELAX_RIDGE",
     "DiscrepancyEstimate",
+    "candidate_misses",
     "empirical_discrepancies",
     "empirical_discrepancy",
     "finite_moments",
@@ -59,15 +60,17 @@ class DiscrepancyEstimate:
 def moments(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """(X~^T X~ / m, X~^T y / m), where X~ is X with a constant column appended."""
     # kept (n, d+1), unlike the trainer's (d+1, n): the other layout changes X~^T y's bits
-    design = np.hstack([data.features, np.ones((data.n_samples, 1))])
+    design = np.empty((data.n_samples, data.n_features + 1))
+    design[:, :-1] = data.features
+    design[:, -1] = 1.0
     return design.T @ design / data.n_samples, design.T @ data.labels / data.n_samples
 
 
-def finite_moments(data: Dataset, whose: str) -> tuple[np.ndarray, np.ndarray]:
-    """`moments(data)`; if one overflows, a `FloatingPointError` says that
-    `whose` (e.g. "the source's") feature moments overflowed."""
+def finite_moments(samples: Sequence[Dataset], whose: str) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked `moments` of `samples`, checked once: if one overflows, a
+    `FloatingPointError` says that `whose` (e.g. "the source's") feature moments overflowed."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        gram, moment = moments(data)
+        gram, moment = map(np.stack, zip(*map(moments, samples)))
     if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
         raise FloatingPointError(f"{whose} feature moments overflowed; rescale the features")
     return gram, moment
@@ -90,34 +93,43 @@ def solve_relaxation(gram: np.ndarray, target: np.ndarray) -> np.ndarray:
                                  "center or rescale the features") from None
 
 
+def candidate_misses(theta: np.ndarray, sources: Sequence[Dataset],
+                     reference: Dataset) -> list[tuple[int, int]]:
+    """Each candidate theta[i] = (w, b)'s misses on sources[i] and on `reference`, as a
+    `LinearPredictor` counts them: one matrix-vector product per candidate and sample."""
+    if not np.isfinite(theta).all():
+        raise ValueError("predictor parameters must be finite")
+
+    def count(candidate: np.ndarray, data: Dataset) -> int:
+        scores = data.features @ candidate[:-1] + candidate[-1]
+        return int(np.count_nonzero(predicts_positive(scores) != (data.labels > 0.0)))
+
+    return [(count(c, s), count(c, reference)) for c, s in zip(theta, sources)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises instead, naming its sample
 def empirical_discrepancies(sources: Sequence[Dataset],
                             reference: Dataset) -> tuple[DiscrepancyEstimate, ...]:
     """Each source's risk gap to `reference` by the flipped-label relaxation
     mean_src (w.x + b + y)^2 + mean_ref (w.x + b - y)^2 + (RELAX_RIDGE/2) ||w||^2,
-    solved in one stack with the reference's moments built once. Each mean is
-    over at least one row, as every Dataset has one. An overflow is named by
-    its sample, every source before the reference, in a `FloatingPointError`."""
+    solved in one stack, the reference's moments built once, and scored by
+    `candidate_misses`; each mean is over a row at least. An overflow raises a
+    `FloatingPointError` naming its sample, the sources' stack before the reference."""
     if not sources:
         raise ValueError("no sources to score")
     for source in sources:
         if source.n_features != reference.n_features:
             raise ValueError(f"feature mismatch: source has {source.n_features}, "
                              f"reference {reference.n_features}")
-    gram_src, moment_src = map(np.stack, zip(*[finite_moments(s, "the source's")
-                                               for s in sources]))
-    gram_ref, moment_ref = finite_moments(reference, "the reference's")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below instead
-        gram = gram_src + gram_ref
-        target = moment_ref - moment_src  # source labels are flipped
-    estimates, m_ref = [], reference.n_samples
-    for source, theta in zip(sources, solve_relaxation(gram, target)):
-        m_src = source.n_samples
-        predictor = LinearPredictor(theta[:-1], theta[-1])
-        # the flipped-label misses: with labels of +-1, every row not missed
-        wrong = ((m_src - misses(predictor, source)) * m_ref
-                 + misses(predictor, reference) * m_src)
-        estimates.append(DiscrepancyEstimate(wrong / (m_src * m_ref)))
-    return tuple(estimates)
+    gram_src, moment_src = finite_moments(sources, "the source's")
+    gram_ref, moment_ref = finite_moments((reference,), "the reference's")
+    # source labels are flipped; an overflowed sum raises in `solve_relaxation`
+    theta = solve_relaxation(gram_src + gram_ref, moment_ref - moment_src)
+    # the flipped-label misses: with labels of +-1, every source row not missed
+    m_ref = reference.n_samples
+    return tuple(DiscrepancyEstimate(((s.n_samples - src) * m_ref + ref * s.n_samples)
+                                     / (s.n_samples * m_ref))
+                 for s, (src, ref) in zip(sources, candidate_misses(theta, sources, reference)))
 
 
 def empirical_discrepancy(source: Dataset, reference: Dataset) -> DiscrepancyEstimate:

@@ -23,10 +23,10 @@ Two protocols are simulated with explicit message and byte accounting
           sends it with its local reference-risk scalar, and the source
           answers with the finished discrepancy estimate.
 
-In case 2 all sources are probed and solved in lockstep, each source's
-messages equal, bit for bit, a solo run's, and the trace builds them,
-source-major, only when they are read or exported (the export streams them
-to its file), so no storage grows with the budget.
+In case 2 all sources are probed and solved in lockstep, and each source's
+messages equal, bit for bit, a solo run's. Both cases count misses from theta
+by `candidate_misses` and build their messages only when read or exported
+(the export streams them), so no storage grows with the budget.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ import numpy as np
 from .data import SourcePool
 from .discrepancy import (
     DiscrepancyEstimate,
+    candidate_misses,
     empirical_discrepancies,
     finite_moments,
     moments,
     solve_relaxation,
 )
-from .models import LinearPredictor, misses
 
 __all__ = [
     "BYTES_PER_REAL",
@@ -118,17 +118,17 @@ def _source_node_id(index: int) -> str:
 
 
 def run_case1(pool: SourcePool) -> ProtocolTrace:
-    """Reference broadcast, then local estimation at every source node."""
+    """Reference broadcast, then local estimation at every source node; messages built on read."""
+    n = pool.n_sources
     broadcast_bytes = BYTES_PER_REAL * pool.reference.n_samples * (pool.n_features + 1)
     results = empirical_discrepancies(pool.sources, pool.reference)
-    messages = [Message("learner", _source_node_id(i), KIND_REFERENCE_BROADCAST,
-                        broadcast_bytes, round=0) for i in range(pool.n_sources)]
-    messages += [Message(_source_node_id(i), "learner", KIND_DISCREPANCY_RESULT,
-                         BYTES_PER_REAL, round=1, payload=(estimate.value,))
-                 for i, estimate in enumerate(results)]
-    return ProtocolTrace(n_messages=len(messages),
-                         total_bytes=sum(m.payload_size for m in messages),
-                         rounds=2, result=results, build_messages=lambda: messages)
+    return ProtocolTrace(
+        n_messages=2 * n, total_bytes=n * (broadcast_bytes + BYTES_PER_REAL), rounds=2,
+        result=results, build_messages=lambda: chain(
+            (Message("learner", _source_node_id(i), KIND_REFERENCE_BROADCAST, broadcast_bytes,
+                     round=0) for i in range(n)),
+            (Message(_source_node_id(i), "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL,
+                     round=1, payload=(estimate.value,)) for i, estimate in enumerate(results))))
 
 
 def _check_replies(replies: np.ndarray) -> None:
@@ -161,7 +161,7 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
     query_bytes = BYTES_PER_REAL * (d + 1)
     final_query_bytes = BYTES_PER_REAL * (d + 2)
     # learner-side term mean_ref (w.x + b - y)^2, from the reference's moments
-    gram_ref, moment_ref = finite_moments(reference, "the reference's")
+    gram_ref, moment_ref = finite_moments((reference,), "the reference's")
     # source-side terms mean_src (w.x + b + y)^2, labels flipped: source i's reply
     # is 2 (G_i q + h_i) from its whole sample's moments, computed as (2G_i) q + 2h_i
     gram_src, moment_src = (2.0 * np.stack(a) for a in zip(*map(moments, pool.sources)))
@@ -182,19 +182,16 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
 
     # final exchange: the learner sends the candidate plus its reference-risk
     # scalar, and the source answers with its local flipped-label risk added
-    final_queries, results = [], []
-    for source, candidate in zip(pool.sources, theta):
-        predictor = LinearPredictor(candidate[:-1], candidate[-1])
-        ref_risk = misses(predictor, reference) / reference.n_samples
-        # the flipped-label misses: with labels of +-1, every row not missed
-        local_risk = (source.n_samples - misses(predictor, source)) / source.n_samples
-        final_queries.append((*candidate.tolist(), ref_risk))
-        results.append(DiscrepancyEstimate(local_risk + ref_risk))
+    # (with labels of +-1, every source row its sign classifier does not miss)
+    counts = candidate_misses(theta, pool.sources, reference)
+    ref_risks = [ref_misses / reference.n_samples for _, ref_misses in counts]
+    results = [DiscrepancyEstimate((s.n_samples - src_misses) / s.n_samples + r)
+               for s, (src_misses, _), r in zip(pool.sources, counts, ref_risks)]
 
     final_round = rounds + 1
 
     def build_messages() -> Iterable[Message]:
-        for i, (final_query, estimate) in enumerate(zip(final_queries, results)):
+        for i, (ref_risk, estimate) in enumerate(zip(ref_risks, results)):
             node = _source_node_id(i)
             pairs = chain(zip(probes.tolist(), replies[i].tolist()),
                           repeat((theta[i].tolist(), theta_replies[i].tolist()), rounds - d - 2))
@@ -202,7 +199,7 @@ def run_case2(pool: SourcePool, rounds: int) -> ProtocolTrace:
                 yield Message("learner", node, KIND_MODEL_QUERY, query_bytes, r, tuple(query))
                 yield Message(node, "learner", KIND_GRADIENT_REPLY, query_bytes, r, tuple(reply))
             yield Message("learner", node, KIND_MODEL_QUERY, final_query_bytes, final_round,
-                          final_query)
+                          (*theta[i].tolist(), ref_risk))
             yield Message(node, "learner", KIND_DISCREPANCY_RESULT, BYTES_PER_REAL, final_round,
                           (estimate.value,))
 

@@ -259,8 +259,8 @@ def build_pool(config: ExperimentConfig, seed: int) -> tuple[SourcePool, Dataset
             if source.n_features != reference.n_features:
                 raise ValueError(f"{path}: feature mismatch: source has {source.n_features}, "
                                  f"reference {reference.n_features}")
-            finite_moments(source, f"{path}: the source's")  # one source's design at a time
-        finite_moments(reference, f"{spec.reference_path}: the reference's")
+            finite_moments((source,), f"{path}: the source's")  # one source's design at a time
+        finite_moments((reference,), f"{spec.reference_path}: the reference's")
         test = next(files)
     if test.n_features != reference.n_features:
         raise ValueError(f"{spec.test_path}: feature mismatch: test set has {test.n_features}, "

@@ -39,6 +39,7 @@ __all__ = [
     "HUBER_C",
     "LinearPredictor",
     "misses",
+    "predicts_positive",
     "zero_one_error",
     "loss_terms",
     "minimize_weighted_loss",
@@ -65,6 +66,11 @@ MAX_ITERATIONS = 100
 # relative change of the objective below which its rounding error can hide
 # a decrease; the gradients then decide instead (see minimize_weighted_loss)
 FLOAT_SLACK = 1e-12
+
+
+def predicts_positive(scores: np.ndarray) -> np.ndarray:
+    """The sign rule: True where a score w . x + b predicts +1, that is >= 0 (ties too)."""
+    return scores >= 0.0
 
 
 @dataclass(eq=False)
@@ -97,7 +103,7 @@ class LinearPredictor:
         return features @ self.weights + self.bias
 
     def predict_labels(self, features: np.ndarray) -> np.ndarray:
-        return np.where(self.decision_function(features) >= 0.0, 1.0, -1.0)
+        return np.where(predicts_positive(self.decision_function(features)), 1.0, -1.0)
 
     def probabilities(self, features: np.ndarray) -> np.ndarray:
         """sigmoid(w . x + b), by the identity of `loss_terms`."""

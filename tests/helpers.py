@@ -12,6 +12,7 @@ import numpy as np
 from multisource.data import Dataset
 from multisource.discrepancy import RELAX_RIDGE, moments
 from multisource.harness import ExperimentConfig, SyntheticSpec
+from multisource.models import LinearPredictor, misses
 from multisource.weights import WeightProblem
 
 ORACLE_MAX_POINTS = 200
@@ -242,13 +243,23 @@ def bench_seed(*parts: int) -> int:
                .generate_state(1)[0])
 
 
+def predictor_misses(theta: np.ndarray, data: Dataset) -> int:
+    """The misses on `data` of theta = (w, b), counted the long way: a
+    `LinearPredictor` of it, then `models.misses`."""
+    return misses(LinearPredictor(theta[:-1], theta[-1]), data)
+
+
 def case2_oracle(source: Dataset, reference: Dataset, rounds: int):
-    """One source's case-2 exchange, written plainly: (queries, replies, final theta).
+    """One source's case-2 exchange, written plainly: (queries, replies, final
+    query, final reply).
 
     Each reply is 2 (G q + h) from the source's moments. The learner queries
     theta = 0, then e_0..e_d; the first reply is 2h, and reply j + 2 minus
     the first is column j of 2G. It adds the reference's moments, solves the
     ridged relaxation for theta, and queries theta for the rest of the budget.
+    The final query is theta and the reference's 0/1 risk r; the final reply
+    is 1 - clamp(q + r, 0, 1), where q is the source's flipped-label risk,
+    both counted by `predictor_misses`.
     """
     gram_src, moment_src = moments(source)
     gram_ref, moment_ref = moments(reference)
@@ -263,7 +274,10 @@ def case2_oracle(source: Dataset, reference: Dataset, rounds: int):
     for _ in range(rounds - len(probes)):
         queries.append(theta)
         replies.append(2.0 * (gram_src @ theta + moment_src))
-    return np.array(queries), np.array(replies), theta
+    ref_risk = predictor_misses(theta, reference) / reference.n_samples
+    local_risk = (source.n_samples - predictor_misses(theta, source)) / source.n_samples
+    final_reply = 1.0 - min(max(local_risk + ref_risk, 0.0), 1.0)
+    return np.array(queries), np.array(replies), np.append(theta, ref_risk), final_reply
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

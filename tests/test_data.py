@@ -399,6 +399,43 @@ def test_a_file_of_cells_json_does_not_read_is_read_by_the_per_cell_loop(tmp_pat
     assert back.labels.tobytes() == labels.tobytes()
 
 
+def _spied(monkeypatch, name):
+    """The calls of `data.<name>` from now on, each still run."""
+    real, calls = getattr(data, name), []
+    monkeypatch.setattr(data, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_minus_zero_that_json_reads_right_keeps_the_json_reader(tmp_path, monkeypatch):
+    # -0.5, -0.0 and 1e-0 hold "-0" beside the zero features of f1, and the
+    # label -0 is no feature, so no feature cell is an integer -0
+    path, target = tmp_path / "d.csv", tmp_path / "out.csv"
+    path.write_text("f0,label,f1,f2\n-0.5,1,0,1e-0\n-0.0,-0,1,-0.25\n0.125,0,0, -0.75\n")
+    loop_calls = _spied(monkeypatch, "_load_csv_per_cell")
+    row_calls = _spied(monkeypatch, "_csv_rows")
+    back = load_csv(path)
+    data.rewrite_csv(path, target, lambda ds: Dataset(ds.features, -ds.labels))
+    assert loop_calls == [] and row_calls == []  # JSON numbers, written by split and join
+    features, labels = data._load_csv_per_cell(path, "label")
+    assert back.features.tobytes() == features.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
+    assert target.read_bytes() == (b"f0,label,f1,f2\r\n-0.5,-1,0,1e-0\r\n-0.0,1,1,-0.25\r\n"
+                                   b"0.125,1,0, -0.75\r\n")
+
+
+# an integer -0 feature cell: first, after the label, or in blanks
+@pytest.mark.parametrize("text", ["f0,label,f1\n-0,1,2\n", "f0,label,f1\n1,0,-0\n",
+                                  "f0,label,f1\n1,-0, -0 \n0.5,1,3\n"])
+def test_an_integer_minus_zero_feature_anywhere_is_read_by_the_per_cell_loop(
+        tmp_path, monkeypatch, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    calls = _spied(monkeypatch, "_load_csv_per_cell")
+    back = load_csv(path)
+    assert len(calls) == 1
+    assert np.signbit(back.features).any()
+
+
 # named columns, the label second, numbers as people write them, 0/1 labels
 _NAMED = ("# heights and weights\n"
           "height, label ,weight,age\n"

@@ -7,6 +7,7 @@ from helpers import (
     brute_force_threshold_gap,
     exact_discrepancy_oracle,
     lstsq_discrepancy,
+    predictor_misses,
     random_dataset,
     spearman,
 )
@@ -14,6 +15,7 @@ from multisource import discrepancy, federated
 from multisource.data import Dataset, SourcePool
 from multisource.discrepancy import (
     DiscrepancyEstimate,
+    candidate_misses,
     empirical_discrepancies,
     empirical_discrepancy,
 )
@@ -182,6 +184,54 @@ def test_a_non_finite_classifier_raises_as_a_predictor_does(monkeypatch):
             empirical_discrepancies([plain], plain)
         with pytest.raises(ValueError, match="^predictor parameters must be finite$"):
             federated.run_case2(SourcePool((plain,), plain), rounds=3)
+
+
+def _integer_sample(data, d):
+    """A drawn Dataset of 1-8 rows of integer features in [-3, 3]."""
+    n = data.draw(st.integers(1, 8))
+    cells = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    features = data.draw(st.lists(cells, min_size=n, max_size=n))
+    return Dataset(features, data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                                max_size=n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_counts_from_theta_equal_a_predictors_where_scores_tie(data):
+    # integer features and a small-integer theta put many scores exactly at
+    # 0, where the sign rule's tie to +1 decides a miss
+    d, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    sources = [_integer_sample(data, d) for _ in range(k)]
+    reference = _integer_sample(data, d)
+    row = st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1)
+    theta = np.array(data.draw(st.lists(row, min_size=k, max_size=k)), dtype=np.float64)
+    expected = [(predictor_misses(t, s), predictor_misses(t, reference))
+                for t, s in zip(theta, sources)]
+    counts = candidate_misses(theta, sources, reference)
+    assert counts == expected
+    assert all(type(c) is int for pair in counts for c in pair)
+    m_ref = reference.n_samples
+    risks = [((s.n_samples - src) * m_ref + ref * s.n_samples) / (s.n_samples * m_ref)
+             for s, (src, ref) in zip(sources, expected)]
+    # case 2's final exchange adds the two risks instead
+    sums = [(s.n_samples - src) / s.n_samples + ref / m_ref
+            for s, (src, ref) in zip(sources, expected)]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (discrepancy, federated):
+            patch.setattr(module, "solve_relaxation", lambda gram, target: theta)
+        central = empirical_discrepancies(sources, reference)
+        case2 = federated.run_case2(SourcePool(tuple(sources), reference), rounds=d + 2)
+    assert [e.solver_risk for e in central] == [DiscrepancyEstimate(r).solver_risk for r in risks]
+    assert [e.solver_risk for e in case2.result] == [DiscrepancyEstimate(r).solver_risk
+                                                     for r in sums]
+
+
+def test_a_score_of_zero_predicts_plus_one():
+    reference = Dataset([[0.0], [1.0], [-1.0]], [-1.0, -1.0, 1.0])
+    # theta = 0 scores every row 0: each -1 label is missed, each +1 is not
+    assert candidate_misses(np.zeros((1, 2)), [ONE_D_SOURCE], reference) == [(2, 2)]
+    # w = 1, b = 0 scores each row at 0 exactly 0, which predicts +1 and misses its -1
+    assert candidate_misses(np.array([[1.0, 0.0]]), [ONE_D_REFERENCE], reference) == [(1, 3)]
 
 
 def test_unequal_sizes_are_weighted_not_resampled():

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import bench_seed, case2_oracle, config_to_json, lstsq_relaxation, random_dataset
-from multisource import discrepancy, federated
+from multisource import discrepancy, federated, models
 from multisource.cli import main
 from multisource.data import Dataset, SourcePool
-from multisource.discrepancy import empirical_discrepancy
+from multisource.discrepancy import empirical_discrepancies, empirical_discrepancy
 from multisource.federated import BYTES_PER_REAL, Message, run_case1, run_case2
 from multisource.harness import (
     ExperimentConfig,
@@ -48,6 +48,19 @@ def test_case1_builds_each_samples_moments_once(monkeypatch):
     run_case1(pool)
     assert len(built) == pool.n_sources + 1
     assert sum(data is pool.reference for data in built) == 1
+
+
+def test_no_predictor_is_built_to_score_a_candidate(monkeypatch):
+    built, post_init = [], models.LinearPredictor.__post_init__
+    monkeypatch.setattr(models.LinearPredictor, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    pool = _pool(n_sources=4)
+    empirical_discrepancies(pool.sources, pool.reference)
+    run_case1(pool)
+    run_case2(pool, rounds=10)
+    assert built == []
+    models.LinearPredictor(np.zeros(2), 0.0)  # the count sees a predictor built
+    assert len(built) == 1
 
 
 def test_case1_message_and_byte_accounting():
@@ -250,16 +263,18 @@ def test_case2_matches_a_plain_per_source_loop_bit_for_bit(n_sources, d, extra_r
 
 
 def _assert_matches_the_oracle(pool, rounds):
-    """Every source's queries, replies and final candidate equal, bit for
-    bit, those of `case2_oracle`, a plain loop over one source's rounds."""
+    """Every source's queries, replies, final query (candidate and reference
+    risk) and final reply equal, bit for bit, those of `case2_oracle`, a
+    plain loop over one source's rounds."""
     messages = run_case2(pool, rounds).messages
     block = 2 * rounds + 2
     for i, source in enumerate(pool.sources):
-        queries, replies, theta = case2_oracle(source, pool.reference, rounds)
+        queries, replies, final_query, final_reply = case2_oracle(source, pool.reference, rounds)
         own = messages[i * block:(i + 1) * block]
         assert np.array([m.payload for m in own[0:-2:2]]).tobytes() == queries.tobytes()
         assert np.array([m.payload for m in own[1:-2:2]]).tobytes() == replies.tobytes()
-        assert np.array(own[-2].payload[:-1]).tobytes() == theta.tobytes()
+        assert np.array(own[-2].payload).tobytes() == final_query.tobytes()
+        assert np.array(own[-1].payload).tobytes() == np.array([final_reply]).tobytes()
 
 
 def _bench_pool(j):
@@ -460,3 +475,26 @@ def test_case2_builds_no_message_until_read(monkeypatch, tmp_path):
     assert len(built) == 0
     assert len(trace.messages) == 2 * n_sources * (rounds + 1) == len(built)
     assert trace.messages == tuple(built)  # read once, built once
+
+
+def test_case1_builds_no_message_until_read(monkeypatch, tmp_path):
+    built = []
+
+    class CountingMessage(Message):
+        def __post_init__(self):
+            built.append(self)
+            Message.__post_init__(self)
+
+    monkeypatch.setattr(federated, "Message", CountingMessage)
+    n_sources = 3
+    trace = run_case1(_pool(seed=6, n_sources=n_sources))
+    path = tmp_path / "config.json"
+    _synthetic_config(path, n_sources, 20, 15, 2, seed=6)
+    _cli_stdout(["simulate-federated", "--case", "1", "--config", str(path)])
+    assert len(built) == 0
+    assert len(trace.messages) == 2 * n_sources == len(built)
+    assert trace.messages == tuple(built)  # read once, built once
+    # the counts stored in closed form are those of the built trace
+    assert trace.n_messages == len(trace.messages)
+    assert trace.total_bytes == sum(m.payload_size for m in trace.messages)
+    assert [m.payload for m in trace.messages[n_sources:]] == [(e.value,) for e in trace.result]

@@ -97,10 +97,13 @@ def test_sweep_digests_of_a_case2_trace(tmp_path):
     done = _run("sweep_digests.py", "--federated", str(tiny))
     assert done.returncode == 0, done.stderr
     trace = tmp_path / "trace.jsonl"
-    stdout = subprocess.run([sys.executable, "-m", "multisource", "simulate-federated", "--case",
-                             "2", "--config", str(tiny), "--rounds", "1000", "--trace", str(trace)],
+    simulate = [sys.executable, "-m", "multisource", "simulate-federated", "--config", str(tiny)]
+    case1 = subprocess.run(simulate + ["--case", "1"], capture_output=True, env=ENV, timeout=60,
+                           check=True).stdout
+    stdout = subprocess.run(simulate + ["--case", "2", "--rounds", "1000", "--trace", str(trace)],
                             capture_output=True, env=ENV, timeout=60, check=True).stdout
     assert done.stdout.splitlines() == [
+        f"{hashlib.sha256(case1).hexdigest()}  tiny.case1.stdout",
         f"{hashlib.sha256(stdout).hexdigest()}  tiny.case2.stdout",
         f"{hashlib.sha256(trace.read_bytes()).hexdigest()}  tiny.case2.jsonl"]
 
