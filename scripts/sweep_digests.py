@@ -15,7 +15,11 @@ only those. With `--csv`, runs only the benchmark's csv_score sequence
 `train`) at base seeds 1 and 9001, and digests the corrupted files and the
 stdout of the last three calls; then runs it again on copies of the inputs
 whose non-negative cells carry a leading `+`, which are no JSON numbers, so
-the per-cell reader reads them: 28 lines. Prints one `sha256  name` line per
+the per-cell reader reads them: 28 lines. Last it digests `corrupt` of the
+first seed-1 source by the rows and label position that sequence never
+writes: `shuffled_features` at proportion 0.005 (so some blocks of 256 rows
+keep every feature), `label_bias`, and `shuffled_labels` on a copy whose
+label column comes first: 31 lines. Prints one `sha256  name` line per
 artifact. Run it in two trees with the same BLAS
 thread count and diff the outputs:
 
@@ -87,6 +91,34 @@ def plus_signed(path: Path) -> None:
                     + "\n", encoding="utf-8")
 
 
+def label_first(path: Path, copy: Path) -> None:
+    """Write the CSV file at `path`, whose label column is last, to `copy`
+    with that column first."""
+    rows = (line.split(",") for line in path.read_text(encoding="utf-8").splitlines())
+    copy.write_text("".join(",".join([row[-1], *row[:-1]]) + "\n" for row in rows),
+                    encoding="utf-8")
+
+
+def corrupt_digests(work: Path, base: int) -> int:
+    """Digest `corrupt` of csv_score's first source at `base` by the kinds,
+    proportions and label position that the csv_score sequence never runs."""
+    work.mkdir()
+    workload = CsvScore()
+    workload.prepare(work, base)
+    source, moved = workload.src_paths[0], work / "label_first_0.csv"
+    label_first(source, moved)
+    for path, kind, proportion in ((source, "shuffled_features", "0.005"),
+                                   (source, "label_bias", "0.5"),
+                                   (moved, "shuffled_labels", "0.5")):
+        out = work / f"{kind}-{path.name}"
+        code, _ = _run(["corrupt", "--input", str(path), "--output", str(out), "--kind", kind,
+                        "--proportion", proportion, "--seed", str(workload.corrupt_seed)])
+        if code != 0:
+            return code
+        _digest(out.read_bytes(), f"csv-{base}.{kind}.{path.name}")
+    return 0
+
+
 def csv_digests(work: Path, base: int, plus: bool = False) -> int:
     """Digest the csv_score sequence at `base`, run in a new directory
     `work` on relative paths so that no stdout names the directory; with
@@ -149,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
                     code = csv_digests(work / f"{plus}-{base}", base, plus)
                     if code != 0:
                         return code
-            return 0
+            return corrupt_digests(work / "corrupt", BASE_SEEDS[0])
         default = not (args.configs or args.federated)
         experiments = bench_configs(work) if default else [Path(c) for c in args.configs]
         federated = bench_federated_configs(work) if default else map(Path, args.federated)

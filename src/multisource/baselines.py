@@ -29,7 +29,8 @@ def geometric_median(points: Sequence[np.ndarray]) -> np.ndarray:
     """Point minimizing the summed Euclidean distances, by Weiszfeld iteration.
 
     Denominators are floored at 1e-10 so iterates sitting on a data point do
-    not blow up. Each update weakly decreases the objective; the loop stops
+    not blow up. One set of distances per iterate gives its objective and the
+    next step. Each update weakly decreases the objective; the loop stops
     once the decrease falls below `WEISZFELD_RTOL` (relative to the objective).
     When the minimizer is one of the input points the iteration only
     approaches it, so the final answer is the best of the limit and the
@@ -42,16 +43,17 @@ def geometric_median(points: Sequence[np.ndarray]) -> np.ndarray:
         return pts[0].copy()
 
     z = pts.mean(axis=0)
-    objective = float(np.linalg.norm(pts - z, axis=1).sum())
+    dist = np.linalg.norm(pts - z, axis=1)
+    objective = float(dist.sum())
     for _ in range(WEISZFELD_MAX_ITER):
-        dist = np.maximum(np.linalg.norm(pts - z, axis=1), WEISZFELD_EPS)
-        inv = 1.0 / dist
+        inv = 1.0 / np.maximum(dist, WEISZFELD_EPS)
         z_new = (pts * inv[:, None]).sum(axis=0) / inv.sum()
-        new_objective = float(np.linalg.norm(pts - z_new, axis=1).sum())
+        new_dist = np.linalg.norm(pts - z_new, axis=1)
+        new_objective = float(new_dist.sum())
         if new_objective > objective:
             break  # denominator flooring artifact; keep the better iterate
         improved = objective - new_objective
-        z, objective = z_new, new_objective
+        z, dist, objective = z_new, new_dist, new_objective
         if improved <= WEISZFELD_RTOL * max(1.0, objective):
             break
     vertex_objectives = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)

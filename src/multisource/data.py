@@ -14,7 +14,7 @@ whole text with string searches for what sends it to the loop (a quote, a
 field over csv's field size limit) and tests lines one by one for a
 comment only when the text holds a '#'. Both readers skip a leading UTF-8
 BOM. `rewrite_csv` writes a changed copy of a file from the lines it read,
-formatting only the cells the change moved.
+formatting only the cells the change moved, a block of lines per write.
 
 `load_csvs` parses a command's files in forked readers through
 `_fork.forked`, and each reader sends a file back as its shape and raw
@@ -172,9 +172,11 @@ def rewrite_csv(source: str | Path, target: str | Path, change: Callable[[Datase
     `source` is read once, and checked and changed before `target` is opened,
     so an invalid input (one with no data row too) leaves `target` as it
     was, and `target` may be `source`. A file read as JSON numbers by orjson
-    is written with one comma split and join per line (no cell of such a
-    file needs quoting); any file read by the per-cell loop goes through
-    csv.reader and csv.writer, which quote a cell only where they must.
+    (no cell of it needs quoting) is written `_BLOCK_ROWS` lines per write,
+    each line split and joined at its commas, except in a label-last file's
+    blocks with no moved feature, whose lines keep their text up to the last
+    comma. Any file read by the per-cell loop goes through csv.reader and
+    csv.writer, which quote a cell only where they must.
     """
     source, target = _existing(source), Path(target)
     lines = _plain_lines(source)
@@ -185,7 +187,14 @@ def rewrite_csv(source: str | Path, target: str | Path, change: Callable[[Datase
         data = Dataset(*_parse_cells(source, lines, label_column))
     header = lines.pop(0)
     label_idx = _parse_header(source, header.split(",") if plain else header, label_column)[1]
-    cells = _changed_cells(data, change(data), label_idx)
+    labels, texts = _changed_cells(data, change(data), label_idx)
+
+    def cells(r: int, row: list[str]) -> list[str]:  # data row r's cells, rewritten in place
+        row[label_idx] = labels[r]
+        for c, text in texts.get(r, ()):
+            row[c] = text
+        return row
+
     with target.open("w", newline="", encoding="utf-8") as fh:
         if not plain:
             writer = csv.writer(fh)
@@ -193,15 +202,23 @@ def rewrite_csv(source: str | Path, target: str | Path, change: Callable[[Datase
             writer.writerows(map(cells, range(len(lines)), lines))
             return
         fh.write(header + "\r\n")
-        fh.writelines(",".join(cells(r, line.split(","))) + "\r\n"
-                      for r, line in enumerate(lines))
+        label_last = label_idx == header.count(",")
+        moved_blocks = {r // _BLOCK_ROWS for r in texts}
+        for first in range(0, len(lines), _BLOCK_ROWS):
+            block = lines[first:first + _BLOCK_ROWS]
+            if label_last and first // _BLOCK_ROWS not in moved_blocks:
+                # no cell holds a comma, so the label cell is all after the last one
+                out = [line[:line.rindex(",") + 1] + y
+                       for line, y in zip(block, labels[first:first + _BLOCK_ROWS])]
+            else:
+                out = [",".join(cells(r, line.split(","))) for r, line in enumerate(block, first)]
+            fh.write("\r\n".join(out) + "\r\n")
 
 
 def _changed_cells(data: Dataset, changed: Dataset,
-                   label_idx: int) -> Callable[[int, list[str]], list[str]]:
-    """The function that rewrites data row r's cells in place, and returns
-    them: the label becomes 1 or -1, a feature the change moved becomes its
-    `%.17g`, and every other cell stays as it was read."""
+                   label_idx: int) -> tuple[list[str], dict[int, list[tuple[int, str]]]]:
+    """The changed dataset's label cells, 1 or -1, and the (column, `%.17g`)
+    cells of each data row whose features it moved (compared bit for bit)."""
     if changed.features.shape != data.features.shape:
         raise ValueError(f"the change turned a {data.features.shape} table into a "
                          f"{changed.features.shape} one")
@@ -211,14 +228,7 @@ def _changed_cells(data: Dataset, changed: Dataset,
     texts = {int(r): [(columns[j], "%.17g" % changed.features[r, j])
                       for j in np.flatnonzero(moved[r])]
              for r in np.flatnonzero(moved.any(axis=1))}
-
-    def rewrite(r: int, cells: list[str]) -> list[str]:
-        cells[label_idx] = labels[r]
-        for c, text in texts.get(r, ()):
-            cells[c] = text
-        return cells
-
-    return rewrite
+    return labels, texts
 
 
 def _existing(path: str | Path) -> Path:
@@ -311,7 +321,7 @@ def _parse_plain_rows(
     for first in range(0, len(rows), _BLOCK_ROWS):
         block = rows[first:first + _BLOCK_ROWS]
         text = "],[".join(block)
-        if any(c in text for c in "tfn") or text.count("[") >= len(block):
+        if any(c in text for c in "tfn") or "[" in "".join(block):
             return None
         try:
             part = np.array(orjson.loads("[[" + text + "]]"), dtype=np.float64)

@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from multisource.baselines import WEISZFELD_EPS, WEISZFELD_MAX_ITER, WEISZFELD_RTOL
 from multisource.data import Dataset
 from multisource.discrepancy import RELAX_RIDGE, moments
 from multisource.harness import ExperimentConfig, SyntheticSpec
@@ -43,14 +44,45 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(obj, indent=2)
 
 
-def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write `dataset` to `path` as csv.writer rows: columns f0..f{d-1} then
-    `label_column`, every number as `%.17g` (round-trip safe), CRLF line ends."""
+def write_csv(dataset: Dataset, path, label_column: str = "label",
+              label_at: int | None = None) -> None:
+    """Write `dataset` to `path` as csv.writer rows: columns f0..f{d-1} with
+    `label_column` inserted at index `label_at` (last by default), every
+    number as `%.17g` (round-trip safe), CRLF line ends."""
+    at = dataset.n_features if label_at is None else label_at
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dataset.n_features)] + [label_column])
+        names = [f"f{j}" for j in range(dataset.n_features)]
+        writer.writerow(names[:at] + [label_column] + names[at:])
         for x, y in zip(dataset.features.tolist(), dataset.labels.tolist()):
-            writer.writerow([f"{v:.17g}" for v in x] + [f"{y:.17g}"])
+            cells = [f"{v:.17g}" for v in x]
+            writer.writerow(cells[:at] + [f"{y:.17g}"] + cells[at:])
+
+
+def weiszfeld_reference(points) -> np.ndarray:
+    """`baselines.geometric_median` as it was written before each iteration
+    reused its accepted iterate's distances: two sets of norms per iteration."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[0] == 1:
+        return pts[0].copy()
+    z = pts.mean(axis=0)
+    objective = float(np.linalg.norm(pts - z, axis=1).sum())
+    for _ in range(WEISZFELD_MAX_ITER):
+        dist = np.maximum(np.linalg.norm(pts - z, axis=1), WEISZFELD_EPS)
+        inv = 1.0 / dist
+        z_new = (pts * inv[:, None]).sum(axis=0) / inv.sum()
+        new_objective = float(np.linalg.norm(pts - z_new, axis=1).sum())
+        if new_objective > objective:
+            break
+        improved = objective - new_objective
+        z, objective = z_new, new_objective
+        if improved <= WEISZFELD_RTOL * max(1.0, objective):
+            break
+    vertex_objectives = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
+    best_vertex = int(np.argmin(vertex_objectives))
+    if vertex_objectives[best_vertex] < objective:
+        return pts[best_vertex].copy()
+    return z
 
 
 def zero_one_copy(signed, path):

@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
+from helpers import weiszfeld_reference
 from multisource.baselines import (
     MedianOfProbsEnsemble,
     componentwise_median,
@@ -53,6 +56,26 @@ def test_geometric_median_matches_exact_median_on_odd_1d_sets():
         n = int(rng.integers(1, 8)) * 2 + 1  # odd count: unique minimizer
         pts = rng.standard_normal((n, 1)) * 5
         assert abs(geometric_median(pts)[0] - np.median(pts)) <= 1e-6
+
+
+@st.composite
+def _point_sets(draw):
+    """1 to 12 points of 1 to 4 coordinates, drawn with repeats from up to 6
+    distinct ones, so that the optimum is often one of the points."""
+    d = draw(st.integers(1, 4))
+    coordinates = st.floats(-1e3, 1e3, allow_nan=False)
+    distinct = draw(st.lists(st.lists(coordinates, min_size=d, max_size=d),
+                             min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    return np.array([distinct[i] for i in picks])
+
+
+@given(_point_sets())
+@example(np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0], [0.0, 1.0]]))  # optimum at a point
+@example(np.array([[0.0], [0.0], [10.0]]))
+@settings(max_examples=300, deadline=None)
+def test_geometric_median_equals_the_two_norm_loop_bit_for_bit(pts):
+    assert geometric_median(pts).tobytes() == weiszfeld_reference(pts).tobytes()
 
 
 def test_geometric_median_empty():

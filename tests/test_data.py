@@ -4,6 +4,7 @@ import inspect
 import itertools
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ _NUMBERS = ["0.5", "-3", "1e-320", "-0", "2.5e300", " 4.25 ", "1_0", "１", "nan
             "-inf", "oops", "", "0x1p3", "7.", ".5", "+1", "\xa01", "2\x0c", "3\x1c", "\x1f4",
             "1#2",
             # JSON that is no number, or that JSON and float() read apart
-            "true", "false", "null", "[1]", "1E5", "-0e0", "00", "1e400",
+            "true", "false", "null", "[1]", "1]", "[2", "1E5", "-0e0", "00", "1e400",
             "18446744073709551616"]
 _LABELS = ["1", "-1", "0", "1.0", "-0", " 1", "2", "nan", "1_0", "x", ""]
 
@@ -478,22 +479,98 @@ def test_rewrite_csv_keeps_the_text_of_every_cell_it_does_not_change(tmp_path, k
     assert back.labels.tobytes() == changed.labels.tobytes()
 
 
-@pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, monkeypatch, kind):
+def _negating(seed):
+    """The change that negates about half the feature cells (so 0 becomes -0,
+    which differs from it bit for bit)."""
+    def negate(ds):
+        flip = np.random.default_rng(seed).random(ds.features.shape) < 0.5
+        return Dataset(np.where(flip, -ds.features, ds.features), ds.labels)
+
+    return negate
+
+
+def _reference_rewrite(source, target, change):
+    """The bytes the csv-module branch of `rewrite_csv` writes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_plain_lines", lambda path: None)
+        data.rewrite_csv(source, target, change)
+    return target.read_bytes()
+
+
+# more than two blocks of rows, the label first, in the middle and last, and
+# proportions that leave some blocks with no changed row and change every row
+@pytest.mark.parametrize("kind", [*CORRUPTION_KINDS, "negate"])
+def test_rewrite_csv_of_a_save_csv_file_writes_the_save_csv_bytes(tmp_path, kind):
     rng = np.random.default_rng(31)
-    ds = Dataset(rng.standard_normal((600, 4)) * 10.0 ** rng.integers(-300, 301, (600, 4)),
-                 np.where(rng.random(600) < 0.5, 1.0, -1.0))
-    source, expected, target = (tmp_path / f"{name}.csv" for name in ("in", "expected", "out"))
-    write_csv(ds, source)
-    spec = CorruptionSpec(kind, 0.5, 8)
-    write_csv(corrupt(ds, spec), expected)
+    n = 700
+    ds = Dataset(rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 301, (n, 4)),
+                 np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    source, expected, target, reference = (tmp_path / f"{name}.csv" for name in
+                                           ("in", "expected", "out", "reference"))
+    changes = [_negating(8)] if kind == "negate" else [
+        lambda d, spec=CorruptionSpec(kind, proportion, 8): corrupt(d, spec)
+        for proportion in (0.01, 1.0)]
 
     def no_csv_module(path):
         raise AssertionError("a file of JSON numbers was read through csv.reader")
 
-    monkeypatch.setattr(data, "_csv_rows", no_csv_module)
+    for label_at, change in itertools.product((0, 2, 4), changes):
+        write_csv(ds, source, label_at=label_at)
+        write_csv(change(ds), expected, label_at=label_at)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_csv_rows", no_csv_module)
+            data.rewrite_csv(source, target, change)
+        assert target.read_bytes() == expected.read_bytes() == _reference_rewrite(
+            source, reference, change)
+        back, changed = load_csv(target), change(ds)
+        assert back.features.tobytes() == changed.features.tobytes()
+        assert back.labels.tobytes() == changed.labels.tobytes()
+
+
+def test_rewrite_csv_splits_only_the_lines_of_blocks_with_a_moved_feature(tmp_path,
+                                                                          monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 3 * data._BLOCK_ROWS + 8
+    ds = Dataset(rng.standard_normal((n, 3)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    source, target = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_csv(ds, source)  # the label last
+    split, writes = [], []
+
+    class CountingLine(str):
+        def split(self, *args):
+            split.append(self.row)
+            return str.split(self, *args)
+
+    def counted_lines(path):
+        header, *lines = plain_lines(path)
+        counted = [CountingLine(line) for line in lines]
+        for r, line in enumerate(counted):
+            line.row = r
+        return [header, *counted]
+
+    def counted_open(path, mode="r", *args, **kwargs):
+        fh = path_open(path, mode, *args, **kwargs)
+        if mode == "w":
+            fh.write = lambda text: writes.append(text) or type(fh).write(fh, text)
+        return fh
+
+    plain_lines, path_open = data._plain_lines, Path.open
+    monkeypatch.setattr(data, "_plain_lines", counted_lines)
+    monkeypatch.setattr(Path, "open", counted_open)
+    for kind in ("label_bias", "shuffled_labels"):
+        writes.clear()
+        data.rewrite_csv(source, target, lambda d: corrupt(d, CorruptionSpec(kind, 0.5, 4)))
+        assert split == []  # no data line of a label-only change is split
+        assert len(writes) == 1 + 4 and writes[0] == "f0,f1,f2,label\r\n"  # a write per block
+    spec = CorruptionSpec("shuffled_features", 0.005, 2)
+    changed = corrupt(ds, spec)
     data.rewrite_csv(source, target, lambda d: corrupt(d, spec))
-    assert target.read_bytes() == expected.read_bytes()
+    moved = np.flatnonzero((changed.features != ds.features).any(axis=1))
+    blocks = {r // data._BLOCK_ROWS for r in moved}
+    assert 0 < len(blocks) < 4
+    assert split == [r for r in range(n) if r // data._BLOCK_ROWS in blocks]
+    assert target.read_bytes() == _reference_rewrite(source, tmp_path / "ref.csv",
+                                                     lambda d: corrupt(d, spec))
 
 
 def _failing_change(ds):
@@ -557,19 +634,13 @@ def _plain_csv_texts(draw):
 
 @st.composite
 def _changes(draw):
-    """A corruption, or a change that negates some cells (so 0 becomes -0,
-    which differs from it bit for bit)."""
+    """A corruption, or `_negating`'s change."""
     kind = draw(st.sampled_from([*CORRUPTION_KINDS, "negate"]))
     seed = draw(st.integers(0, 2**32))
-    if kind != "negate":
-        spec = CorruptionSpec(kind, draw(st.sampled_from([0.3, 0.5, 1.0])), seed)
-        return lambda ds: corrupt(ds, spec)
-
-    def negate(ds):
-        flip = np.random.default_rng(seed).random(ds.features.shape) < 0.5
-        return Dataset(np.where(flip, -ds.features, ds.features), ds.labels)
-
-    return negate
+    if kind == "negate":
+        return _negating(seed)
+    spec = CorruptionSpec(kind, draw(st.sampled_from([0.3, 0.5, 1.0])), seed)
+    return lambda ds: corrupt(ds, spec)
 
 
 def _rewritten(source, target, change):

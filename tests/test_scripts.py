@@ -116,8 +116,10 @@ def test_sweep_digests_of_the_csv_sequence(tmp_path, monkeypatch):
              "train.stdout"]
     plain = [f"csv-{base}.{name}" for base in (1, 9001) for name in names]
     plus = [f"csv-plus-{base}.{name}" for base in (1, 9001) for name in names]
-    assert list(digests) == plain + plus
-    assert len({digests[name] for name in plain}) == len(plain)
+    corrupted = ["csv-1.shuffled_features.source_0.csv", "csv-1.label_bias.source_0.csv",
+                 "csv-1.shuffled_labels.label_first_0.csv"]
+    assert list(digests) == plain + plus + corrupted
+    assert len({digests[name] for name in plain + corrupted}) == len(plain + corrupted)
     # the plus-signed copies are read by the per-cell loop, to the same bytes
     for a, b in zip(plain, plus):
         assert (digests[a] == digests[b]) == a.endswith(".stdout")
